@@ -6,7 +6,7 @@
 //! ```
 
 use copyattack::core::AttackConfig;
-use copyattack::pipeline::{Method, Pipeline};
+use copyattack::pipeline::{AttackSpec, Pipeline};
 use copyattack_bench::{f4, preset, print_table, write_csv, Args};
 
 fn main() {
@@ -24,7 +24,7 @@ fn main() {
 
     let mut rows = Vec::new();
     let mut run = |label: String, attack_cfg: AttackConfig| {
-        let row = pipe.run_method_over_items(Method::CopyAttack, &chosen, &attack_cfg);
+        let row = pipe.run_spec_over_items(&AttackSpec::new("CopyAttack", attack_cfg), &chosen);
         eprintln!("{label:<24} HR@20 {:.4} ({:.1}s)", row.metrics.hr(20), row.attack_seconds);
         rows.push(vec![
             label,

@@ -28,7 +28,7 @@ use std::time::Instant;
 
 use copyattack::ann::{IvfConfig, IvfIndex};
 use copyattack::par;
-use copyattack::pipeline::{Method, Pipeline, PipelineConfig};
+use copyattack::pipeline::{Pipeline, PipelineConfig};
 use copyattack::recsys::{
     single_top_k, EmbeddingEngine, ItemId, RetrievalMode, ScoringEngine, UserId,
 };
@@ -205,7 +205,7 @@ fn ablation_arm(retrieval: RetrievalMode, targets: usize, seed: u64) -> Ablation
     let mut cfg = PipelineConfig::tiny(seed);
     cfg.retrieval = retrieval;
     let pipe = Pipeline::build(&cfg);
-    let row = pipe.run_method_over_targets(Method::CopyAttack, targets);
+    let row = pipe.run_attack_over_targets("CopyAttack", targets);
     AblationArm {
         hr20: row.metrics.hr(20),
         ndcg20: row.metrics.ndcg(20),

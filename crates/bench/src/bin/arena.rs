@@ -17,7 +17,7 @@
 //!
 //! Writes `results/BENCH_arena.json`.
 
-use copyattack::core::{AttackConfig, AttackEnvironment};
+use copyattack::core::AttackConfig;
 use copyattack::detect::features::PopularityIndex;
 use copyattack::detect::{extract_features, ScreenedRecommender, ZScoreDetector};
 use copyattack::mf::MfRecommender;
@@ -122,7 +122,6 @@ fn run_platform<R>(
 ) where
     R: BlackBoxRecommender + Scorer + Clone + 'static,
 {
-    let src = pipe.source_domain();
     let ev = RankingEval::standard(&pipe.split.train);
     let base_cfg = &pipe.config.attack.config;
     for defended in [false, true] {
@@ -136,30 +135,15 @@ fn run_platform<R>(
             for &t in targets {
                 let cell_seed = base_cfg.seed ^ t.0 as u64;
                 let cfg = AttackConfig { seed: cell_seed, ..base_cfg.clone() };
-                let target_src = pipe.world.source_item(t).expect("targets come from the overlap");
-                let registry = pipe.registry::<ScreenedRecommender<R>>();
-                let mut attack = match registry.build(name, &cfg, &src, target_src) {
-                    Ok(a) => a,
+                let victim = def.wrap(base.clone(), defended);
+                let (screened, outcome) = match pipe.attack_with(name, t, &cfg, &victim, pretend) {
+                    Ok(attacked) => attacked,
                     Err(e) => {
                         eprintln!("skipping {name} on {label} vs {t}: {e}");
                         continue;
                     }
                 };
-                let mut make_env = || {
-                    AttackEnvironment::new(
-                        def.wrap(base.clone(), defended),
-                        pretend.to_vec(),
-                        t,
-                        cfg.reward_k,
-                        cfg.budget,
-                    )
-                };
-                attack.prepare(&src, &mut make_env);
-                let mut env = make_env();
-                let mut rng = StdRng::seed_from_u64(cell_seed ^ 0xABCD);
-                attack.run(&mut env, &src, target_src, &mut rng);
-                queries += env.queries();
-                let screened = env.into_recommender();
+                queries += outcome.queries;
                 fake_scores.extend_from_slice(screened.screened_scores());
                 accepted += screened.accepted();
                 let polluted = screened.into_inner();

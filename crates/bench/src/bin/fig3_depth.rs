@@ -9,7 +9,7 @@
 //! ```
 
 use copyattack::core::AttackConfig;
-use copyattack::pipeline::{Method, Pipeline};
+use copyattack::pipeline::{AttackSpec, Pipeline};
 use copyattack_bench::{f4, preset, print_table, write_csv, Args};
 
 fn main() {
@@ -34,7 +34,7 @@ fn main() {
     let mut rows = Vec::new();
     for &d in &depths {
         let attack_cfg = AttackConfig { tree_depth: d, ..cfg.attack.config.clone() };
-        let row = pipe.run_method_over_items(Method::CopyAttack, &chosen, &attack_cfg);
+        let row = pipe.run_spec_over_items(&AttackSpec::new("CopyAttack", attack_cfg), &chosen);
         eprintln!(
             "depth {d}: HR@20 {:.4} NDCG@20 {:.4} ({:.1}s)",
             row.metrics.hr(20),

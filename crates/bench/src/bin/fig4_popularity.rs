@@ -9,8 +9,7 @@
 //!     --preset=ml10m --per-group=5
 //! ```
 
-use copyattack::core::AttackConfig;
-use copyattack::pipeline::{attackable_from_group, Method, Pipeline};
+use copyattack::pipeline::{attackable_from_group, AttackSpec, Pipeline};
 use copyattack::recsys::popularity::PopularityGroups;
 use copyattack_bench::{f4, preset, print_table, write_csv, Args};
 use rand::rngs::StdRng;
@@ -46,8 +45,8 @@ fn main() {
             rows.push(vec![format!("{}%", (g + 1) * 10), "-".into(), "-".into(), "0".into()]);
             continue;
         }
-        let attack_cfg = AttackConfig { ..cfg.attack.config.clone() };
-        let row = pipe.run_method_over_items(Method::CopyAttack, &items, &attack_cfg);
+        let row = pipe
+            .run_spec_over_items(&AttackSpec::new("CopyAttack", cfg.attack.config.clone()), &items);
         eprintln!(
             "group {g} (top {}%): HR@20 {:.4} over {} items",
             (g + 1) * 10,

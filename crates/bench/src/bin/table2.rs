@@ -13,7 +13,7 @@
 //! the paper's ML20M-NF entry (the flat baseline is the one that does not
 //! scale; see the Criterion bench `selection` for the per-decision cost).
 
-use copyattack::pipeline::{Method, Pipeline};
+use copyattack::pipeline::Pipeline;
 use copyattack_bench::{f1, f4, preset, print_table, write_csv, Args};
 
 fn main() {
@@ -37,11 +37,23 @@ fn main() {
     );
     let items = items.min(pipe.target_items.len());
 
+    // The paper's row order; every row but the first is a registry key.
+    let table2 = [
+        "Without Attack",
+        "RandomAttack",
+        "TargetAttack40",
+        "TargetAttack70",
+        "TargetAttack100",
+        "PolicyNetwork",
+        "CopyAttack-Masking",
+        "CopyAttack-Length",
+        "CopyAttack",
+    ];
     let mut rows = Vec::new();
-    for method in Method::table2_rows() {
-        if method == Method::PolicyNetwork && skip_flat {
+    for name in table2 {
+        if name == "PolicyNetwork" && skip_flat {
             rows.push(vec![
-                method.label(),
+                name.to_string(),
                 "-".into(),
                 "-".into(),
                 "-".into(),
@@ -51,18 +63,21 @@ fn main() {
                 "-".into(),
                 "-".into(),
             ]);
-            eprintln!("{:<22} skipped (48h-infeasible row of the paper)", method.label());
+            eprintln!("{name:<22} skipped (48h-infeasible row of the paper)");
             continue;
         }
-        let row = pipe.run_method_over_targets(method, items);
+        let row = if name == "Without Attack" {
+            pipe.run_without_attack(items)
+        } else {
+            pipe.run_attack_over_targets(name, items)
+        };
         eprintln!(
-            "{:<22} HR@20 {:.4}  ({:.1}s over {items} items)",
-            method.label(),
+            "{name:<22} HR@20 {:.4}  ({:.1}s over {items} items)",
             row.metrics.hr(20),
             row.attack_seconds
         );
         rows.push(vec![
-            method.label(),
+            row.name,
             f4(row.metrics.hr(20)),
             f4(row.metrics.hr(10)),
             f4(row.metrics.hr(5)),

@@ -2,7 +2,7 @@
 
 use crate::{f4, preset, print_table, write_csv, Args};
 use copyattack::core::AttackConfig;
-use copyattack::pipeline::{Method, Pipeline};
+use copyattack::pipeline::{AttackSpec, Pipeline};
 
 /// Runs the budget sweep. `default_preset` picks the dataset when
 /// `--preset=` is absent; `figure` names the output CSV.
@@ -24,13 +24,8 @@ pub fn run(default_preset: &str, figure: &str) {
     let items = items.min(pipe.target_items.len());
     let chosen: Vec<_> = pipe.target_items.iter().copied().take(items).collect();
 
-    let methods = [
-        Method::RandomAttack,
-        Method::TargetAttack(40),
-        Method::TargetAttack(70),
-        Method::TargetAttack(100),
-        Method::CopyAttack,
-    ];
+    let methods =
+        ["RandomAttack", "TargetAttack40", "TargetAttack70", "TargetAttack100", "CopyAttack"];
 
     let mut hr_rows = Vec::new();
     let mut ndcg_rows = Vec::new();
@@ -43,10 +38,9 @@ pub fn run(default_preset: &str, figure: &str) {
                 query_every: cfg.attack.config.query_every.min(budget),
                 ..cfg.attack.config.clone()
             };
-            let row = pipe.run_method_over_items(method, &chosen, &attack_cfg);
+            let row = pipe.run_spec_over_items(&AttackSpec::new(method, attack_cfg), &chosen);
             eprintln!(
-                "budget {budget:>3} {:<16} HR@20 {:.4} ({:.1}s)",
-                method.label(),
+                "budget {budget:>3} {method:<16} HR@20 {:.4} ({:.1}s)",
                 row.metrics.hr(20),
                 row.attack_seconds
             );

@@ -8,37 +8,38 @@
 //!
 //! | key                  | attacker                                      |
 //! |----------------------|-----------------------------------------------|
-//! | `RandomAttack`       | [`crate::baselines::random_attack`]           |
-//! | `TargetAttack{40,70,100}` | [`crate::baselines::target_attack`]      |
-//! | `PolicyNetwork`      | [`crate::baselines::FlatPolicyAgent`]         |
-//! | `CopyAttack`         | [`CopyAttackAgent`], full framework           |
+//! | `RandomAttack`       | uniformly random source profiles ([`crate::baselines`]) |
+//! | `TargetAttack{40,70,100}` | carrier profiles clipped to 40/70/100%   |
+//! | `PolicyNetwork`      | flat policy gradient over all source users    |
+//! | `CopyAttack`         | [`crate::attack::CopyAttackAgent`]'s policy, full framework |
 //! | `CopyAttack-Masking` | ablation without masking (or crafting)        |
 //! | `CopyAttack-Length`  | ablation without crafting                     |
-//! | `FakeProfile`        | [`FakeProfileAttack`] (Huang et al., arXiv:2101.02644) |
+//! | `FakeProfile`        | synthesized profiles (Huang et al., arXiv:2101.02644) |
 //!
-//! plus `KgAttack` ([`KgAttack`], arXiv:2207.10307), registered through
+//! plus `KgAttack` (knowledge-enhanced, arXiv:2207.10307), registered through
 //! [`AttackRegistry::register_kg_attack`] because it needs an
 //! [`ItemKnowledge`] graph over the *target* catalog.
 //!
-//! The legacy entries are thin shims over the pre-existing attackers: the
-//! registry draws no RNG of its own and constructs each agent exactly as
-//! the pipeline used to, so a registry-routed campaign is bitwise
-//! identical to the hard-wired dispatch it replaced (pinned by golden
-//! hashes in `tests/arena.rs`).
+//! Every entry is a profile proposer served through one adapter, so every
+//! episode runs in the one episode loop, `env::run_episode`. The registry draws
+//! no RNG of its own and constructs each attacker exactly as the
+//! pipeline's earlier hard-wired dispatch did, so registry-routed results
+//! are bitwise identical to it (pinned by golden hashes in
+//! `tests/arena.rs`).
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use crate::attack::{AttackOutcome, CopyAttackAgent, CopyAttackVariant};
-use crate::baselines::{random_attack, target_attack, FlatPolicyAgent};
+use crate::attack::{AttackOutcome, CopyAttackVariant, CopyProposer};
+use crate::baselines::{FlatPolicyAgent, RandomAttack, TargetAttack};
 use crate::config::{AttackConfig, AttackGoal};
-use crate::env::{AttackEnvironment, RewardSample};
+use crate::env::{run_episode, AttackEnvironment, Proposal, Proposer, Step};
 use crate::source::SourceDomain;
-use ca_recsys::{FallibleBlackBox, ItemId, RecError, UserId};
+use ca_recsys::{FallibleBlackBox, ItemId, UserId};
 use ca_tensor::init::gaussian_vec;
 use ca_tensor::{ops, Matrix};
 use rand::rngs::StdRng;
-use rand::Rng;
+use rand::{Rng, SeedableRng};
 
 /// Typed failure for attack construction and configuration. `Display`
 /// preserves the exact messages the pre-refactor `String` errors (and the
@@ -120,14 +121,6 @@ pub trait Attack<R: FallibleBlackBox> {
     /// The registry key / report label of this attack.
     fn name(&self) -> &str;
 
-    /// Re-validates (and, where the attack supports it, applies) a new
-    /// runtime configuration. Structural hyper-parameters baked in by the
-    /// factory (tree depth, hidden widths, masks) are *not* rebuilt; use
-    /// [`AttackRegistry::build`] for that.
-    fn configure(&mut self, cfg: &AttackConfig) -> Result<(), AttackError> {
-        cfg.validate().map_err(AttackError::InvalidConfig)
-    }
-
     /// Optional training phase: episodes against fresh environments.
     fn prepare(
         &mut self,
@@ -180,22 +173,22 @@ impl<R: FallibleBlackBox + 'static> AttackRegistry<R> {
     /// Table 2 label (see the module docs for the list).
     pub fn with_builtins() -> Self {
         let mut reg = Self::new();
-        reg.register("RandomAttack", |_, _, _| Ok(Box::new(RandomCopy)));
+        // RandomAttack and TargetAttack query once, after the last injection.
+        let query_once =
+            |cfg: &AttackConfig| AttackConfig { query_every: cfg.budget, ..cfg.clone() };
+        reg.register("RandomAttack", move |cfg, _, _| {
+            Ok(Driven::stateless("RandomAttack", query_once(cfg), RandomAttack))
+        });
         for pct in [40u8, 70, 100] {
-            reg.register(format!("TargetAttack{pct}"), move |_, src, target_src| {
-                if src.users_with_item(target_src).is_empty() {
-                    return Err(AttackError::NoCarriers { target_src });
-                }
-                Ok(Box::new(TargetCopy {
-                    label: format!("TargetAttack{pct}"),
-                    fraction: pct as f32 / 100.0,
-                }))
+            reg.register(format!("TargetAttack{pct}"), move |cfg, src, target_src| {
+                let proposer = TargetAttack::try_new(src, target_src, pct as f32 / 100.0)?;
+                Ok(Driven::stateless(format!("TargetAttack{pct}"), query_once(cfg), proposer))
             });
         }
         reg.register("PolicyNetwork", |cfg, src, target_src| {
-            Ok(Box::new(FlatEntry {
-                agent: FlatPolicyAgent::try_new(cfg.clone(), src, target_src)?,
-            }))
+            Driven::learned("PolicyNetwork", cfg, |rng| {
+                FlatPolicyAgent::try_new(cfg, src, target_src, rng)
+            })
         });
         for (label, variant) in [
             ("CopyAttack", CopyAttackVariant::full()),
@@ -203,14 +196,17 @@ impl<R: FallibleBlackBox + 'static> AttackRegistry<R> {
             ("CopyAttack-Length", CopyAttackVariant::no_crafting()),
         ] {
             reg.register(label, move |cfg, src, target_src| {
-                Ok(Box::new(CopyAttackEntry {
-                    agent: CopyAttackAgent::try_new(cfg.clone(), variant, src, target_src)?,
-                    label,
-                }))
+                Driven::learned(label, cfg, |rng| {
+                    CopyProposer::new(cfg, variant, src, target_src, rng)
+                })
             });
         }
         reg.register("FakeProfile", |cfg, src, target_src| {
-            Ok(Box::new(FakeProfileAttack::new(cfg.clone(), src, target_src)))
+            Ok(Driven::stateless(
+                "FakeProfile",
+                cfg.clone(),
+                FakeProfileAttack::new(src, target_src),
+            ))
         });
         reg
     }
@@ -230,18 +226,14 @@ impl<R: FallibleBlackBox + 'static> AttackRegistry<R> {
     /// state the registry cannot conjure.
     pub fn register_kg_attack(&mut self, knowledge: Arc<ItemKnowledge>) {
         self.register("KgAttack", move |cfg, src, target_src| {
-            Ok(Box::new(KgAttack::try_new(cfg.clone(), knowledge.clone(), src, target_src)?))
+            let proposer = KgAttack::try_new(knowledge.clone(), src, target_src)?;
+            Ok(Driven::stateless("KgAttack", cfg.clone(), proposer))
         });
     }
 
     /// The registered attack names, in deterministic (sorted) order.
     pub fn names(&self) -> Vec<&str> {
         self.factories.keys().map(String::as_str).collect()
-    }
-
-    /// Whether `name` is registered.
-    pub fn contains(&self, name: &str) -> bool {
-        self.factories.contains_key(name)
     }
 
     /// Validates `cfg` and builds the named attack for `target_src`.
@@ -261,14 +253,56 @@ impl<R: FallibleBlackBox + 'static> AttackRegistry<R> {
     }
 }
 
-// --- legacy shims ---------------------------------------------------------
+// --- the one adapter --------------------------------------------------------
 
-/// Registry shim over [`random_attack`].
-struct RandomCopy;
+/// Serves a [`Proposer`] as an [`Attack`]: every episode goes through
+/// [`run_episode`]. A learned attack owns an RNG stream seeded from
+/// `cfg.seed` and trains on `cfg.episodes` fresh environments in
+/// [`Attack::prepare`]; a stateless one draws from the episode RNG passed
+/// to [`Attack::run`] and prepares nothing.
+struct Driven<P> {
+    name: String,
+    cfg: AttackConfig,
+    proposer: P,
+    own_rng: Option<StdRng>,
+}
 
-impl<R: FallibleBlackBox> Attack<R> for RandomCopy {
+impl<P: Proposer + 'static> Driven<P> {
+    fn stateless<R: FallibleBlackBox>(
+        name: impl Into<String>,
+        cfg: AttackConfig,
+        proposer: P,
+    ) -> Box<dyn Attack<R>> {
+        Box::new(Self { name: name.into(), cfg, proposer, own_rng: None })
+    }
+
+    /// Seeds the attack's own stream from `cfg.seed`; `build` draws the
+    /// initial weights from it.
+    fn learned<R: FallibleBlackBox>(
+        name: impl Into<String>,
+        cfg: &AttackConfig,
+        build: impl FnOnce(&mut StdRng) -> Result<P, AttackError>,
+    ) -> Result<Box<dyn Attack<R>>, AttackError> {
+        let mut rng = StdRng::seed_from_u64(cfg.seed);
+        let proposer = build(&mut rng)?;
+        Ok(Box::new(Self { name: name.into(), cfg: cfg.clone(), proposer, own_rng: Some(rng) }))
+    }
+}
+
+impl<R: FallibleBlackBox, P: Proposer> Attack<R> for Driven<P> {
     fn name(&self) -> &str {
-        "RandomAttack"
+        &self.name
+    }
+
+    fn prepare(
+        &mut self,
+        src: &SourceDomain<'_>,
+        make_env: &mut dyn FnMut() -> AttackEnvironment<R>,
+    ) {
+        let Some(rng) = &mut self.own_rng else { return };
+        for _ in 0..self.cfg.episodes {
+            run_episode(&mut make_env(), src, &self.cfg, &mut self.proposer, rng, true);
+        }
     }
 
     fn run(
@@ -278,88 +312,8 @@ impl<R: FallibleBlackBox> Attack<R> for RandomCopy {
         _target_src: ItemId,
         rng: &mut StdRng,
     ) -> AttackOutcome {
-        random_attack(src, env, rng)
-    }
-}
-
-/// Registry shim over [`target_attack`] at one clipping fraction.
-struct TargetCopy {
-    label: String,
-    fraction: f32,
-}
-
-impl<R: FallibleBlackBox> Attack<R> for TargetCopy {
-    fn name(&self) -> &str {
-        &self.label
-    }
-
-    fn run(
-        &mut self,
-        env: &mut AttackEnvironment<R>,
-        src: &SourceDomain<'_>,
-        target_src: ItemId,
-        rng: &mut StdRng,
-    ) -> AttackOutcome {
-        target_attack(src, env, target_src, self.fraction, rng)
-    }
-}
-
-/// Registry shim over the flat [`FlatPolicyAgent`] baseline.
-struct FlatEntry {
-    agent: FlatPolicyAgent,
-}
-
-impl<R: FallibleBlackBox> Attack<R> for FlatEntry {
-    fn name(&self) -> &str {
-        "PolicyNetwork"
-    }
-
-    fn prepare(
-        &mut self,
-        src: &SourceDomain<'_>,
-        make_env: &mut dyn FnMut() -> AttackEnvironment<R>,
-    ) {
-        self.agent.train(src, make_env);
-    }
-
-    fn run(
-        &mut self,
-        env: &mut AttackEnvironment<R>,
-        src: &SourceDomain<'_>,
-        _target_src: ItemId,
-        _rng: &mut StdRng,
-    ) -> AttackOutcome {
-        self.agent.execute(src, env)
-    }
-}
-
-/// Registry shim over [`CopyAttackAgent`] (one variant per entry).
-struct CopyAttackEntry {
-    agent: CopyAttackAgent,
-    label: &'static str,
-}
-
-impl<R: FallibleBlackBox> Attack<R> for CopyAttackEntry {
-    fn name(&self) -> &str {
-        self.label
-    }
-
-    fn prepare(
-        &mut self,
-        src: &SourceDomain<'_>,
-        make_env: &mut dyn FnMut() -> AttackEnvironment<R>,
-    ) {
-        self.agent.train(src, make_env);
-    }
-
-    fn run(
-        &mut self,
-        env: &mut AttackEnvironment<R>,
-        src: &SourceDomain<'_>,
-        _target_src: ItemId,
-        _rng: &mut StdRng,
-    ) -> AttackOutcome {
-        self.agent.execute(src, env)
+        let rng = self.own_rng.as_mut().unwrap_or(rng);
+        run_episode(env, src, &self.cfg, &mut self.proposer, rng, false)
     }
 }
 
@@ -376,8 +330,7 @@ impl<R: FallibleBlackBox> Attack<R> for CopyAttackEntry {
 /// the target item among them. Profiles go through the same
 /// [`AttackEnvironment`], so metering, retries, faults, and the detector
 /// screen all apply.
-pub struct FakeProfileAttack {
-    cfg: AttackConfig,
+pub(crate) struct FakeProfileAttack {
     target_src: ItemId,
     /// Fillers per profile: the mean genuine source profile length, so the
     /// fakes are length-camouflaged against the profile-length feature.
@@ -395,107 +348,42 @@ pub struct FakeProfileAttack {
 
 impl FakeProfileAttack {
     /// Builds the attack; the surrogate is `src`'s MF model.
-    pub fn new(cfg: AttackConfig, src: &SourceDomain<'_>, target_src: ItemId) -> Self {
+    pub(crate) fn new(src: &SourceDomain<'_>, target_src: ItemId) -> Self {
         let n_users = src.n_users().max(1);
         let total: usize = (0..n_users).map(|u| src.data.profile(UserId(u as u32)).len()).sum();
         let profile_len = (total / n_users).max(2);
-        Self { cfg, target_src, profile_len, opt_steps: 5, opt_lr: 0.1, reg: 0.1, noise: 0.25 }
+        Self { target_src, profile_len, opt_steps: 5, opt_lr: 0.1, reg: 0.1, noise: 0.25 }
     }
 }
 
-impl<R: FallibleBlackBox> Attack<R> for FakeProfileAttack {
-    fn name(&self) -> &str {
-        "FakeProfile"
-    }
+impl Proposer for FakeProfileAttack {
+    type Sample = ();
 
-    fn configure(&mut self, cfg: &AttackConfig) -> Result<(), AttackError> {
-        cfg.validate().map_err(AttackError::InvalidConfig)?;
-        self.cfg = cfg.clone();
-        Ok(())
-    }
-
-    fn run(
-        &mut self,
-        env: &mut AttackEnvironment<R>,
-        src: &SourceDomain<'_>,
-        _target_src: ItemId,
-        rng: &mut StdRng,
-    ) -> AttackOutcome {
-        let budget = self.cfg.budget;
-        let q_target: Vec<f32> = src.item_embedding(self.target_src).to_vec();
-        let n_items = src.mf.n_items();
-        let mut total_items = 0usize;
-        let mut landed = 0usize;
-        let mut failed = 0usize;
-        let mut skipped = 0usize;
-        let mut last_reward = 0.0f32;
-        let mut last_error: Option<RecError> = None;
-
-        for t in 0..budget {
-            if env.exhausted() {
-                break;
-            }
-            // Synthesize this profile's user vector: noisy start near q*,
-            // then ascend u·q* − λ‖u‖²/2 toward the regularized optimum.
-            let mut u = q_target.clone();
-            let jitter = gaussian_vec(rng, u.len(), 0.0, self.noise);
-            ops::axpy(1.0, &jitter, &mut u);
-            for _ in 0..self.opt_steps {
-                for (ui, qi) in u.iter_mut().zip(&q_target) {
-                    *ui += self.opt_lr * (qi - self.reg * *ui);
-                }
-            }
-            // Fillers: the items this synthetic user scores highest — its
-            // most plausible consumption history under the surrogate.
-            let mut scored: Vec<(f32, u32)> = (0..n_items as u32)
-                .filter(|&v| ItemId(v) != self.target_src)
-                .map(|v| (ops::dot(&u, src.item_embedding(ItemId(v))), v))
-                .collect();
-            scored.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
-            let fillers = self.profile_len.saturating_sub(1).min(scored.len());
-            let mut profile_src: Vec<ItemId> =
-                scored[..fillers].iter().map(|&(_, v)| ItemId(v)).collect();
-            profile_src.insert(profile_src.len() / 2, self.target_src);
-            let profile_tgt = src.translate(&profile_src);
-
-            match env.try_inject(&profile_tgt) {
-                Ok(_) => {
-                    total_items += profile_tgt.len();
-                    landed += 1;
-                }
-                Err(e) => {
-                    failed += 1;
-                    last_error = Some(e);
-                    continue;
-                }
-            }
-            if (t + 1) % self.cfg.query_every == 0 || t + 1 == budget {
-                match env.try_query_reward() {
-                    RewardSample::Observed { reward: hr, .. } => {
-                        last_reward = self.cfg.goal.reward(hr);
-                    }
-                    RewardSample::Skipped { .. } => skipped += 1,
-                }
-                if last_reward >= 1.0 {
-                    break;
-                }
+    fn propose(&mut self, step: &Step<'_>, rng: &mut StdRng) -> Proposal<()> {
+        let src = step.src;
+        let q_target = src.item_embedding(self.target_src);
+        // Synthesize this profile's user vector: noisy start near q*, then
+        // ascend u·q* − λ‖u‖²/2 toward the regularized optimum.
+        let mut u = q_target.to_vec();
+        let jitter = gaussian_vec(rng, u.len(), 0.0, self.noise);
+        ops::axpy(1.0, &jitter, &mut u);
+        for _ in 0..self.opt_steps {
+            for (ui, qi) in u.iter_mut().zip(q_target) {
+                *ui += self.opt_lr * (qi - self.reg * *ui);
             }
         }
-
-        AttackOutcome {
-            final_reward: last_reward,
-            injections: env.injections(),
-            queries: env.queries(),
-            avg_items_per_profile: if landed == 0 {
-                0.0
-            } else {
-                total_items as f32 / landed as f32
-            },
-            selected_users: Vec::new(),
-            failed_injections: failed,
-            skipped_rewards: skipped,
-            aborted: if landed == 0 && failed > 0 { last_error } else { None },
-        }
+        // Fillers: the items this synthetic user scores highest — its most
+        // plausible consumption history under the surrogate.
+        let mut scored: Vec<(f32, u32)> = (0..src.mf.n_items() as u32)
+            .filter(|&v| ItemId(v) != self.target_src)
+            .map(|v| (ops::dot(&u, src.item_embedding(ItemId(v))), v))
+            .collect();
+        scored.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
+        let fillers = self.profile_len.saturating_sub(1).min(scored.len());
+        let mut profile_src: Vec<ItemId> =
+            scored[..fillers].iter().map(|&(_, v)| ItemId(v)).collect();
+        profile_src.insert(profile_src.len() / 2, self.target_src);
+        Proposal { profile: src.translate(&profile_src), copied: None, sample: () }
     }
 }
 
@@ -578,8 +466,7 @@ const KG_POOL: usize = 64;
 /// against length-based detection. Unlike the copy-based attacks it
 /// builds profiles directly in target-domain ids — the knowledge graph
 /// lives over the target catalog — and needs no carrier users at all.
-pub struct KgAttack {
-    cfg: AttackConfig,
+pub(crate) struct KgAttack {
     /// Target-domain id of the item under attack.
     target_tgt: ItemId,
     /// Precomputed knowledge-neighbor pool of the target, affinity-ranked.
@@ -590,8 +477,7 @@ impl KgAttack {
     /// Builds the attack: resolves `target_src` through the alignment map
     /// and precomputes the knowledge-neighbor pool. Fails when the
     /// knowledge graph does not cover the target item.
-    pub fn try_new(
-        cfg: AttackConfig,
+    pub(crate) fn try_new(
         knowledge: Arc<ItemKnowledge>,
         src: &SourceDomain<'_>,
         target_src: ItemId,
@@ -604,98 +490,34 @@ impl KgAttack {
             });
         }
         let pool = knowledge.neighbors(target_tgt, KG_POOL);
-        Ok(Self { cfg, target_tgt, pool })
+        Ok(Self { target_tgt, pool })
     }
 }
 
-impl<R: FallibleBlackBox> Attack<R> for KgAttack {
-    fn name(&self) -> &str {
-        "KgAttack"
-    }
+impl Proposer for KgAttack {
+    type Sample = ();
 
-    fn configure(&mut self, cfg: &AttackConfig) -> Result<(), AttackError> {
-        cfg.validate().map_err(AttackError::InvalidConfig)?;
-        self.cfg = cfg.clone();
-        Ok(())
-    }
-
-    fn run(
-        &mut self,
-        env: &mut AttackEnvironment<R>,
-        src: &SourceDomain<'_>,
-        _target_src: ItemId,
-        rng: &mut StdRng,
-    ) -> AttackOutcome {
-        let budget = self.cfg.budget;
-        let mut total_items = 0usize;
-        let mut landed = 0usize;
-        let mut failed = 0usize;
-        let mut skipped = 0usize;
-        let mut last_reward = 0.0f32;
-        let mut last_error: Option<RecError> = None;
-
-        for t in 0..budget {
-            if env.exhausted() {
-                break;
-            }
-            // Length camouflage: copy the length of a random real profile.
-            let u = UserId(rng.gen_range(0..src.n_users() as u32));
-            let len = src.data.profile(u).len().max(2);
-            let mut profile = vec![self.target_tgt];
-            if !self.pool.is_empty() {
-                let mut misses = 0usize;
-                while profile.len() < len && misses < 4 * len {
-                    // Quadratic head bias: nearer knowledge neighbors are
-                    // likelier fillers.
-                    let r = rng.gen::<f32>() * rng.gen::<f32>();
-                    let idx = ((r * self.pool.len() as f32) as usize).min(self.pool.len() - 1);
-                    let v = self.pool[idx];
-                    if profile.contains(&v) {
-                        misses += 1;
-                    } else {
-                        profile.push(v);
-                    }
-                }
-            }
-
-            match env.try_inject(&profile) {
-                Ok(_) => {
-                    total_items += profile.len();
-                    landed += 1;
-                }
-                Err(e) => {
-                    failed += 1;
-                    last_error = Some(e);
-                    continue;
-                }
-            }
-            if (t + 1) % self.cfg.query_every == 0 || t + 1 == budget {
-                match env.try_query_reward() {
-                    RewardSample::Observed { reward: hr, .. } => {
-                        last_reward = self.cfg.goal.reward(hr);
-                    }
-                    RewardSample::Skipped { .. } => skipped += 1,
-                }
-                if last_reward >= 1.0 {
-                    break;
+    fn propose(&mut self, step: &Step<'_>, rng: &mut StdRng) -> Proposal<()> {
+        // Length camouflage: copy the length of a random real profile.
+        let u = UserId(rng.gen_range(0..step.src.n_users() as u32));
+        let len = step.src.data.profile(u).len().max(2);
+        let mut profile = vec![self.target_tgt];
+        if !self.pool.is_empty() {
+            let mut misses = 0usize;
+            while profile.len() < len && misses < 4 * len {
+                // Quadratic head bias: nearer knowledge neighbors are
+                // likelier fillers.
+                let r = rng.gen::<f32>() * rng.gen::<f32>();
+                let idx = ((r * self.pool.len() as f32) as usize).min(self.pool.len() - 1);
+                let v = self.pool[idx];
+                if profile.contains(&v) {
+                    misses += 1;
+                } else {
+                    profile.push(v);
                 }
             }
         }
-
-        AttackOutcome {
-            final_reward: last_reward,
-            injections: env.injections(),
-            queries: env.queries(),
-            avg_items_per_profile: if landed == 0 {
-                0.0
-            } else {
-                total_items as f32 / landed as f32
-            },
-            selected_users: Vec::new(),
-            failed_injections: failed,
-            skipped_rewards: skipped,
-            aborted: if landed == 0 && failed > 0 { last_error } else { None },
-        }
+        Proposal { profile, copied: None, sample: () }
     }
 }
 
@@ -849,17 +671,47 @@ mod tests {
         let mf = ca_mf::train(&ds, &BprConfig { max_epochs: 2, ..Default::default() });
         let src = SourceDomain { data: &ds, mf: &mf, to_target: &map };
         let kg = knowledge();
-        let cfg = AttackConfig { budget: 6, query_every: 3, ..Default::default() };
-        let mut attack = KgAttack::try_new(cfg, kg.clone(), &src, ItemId(2)).unwrap();
         // The identity map means target-domain id 2; its pool is cluster 2.
-        for v in &attack.pool {
+        let kg_attack = KgAttack::try_new(kg.clone(), &src, ItemId(2)).unwrap();
+        for v in &kg_attack.pool {
             assert_eq!(kg.cluster(*v), kg.cluster(ItemId(2)), "{v} outside the target cluster");
         }
+        let mut reg: AttackRegistry<NullRec> = AttackRegistry::with_builtins();
+        reg.register_kg_attack(kg);
+        let cfg = AttackConfig { budget: 6, query_every: 3, ..Default::default() };
+        let mut attack = reg.build("KgAttack", &cfg, &src, ItemId(2)).unwrap();
         let mut e = env(6);
         let mut rng = StdRng::seed_from_u64(2);
-        let o = Attack::<NullRec>::run(&mut attack, &mut e, &src, ItemId(2), &mut rng);
+        let o = attack.run(&mut e, &src, ItemId(2), &mut rng);
         assert_eq!(o.injections, 6);
         assert!(o.avg_items_per_profile >= 2.0);
+    }
+
+    /// Under `Demote` every key maps the observed hit ratio through the
+    /// goal: the target is never in `NullRec`'s Top-k, so each reports the
+    /// demotion reward 1.
+    #[test]
+    fn every_key_reports_the_demotion_reward() {
+        let (ds, map) = world();
+        let mf = ca_mf::train(&ds, &BprConfig { max_epochs: 2, ..Default::default() });
+        let src = SourceDomain { data: &ds, mf: &mf, to_target: &map };
+        let mut reg: AttackRegistry<NullRec> = AttackRegistry::with_builtins();
+        reg.register_kg_attack(knowledge());
+        let cfg = AttackConfig {
+            budget: 6,
+            query_every: 3,
+            episodes: 2,
+            tree_depth: 2,
+            goal: AttackGoal::Demote,
+            ..Default::default()
+        };
+        for name in reg.names() {
+            let mut attack = reg.build(name, &cfg, &src, ItemId(2)).unwrap();
+            attack.prepare(&src, &mut || env(6));
+            let mut rng = StdRng::seed_from_u64(3);
+            let o = attack.run(&mut env(6), &src, ItemId(2), &mut rng);
+            assert_eq!(o.final_reward, 1.0, "{name} under Demote");
+        }
     }
 
     #[test]
@@ -869,9 +721,7 @@ mod tests {
         // A map sending everything past the knowledge range.
         let map: Vec<ItemId> = (0..50).map(|s| ItemId(s + 100)).collect();
         let src = SourceDomain { data: &ds, mf: &mf, to_target: &map };
-        let err = KgAttack::try_new(AttackConfig::default(), knowledge(), &src, ItemId(2))
-            .err()
-            .expect("must fail");
+        let err = KgAttack::try_new(knowledge(), &src, ItemId(2)).err().expect("must fail");
         assert!(matches!(err, AttackError::MissingKnowledge { .. }), "{err:?}");
     }
 

@@ -1,13 +1,12 @@
-//! The CopyAttack agent: selection + crafting + injection/query loop with
-//! REINFORCE training (§4), including the CopyAttack−Masking and
-//! CopyAttack−Length ablations.
+//! The CopyAttack agent: selection + crafting with REINFORCE training (§4),
+//! including the CopyAttack−Masking and CopyAttack−Length ablations. The
+//! injection/query loop is `env::run_episode`'s.
 
 use crate::arena::AttackError;
 use crate::config::AttackConfig;
 use crate::crafting::{clip_around_target, CraftingPolicy, CraftingSample};
-use crate::env::AttackEnvironment;
-use crate::env::RewardSample;
-use crate::reinforce::{discounted_returns, Baseline};
+use crate::env::{run_episode, AttackEnvironment, Proposal, Proposer, Step};
+use crate::reinforce::Baseline;
 use crate::selection::{HierarchicalPolicy, SelectionSample};
 use crate::source::SourceDomain;
 use ca_cluster::{ClusterTree, TreeMask};
@@ -114,14 +113,94 @@ fn build_mask(
 #[derive(Clone)]
 pub struct CopyAttackAgent {
     cfg: AttackConfig,
+    proposer: CopyProposer,
+    rng: StdRng,
+    episode_rewards: Vec<f32>,
+}
+
+/// CopyAttack's decisions (§4.3–§4.4): hierarchical selection under the
+/// mask, then crafting around the target item. The episode itself is
+/// [`run_episode`]'s.
+#[derive(Clone)]
+pub(crate) struct CopyProposer {
     variant: CopyAttackVariant,
     policy: HierarchicalPolicy,
     crafting: CraftingPolicy,
     baseline: Baseline,
     mask: TreeMask,
     target_src: ItemId,
-    rng: StdRng,
-    episode_rewards: Vec<f32>,
+}
+
+impl CopyProposer {
+    /// Builds the clustering tree over source-user MF embeddings, the
+    /// per-node policy networks, the crafting policy, and the target-item
+    /// mask, drawing initial weights from `rng`.
+    pub(crate) fn new(
+        cfg: &AttackConfig,
+        variant: CopyAttackVariant,
+        src: &SourceDomain<'_>,
+        target_src: ItemId,
+        rng: &mut StdRng,
+    ) -> Result<Self, AttackError> {
+        let tree = ClusterTree::build_with_depth(&src.user_embeddings(), cfg.tree_depth, rng);
+        let policy =
+            HierarchicalPolicy::with_encoder(rng, tree, src.dim(), cfg.hidden, cfg.encoder);
+        let crafting = CraftingPolicy::new(rng, src.dim(), cfg.hidden, cfg.clip_fractions());
+        let mask = build_mask(variant, cfg.goal, policy.tree(), src, target_src)?;
+        let baseline = Baseline::new(cfg.budget);
+        Ok(Self { variant, policy, crafting, baseline, mask, target_src })
+    }
+}
+
+impl Proposer for CopyProposer {
+    type Sample = (Option<SelectionSample>, Option<CraftingSample>);
+
+    fn propose(&mut self, step: &Step<'_>, rng: &mut StdRng) -> Proposal<Self::Sample> {
+        let src = step.src;
+        let q_target = src.item_embedding(self.target_src);
+        let (user, sel) = if step.t == 0 {
+            // The first action is seeded at random (§4.3.3): the RNN has
+            // nothing to encode yet.
+            (self.policy.random_allowed_user(&self.mask, rng), None)
+        } else {
+            let prev: Vec<&[f32]> = step.selected.iter().map(|&u| src.user_embedding(u)).collect();
+            let s = self.policy.select(q_target, &prev, &self.mask, rng);
+            (s.user, Some(s))
+        };
+        let raw = src.data.profile(user);
+        let (crafted, craft) = if self.variant.crafting && src.has_item(user, self.target_src) {
+            let (fraction, cs) = self.crafting.sample(src.user_embedding(user), q_target, rng);
+            (clip_around_target(raw, self.target_src, fraction), Some(cs))
+        } else {
+            (raw.to_vec(), None)
+        };
+        Proposal { profile: src.translate(&crafted), copied: Some(user), sample: (sel, craft) }
+    }
+
+    /// REINFORCE with the per-step baseline; both the selection and the
+    /// crafting gradients are clipped to `cfg.grad_clip` in global norm.
+    fn learn(&mut self, cfg: &AttackConfig, samples: Vec<Self::Sample>, rewards: &[f32]) {
+        let advantages = self.baseline.advantages(rewards, cfg.discount);
+        let mut policy_grads = self.policy.zero_grads();
+        let mut craft_grads = self.crafting.zero_grad();
+        let mut any_craft = false;
+        for ((sel, craft), adv) in samples.iter().zip(advantages) {
+            if let Some(s) = sel {
+                self.policy.accumulate(s, adv, &mut policy_grads);
+            }
+            if let Some(c) = craft {
+                self.crafting.accumulate(c, adv, &mut craft_grads);
+                any_craft = true;
+            }
+        }
+        let clip = GradClip { max_norm: cfg.grad_clip };
+        policy_grads.scale(clip.scale_for(policy_grads.norm()));
+        self.policy.apply(&policy_grads, cfg.lr);
+        if any_craft {
+            craft_grads.scale(clip.scale_for(craft_grads.norm()));
+            self.crafting.apply(&craft_grads, cfg.lr);
+        }
+    }
 }
 
 impl CopyAttackAgent {
@@ -138,23 +217,8 @@ impl CopyAttackAgent {
     ) -> Result<Self, AttackError> {
         cfg.validate().map_err(AttackError::InvalidConfig)?;
         let mut rng = StdRng::seed_from_u64(cfg.seed);
-        let tree = ClusterTree::build_with_depth(&src.user_embeddings(), cfg.tree_depth, &mut rng);
-        let policy =
-            HierarchicalPolicy::with_encoder(&mut rng, tree, src.dim(), cfg.hidden, cfg.encoder);
-        let crafting = CraftingPolicy::new(&mut rng, src.dim(), cfg.hidden, cfg.clip_fractions());
-        let mask = build_mask(variant, cfg.goal, policy.tree(), src, target_src)?;
-        let baseline = Baseline::new(cfg.budget);
-        Ok(Self {
-            baseline,
-            mask,
-            target_src,
-            rng,
-            episode_rewards: Vec::new(),
-            policy,
-            crafting,
-            cfg,
-            variant,
-        })
+        let proposer = CopyProposer::new(&cfg, variant, src, target_src, &mut rng)?;
+        Ok(Self { cfg, proposer, rng, episode_rewards: Vec::new() })
     }
 
     /// Panicking wrapper over [`CopyAttackAgent::try_new`] for contexts
@@ -174,12 +238,12 @@ impl CopyAttackAgent {
 
     /// The clustering tree (for inspection).
     pub fn tree(&self) -> &ClusterTree {
-        self.policy.tree()
+        self.proposer.policy.tree()
     }
 
     /// The source-domain id of the item currently under attack.
     pub fn target(&self) -> ItemId {
-        self.target_src
+        self.proposer.target_src
     }
 
     /// Switches the agent to a new target item, rebuilding the mask while
@@ -195,9 +259,9 @@ impl CopyAttackAgent {
         src: &SourceDomain<'_>,
         target_src: ItemId,
     ) -> Result<(), AttackError> {
-        let mask = build_mask(self.variant, self.cfg.goal, self.policy.tree(), src, target_src)?;
-        self.mask = mask;
-        self.target_src = target_src;
+        let p = &mut self.proposer;
+        p.mask = build_mask(p.variant, self.cfg.goal, p.policy.tree(), src, target_src)?;
+        p.target_src = target_src;
         Ok(())
     }
 
@@ -226,7 +290,7 @@ impl CopyAttackAgent {
         src: &SourceDomain<'_>,
         env: &mut AttackEnvironment<R>,
     ) -> AttackOutcome {
-        let outcome = self.episode(src, env, true);
+        let outcome = run_episode(env, src, &self.cfg, &mut self.proposer, &mut self.rng, true);
         self.episode_rewards.push(outcome.final_reward);
         outcome
     }
@@ -239,15 +303,9 @@ impl CopyAttackAgent {
         src: &SourceDomain<'_>,
         mut make_env: impl FnMut() -> AttackEnvironment<R>,
     ) -> Vec<f32> {
-        let episodes = self.cfg.episodes;
-        let mut curve = Vec::with_capacity(episodes);
-        for _ in 0..episodes {
-            let mut env = make_env();
-            let outcome = self.episode(src, &mut env, true);
-            curve.push(outcome.final_reward);
-            self.episode_rewards.push(outcome.final_reward);
-        }
-        curve
+        (0..self.cfg.episodes)
+            .map(|_| self.train_one_episode(src, &mut make_env()).final_reward)
+            .collect()
     }
 
     /// Runs one attack episode with the current policy, updating nothing.
@@ -258,157 +316,7 @@ impl CopyAttackAgent {
         src: &SourceDomain<'_>,
         env: &mut AttackEnvironment<R>,
     ) -> AttackOutcome {
-        self.episode(src, env, false)
-    }
-
-    /// One episode of the MDP: select → craft → inject → (periodically)
-    /// query.
-    ///
-    /// Resilient against a flaky platform: an injection that still fails
-    /// after the environment's retries spends the timestep (reward 0) but
-    /// not the budget; a reward round that misses quorum is treated like a
-    /// non-query step instead of feeding a biased sample to REINFORCE. On a
-    /// reliable platform none of these paths trigger and the episode is
-    /// byte-identical to the original infallible loop.
-    fn episode<R: FallibleBlackBox>(
-        &mut self,
-        src: &SourceDomain<'_>,
-        env: &mut AttackEnvironment<R>,
-        learn: bool,
-    ) -> AttackOutcome {
-        let budget = self.cfg.budget;
-        let q_target: Vec<f32> = src.item_embedding(self.target_src).to_vec();
-        let mut selected: Vec<UserId> = Vec::with_capacity(budget);
-        let mut sel_samples: Vec<Option<SelectionSample>> = Vec::with_capacity(budget);
-        let mut craft_samples: Vec<Option<CraftingSample>> = Vec::with_capacity(budget);
-        let mut rewards: Vec<f32> = Vec::with_capacity(budget);
-        let mut total_items = 0usize;
-        let mut last_reward = 0.0f32;
-        let mut failed_injections = 0usize;
-        let mut landed_injections = 0usize;
-        let mut skipped_rewards = 0usize;
-        let mut last_error: Option<RecError> = None;
-
-        for t in 0..budget {
-            if env.exhausted() {
-                break;
-            }
-            // --- selection -------------------------------------------------
-            let (user, sample) = if t == 0 {
-                // The first action is seeded at random (§4.3.3): the RNN has
-                // nothing to encode yet.
-                (self.policy.random_allowed_user(&self.mask, &mut self.rng), None)
-            } else {
-                let prev: Vec<&[f32]> = selected.iter().map(|&u| src.user_embedding(u)).collect();
-                let s = self.policy.select(&q_target, &prev, &self.mask, &mut self.rng);
-                (s.user, Some(s))
-            };
-            selected.push(user);
-            sel_samples.push(sample);
-
-            // --- crafting --------------------------------------------------
-            let raw_profile = src.data.profile(user);
-            let (crafted_src, craft_sample) =
-                if self.variant.crafting && src.has_item(user, self.target_src) {
-                    let (fraction, cs) =
-                        self.crafting.sample(src.user_embedding(user), &q_target, &mut self.rng);
-                    (clip_around_target(raw_profile, self.target_src, fraction), Some(cs))
-                } else {
-                    (raw_profile.to_vec(), None)
-                };
-            craft_samples.push(craft_sample);
-
-            // --- injection & query ----------------------------------------
-            let profile_tgt = src.translate(&crafted_src);
-            match env.try_inject(&profile_tgt) {
-                Ok(_) => {
-                    total_items += profile_tgt.len();
-                    landed_injections += 1;
-                }
-                Err(e) => {
-                    failed_injections += 1;
-                    last_error = Some(e);
-                    rewards.push(0.0);
-                    continue;
-                }
-            }
-            let reward = if (t + 1) % self.cfg.query_every == 0 || t + 1 == budget {
-                match env.try_query_reward() {
-                    RewardSample::Observed { reward: hr, .. } => {
-                        let r = self.cfg.goal.reward(hr);
-                        last_reward = r;
-                        r
-                    }
-                    RewardSample::Skipped { .. } => {
-                        skipped_rewards += 1;
-                        0.0
-                    }
-                }
-            } else {
-                0.0
-            };
-            rewards.push(reward);
-            // Terminal: "in the case when fewer user profiles are enough to
-            // successfully satisfy the promotion task, the process stops."
-            if reward >= 1.0 {
-                break;
-            }
-        }
-
-        if learn {
-            self.update(&sel_samples, &craft_samples, &rewards);
-        }
-
-        AttackOutcome {
-            final_reward: last_reward,
-            injections: env.injections(),
-            queries: env.queries(),
-            avg_items_per_profile: if landed_injections == 0 {
-                0.0
-            } else {
-                total_items as f32 / landed_injections as f32
-            },
-            selected_users: selected,
-            failed_injections,
-            skipped_rewards,
-            aborted: if landed_injections == 0 && failed_injections > 0 {
-                last_error
-            } else {
-                None
-            },
-        }
-    }
-
-    /// REINFORCE update over one episode with the per-step baseline and
-    /// global-norm clipping.
-    fn update(
-        &mut self,
-        sel_samples: &[Option<SelectionSample>],
-        craft_samples: &[Option<CraftingSample>],
-        rewards: &[f32],
-    ) {
-        let returns = discounted_returns(rewards, self.cfg.discount);
-        let mut policy_grads = self.policy.zero_grads();
-        let mut craft_grads = self.crafting.zero_grad();
-        let mut any_craft = false;
-        for (t, &g) in returns.iter().enumerate() {
-            let adv = self.baseline.advantage(t, g);
-            self.baseline.update(t, g);
-            if let Some(s) = &sel_samples[t] {
-                self.policy.accumulate(s, adv, &mut policy_grads);
-            }
-            if let Some(c) = &craft_samples[t] {
-                self.crafting.accumulate(c, adv, &mut craft_grads);
-                any_craft = true;
-            }
-        }
-        let clip = GradClip { max_norm: self.cfg.grad_clip };
-        policy_grads.scale(clip.scale_for(policy_grads.norm()));
-        self.policy.apply(&policy_grads, self.cfg.lr);
-        if any_craft {
-            craft_grads.scale(clip.scale_for(craft_grads.norm()));
-            self.crafting.apply(&craft_grads, self.cfg.lr);
-        }
+        run_episode(env, src, &self.cfg, &mut self.proposer, &mut self.rng, false)
     }
 }
 

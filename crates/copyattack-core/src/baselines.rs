@@ -1,110 +1,78 @@
-//! The paper's baseline attacks (§5.1.4): RandomAttack, the
-//! TargetAttack-{40,70,100} family, and the flat PolicyNetwork agent.
+//! The paper's baseline attacks (§5.1.4) as profile proposers: RandomAttack,
+//! the TargetAttack-{40,70,100} family, and the flat PolicyNetwork agent.
+//! The registry ([`crate::arena::AttackRegistry`]) serves them through the
+//! one episode loop like every other attack.
 
 use crate::arena::AttackError;
-use crate::attack::AttackOutcome;
-use crate::config::AttackConfig;
+use crate::config::{AttackConfig, AttackGoal};
 use crate::crafting::{clip_around_target, CraftingPolicy, CraftingSample};
-use crate::env::AttackEnvironment;
-use crate::reinforce::{discounted_returns, Baseline};
+use crate::env::{Proposal, Proposer, Step};
+use crate::reinforce::Baseline;
 use crate::selection::{FlatPolicy, FlatSample};
 use crate::source::SourceDomain;
 use ca_nn::GradClip;
-use ca_recsys::{FallibleBlackBox, ItemId, UserId};
+use ca_recsys::{ItemId, UserId};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 
 /// RandomAttack: copies uniformly random source-domain user profiles, no
 /// constraint, no crafting. "Randomly sample cross-domain user profiles to
 /// attack the target recommender systems."
-pub fn random_attack<R: FallibleBlackBox>(
-    src: &SourceDomain<'_>,
-    env: &mut AttackEnvironment<R>,
-    rng: &mut impl Rng,
-) -> AttackOutcome {
-    let mut selected = Vec::new();
-    let mut total_items = 0usize;
-    while !env.exhausted() {
-        let u = UserId(rng.gen_range(0..src.n_users() as u32));
-        let profile = src.translate(src.data.profile(u));
-        total_items += profile.len();
-        env.inject(&profile);
-        selected.push(u);
+pub(crate) struct RandomAttack;
+
+impl Proposer for RandomAttack {
+    type Sample = ();
+
+    fn propose(&mut self, step: &Step<'_>, rng: &mut StdRng) -> Proposal<()> {
+        let u = UserId(rng.gen_range(0..step.src.n_users() as u32));
+        Proposal {
+            profile: step.src.translate(step.src.data.profile(u)),
+            copied: Some(u),
+            sample: (),
+        }
     }
-    finish(env, selected, total_items)
 }
 
 /// TargetAttack-⌊100·fraction⌋: samples source users whose profiles contain
 /// the target item and clips each profile to `fraction` of its length
 /// around the target (fraction 1.0 = TargetAttack100, no crafting).
 ///
-/// Users are drawn without replacement until the carrier pool is exhausted,
-/// then with replacement.
-///
-/// Panicking wrapper over [`try_target_attack`].
-///
-/// # Panics
-/// Panics when the target item has no carrier in the source domain.
-pub fn target_attack<R: FallibleBlackBox>(
-    src: &SourceDomain<'_>,
-    env: &mut AttackEnvironment<R>,
+/// Each episode shuffles the carrier pool and draws from it without
+/// replacement until the pool is used up, then with replacement.
+pub(crate) struct TargetAttack {
     target_src: ItemId,
     fraction: f32,
-    rng: &mut impl Rng,
-) -> AttackOutcome {
-    try_target_attack(src, env, target_src, fraction, rng).unwrap_or_else(|e| panic!("{e}"))
+    order: Vec<UserId>,
 }
 
-/// Fallible [`target_attack`]: returns [`AttackError::NoCarriers`] instead
-/// of panicking when no source profile contains the target item.
-pub fn try_target_attack<R: FallibleBlackBox>(
-    src: &SourceDomain<'_>,
-    env: &mut AttackEnvironment<R>,
-    target_src: ItemId,
-    fraction: f32,
-    rng: &mut impl Rng,
-) -> Result<AttackOutcome, AttackError> {
-    let mut pool = src.users_with_item(target_src);
-    if pool.is_empty() {
-        return Err(AttackError::NoCarriers { target_src });
+impl TargetAttack {
+    /// Fails with [`AttackError::NoCarriers`] when no source profile
+    /// contains the target item.
+    pub(crate) fn try_new(
+        src: &SourceDomain<'_>,
+        target_src: ItemId,
+        fraction: f32,
+    ) -> Result<Self, AttackError> {
+        if src.users_with_item(target_src).is_empty() {
+            return Err(AttackError::NoCarriers { target_src });
+        }
+        Ok(Self { target_src, fraction, order: Vec::new() })
     }
-    pool.shuffle(rng);
-    let mut selected = Vec::new();
-    let mut total_items = 0usize;
-    let mut i = 0usize;
-    while !env.exhausted() {
-        let u = if i < pool.len() { pool[i] } else { pool[rng.gen_range(0..pool.len())] };
-        i += 1;
-        let raw = src.data.profile(u);
-        let crafted = clip_around_target(raw, target_src, fraction);
-        let profile = src.translate(&crafted);
-        total_items += profile.len();
-        env.inject(&profile);
-        selected.push(u);
-    }
-    Ok(finish(env, selected, total_items))
 }
 
-fn finish<R: FallibleBlackBox>(
-    env: &mut AttackEnvironment<R>,
-    selected: Vec<UserId>,
-    total_items: usize,
-) -> AttackOutcome {
-    let final_reward = env.query_reward();
-    AttackOutcome {
-        final_reward,
-        injections: env.injections(),
-        queries: env.queries(),
-        avg_items_per_profile: if selected.is_empty() {
-            0.0
-        } else {
-            total_items as f32 / selected.len() as f32
-        },
-        selected_users: selected,
-        failed_injections: 0,
-        skipped_rewards: 0,
-        aborted: None,
+impl Proposer for TargetAttack {
+    type Sample = ();
+
+    fn propose(&mut self, step: &Step<'_>, rng: &mut StdRng) -> Proposal<()> {
+        if step.t == 0 {
+            self.order = step.src.users_with_item(self.target_src);
+            self.order.shuffle(rng);
+        }
+        let n = self.order.len();
+        let u = if step.t < n { self.order[step.t] } else { self.order[rng.gen_range(0..n)] };
+        let crafted = clip_around_target(step.src.data.profile(u), self.target_src, self.fraction);
+        Proposal { profile: step.src.translate(&crafted), copied: Some(u), sample: () }
     }
 }
 
@@ -112,34 +80,32 @@ fn finish<R: FallibleBlackBox>(
 /// flat softmax over all source users instead of the clustering tree
 /// (crafting retained). Per-decision cost is O(|U^B|), which is the
 /// baseline the paper could not finish within 48 hours on Netflix.
-pub struct FlatPolicyAgent {
-    cfg: AttackConfig,
+pub(crate) struct FlatPolicyAgent {
     policy: FlatPolicy,
     crafting: CraftingPolicy,
     baseline: Baseline,
     user_mask: Vec<bool>,
     target_src: ItemId,
-    rng: StdRng,
 }
 
 impl FlatPolicyAgent {
-    /// Builds the agent with the target-item user mask, failing on an
-    /// invalid config or a carrierless target item.
-    pub fn try_new(
-        cfg: AttackConfig,
+    /// Builds the agent with the target-item user mask, drawing initial
+    /// weights from `rng` (`cfg` is validated by the registry). Fails on a
+    /// target item no source user may be selected for.
+    pub(crate) fn try_new(
+        cfg: &AttackConfig,
         src: &SourceDomain<'_>,
         target_src: ItemId,
+        rng: &mut StdRng,
     ) -> Result<Self, AttackError> {
-        cfg.validate().map_err(AttackError::InvalidConfig)?;
-        let mut rng = StdRng::seed_from_u64(cfg.seed);
-        let policy = FlatPolicy::new(&mut rng, src.n_users(), src.dim(), cfg.hidden);
-        let crafting = CraftingPolicy::new(&mut rng, src.dim(), cfg.hidden, cfg.clip_fractions());
+        let policy = FlatPolicy::new(rng, src.n_users(), src.dim(), cfg.hidden);
+        let crafting = CraftingPolicy::new(rng, src.dim(), cfg.hidden, cfg.clip_fractions());
         let user_mask: Vec<bool> = (0..src.n_users())
             .map(|u| {
                 let has = src.has_item(UserId(u as u32), target_src);
                 match cfg.goal {
-                    crate::config::AttackGoal::Promote => has,
-                    crate::config::AttackGoal::Demote => !has,
+                    AttackGoal::Promote => has,
+                    AttackGoal::Demote => !has,
                 }
             })
             .collect();
@@ -147,138 +113,57 @@ impl FlatPolicyAgent {
             return Err(AttackError::NoCarriers { target_src });
         }
         let baseline = Baseline::new(cfg.budget);
-        Ok(Self { baseline, user_mask, target_src, rng, policy, crafting, cfg })
+        Ok(Self { policy, crafting, baseline, user_mask, target_src })
+    }
+}
+
+impl Proposer for FlatPolicyAgent {
+    type Sample = (Option<FlatSample>, Option<CraftingSample>);
+
+    fn propose(&mut self, step: &Step<'_>, rng: &mut StdRng) -> Proposal<Self::Sample> {
+        let src = step.src;
+        let q_target = src.item_embedding(self.target_src);
+        let (user, sel) = if step.t == 0 {
+            let allowed: Vec<u32> =
+                (0..self.user_mask.len() as u32).filter(|&u| self.user_mask[u as usize]).collect();
+            (UserId(allowed[rng.gen_range(0..allowed.len())]), None)
+        } else {
+            let prev: Vec<&[f32]> = step.selected.iter().map(|&u| src.user_embedding(u)).collect();
+            let s = self.policy.select(q_target, &prev, &self.user_mask, rng);
+            (s.user, Some(s))
+        };
+        let raw = src.data.profile(user);
+        // Every carrier is crafted; there is no crafting-off variant.
+        let (crafted, craft) = if src.has_item(user, self.target_src) {
+            let (fraction, cs) = self.crafting.sample(src.user_embedding(user), q_target, rng);
+            (clip_around_target(raw, self.target_src, fraction), Some(cs))
+        } else {
+            (raw.to_vec(), None)
+        };
+        Proposal { profile: src.translate(&crafted), copied: Some(user), sample: (sel, craft) }
     }
 
-    /// Panicking wrapper over [`FlatPolicyAgent::try_new`].
-    ///
-    /// # Panics
-    /// Panics on an invalid config or a carrierless target item.
-    pub fn new(cfg: AttackConfig, src: &SourceDomain<'_>, target_src: ItemId) -> Self {
-        Self::try_new(cfg, src, target_src).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Trains for `cfg.episodes` episodes (see
-    /// [`crate::attack::CopyAttackAgent::train`]).
-    pub fn train<R: FallibleBlackBox>(
-        &mut self,
-        src: &SourceDomain<'_>,
-        mut make_env: impl FnMut() -> AttackEnvironment<R>,
-    ) -> Vec<f32> {
-        let mut curve = Vec::with_capacity(self.cfg.episodes);
-        for _ in 0..self.cfg.episodes {
-            let mut env = make_env();
-            let o = self.episode(src, &mut env, true);
-            curve.push(o.final_reward);
-        }
-        curve
-    }
-
-    /// One evaluation episode without learning.
-    pub fn execute<R: FallibleBlackBox>(
-        &mut self,
-        src: &SourceDomain<'_>,
-        env: &mut AttackEnvironment<R>,
-    ) -> AttackOutcome {
-        self.episode(src, env, false)
-    }
-
-    fn episode<R: FallibleBlackBox>(
-        &mut self,
-        src: &SourceDomain<'_>,
-        env: &mut AttackEnvironment<R>,
-        learn: bool,
-    ) -> AttackOutcome {
-        let budget = self.cfg.budget;
-        let q_target: Vec<f32> = src.item_embedding(self.target_src).to_vec();
-        let mut selected: Vec<UserId> = Vec::new();
-        let mut sel_samples: Vec<Option<FlatSample>> = Vec::new();
-        let mut craft_samples: Vec<Option<CraftingSample>> = Vec::new();
-        let mut rewards = Vec::new();
-        let mut total_items = 0usize;
-        let mut last_reward = 0.0;
-
-        for t in 0..budget {
-            let (user, sample) = if t == 0 {
-                let allowed: Vec<u32> = self
-                    .user_mask
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, &m)| m)
-                    .map(|(i, _)| i as u32)
-                    .collect();
-                (UserId(allowed[self.rng.gen_range(0..allowed.len())]), None)
-            } else {
-                let prev: Vec<&[f32]> = selected.iter().map(|&u| src.user_embedding(u)).collect();
-                let s = self.policy.select(&q_target, &prev, &self.user_mask, &mut self.rng);
-                (s.user, Some(s))
-            };
-            selected.push(user);
-            sel_samples.push(sample);
-
-            let raw = src.data.profile(user);
-            let (crafted, cs) = if src.has_item(user, self.target_src) {
-                let (fraction, cs) =
-                    self.crafting.sample(src.user_embedding(user), &q_target, &mut self.rng);
-                (clip_around_target(raw, self.target_src, fraction), Some(cs))
-            } else {
-                (raw.to_vec(), None)
-            };
-            craft_samples.push(cs);
-
-            let profile = src.translate(&crafted);
-            total_items += profile.len();
-            env.inject(&profile);
-            let r = if (t + 1).is_multiple_of(self.cfg.query_every) || t + 1 == budget {
-                let r = self.cfg.goal.reward(env.query_reward());
-                last_reward = r;
-                r
-            } else {
-                0.0
-            };
-            rewards.push(r);
-            if r >= 1.0 {
-                break;
+    /// REINFORCE with the per-step baseline. Unlike CopyAttack, only the
+    /// crafting gradient is clipped; the flat policy's is applied as is.
+    fn learn(&mut self, cfg: &AttackConfig, samples: Vec<Self::Sample>, rewards: &[f32]) {
+        let advantages = self.baseline.advantages(rewards, cfg.discount);
+        let mut grads = self.policy.zero_grads();
+        let mut craft_grads = self.crafting.zero_grad();
+        let mut any_craft = false;
+        for ((sel, craft), adv) in samples.iter().zip(advantages) {
+            if let Some(s) = sel {
+                self.policy.accumulate(s, adv, &mut grads);
+            }
+            if let Some(c) = craft {
+                self.crafting.accumulate(c, adv, &mut craft_grads);
+                any_craft = true;
             }
         }
-
-        if learn {
-            let returns = discounted_returns(&rewards, self.cfg.discount);
-            let mut grads = self.policy.zero_grads();
-            let mut craft_grads = self.crafting.zero_grad();
-            let mut any_craft = false;
-            for (t, &g) in returns.iter().enumerate() {
-                let adv = self.baseline.advantage(t, g);
-                self.baseline.update(t, g);
-                if let Some(s) = &sel_samples[t] {
-                    self.policy.accumulate(s, adv, &mut grads);
-                }
-                if let Some(c) = &craft_samples[t] {
-                    self.crafting.accumulate(c, adv, &mut craft_grads);
-                    any_craft = true;
-                }
-            }
-            let clip = GradClip { max_norm: self.cfg.grad_clip };
-            self.policy.apply(&grads, self.cfg.lr);
-            if any_craft {
-                craft_grads.scale(clip.scale_for(craft_grads.norm()));
-                self.crafting.apply(&craft_grads, self.cfg.lr);
-            }
-        }
-
-        AttackOutcome {
-            final_reward: last_reward,
-            injections: env.injections(),
-            queries: env.queries(),
-            avg_items_per_profile: if selected.is_empty() {
-                0.0
-            } else {
-                total_items as f32 / selected.len() as f32
-            },
-            selected_users: selected,
-            failed_injections: 0,
-            skipped_rewards: 0,
-            aborted: None,
+        self.policy.apply(&grads, cfg.lr);
+        if any_craft {
+            let clip = GradClip { max_norm: cfg.grad_clip };
+            craft_grads.scale(clip.scale_for(craft_grads.norm()));
+            self.crafting.apply(&craft_grads, cfg.lr);
         }
     }
 }
@@ -286,8 +171,12 @@ impl FlatPolicyAgent {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arena::AttackRegistry;
+    use crate::attack::AttackOutcome;
+    use crate::env::AttackEnvironment;
     use ca_mf::BprConfig;
     use ca_recsys::{BlackBoxRecommender, Dataset, DatasetBuilder};
+    use rand::SeedableRng;
 
     /// Trivial platform: top-1 list is always item 0; reward only meaningful
     /// through the metering (these tests target selection/crafting logic).
@@ -321,18 +210,34 @@ mod tests {
         (b.build(), map)
     }
 
+    /// Builds `name` from the registry and runs one episode on item 2 with
+    /// an environment whose budget is `cfg.budget`.
+    fn run(name: &str, cfg: &AttackConfig, src: &SourceDomain<'_>, seed: u64) -> AttackOutcome {
+        let reg: AttackRegistry<NullRec> = AttackRegistry::with_builtins();
+        let mut attack = reg.build(name, cfg, src, ItemId(2)).unwrap();
+        let mut env = AttackEnvironment::new(
+            NullRec { n_users: 0 },
+            vec![UserId(0)],
+            ItemId(2),
+            5,
+            cfg.budget,
+        );
+        let mut rng = StdRng::seed_from_u64(seed);
+        attack.run(&mut env, src, ItemId(2), &mut rng)
+    }
+
     #[test]
     fn random_attack_spends_exactly_the_budget() {
         let (ds, map) = world();
         let mf = ca_mf::train(&ds, &BprConfig { max_epochs: 2, ..Default::default() });
         let src = SourceDomain { data: &ds, mf: &mf, to_target: &map };
-        let mut env =
-            AttackEnvironment::new(NullRec { n_users: 0 }, vec![UserId(0)], ItemId(2), 5, 12);
-        let mut rng = StdRng::seed_from_u64(1);
-        let o = random_attack(&src, &mut env, &mut rng);
+        let cfg = AttackConfig { budget: 12, ..Default::default() };
+        let o = run("RandomAttack", &cfg, &src, 1);
         assert_eq!(o.injections, 12);
         assert_eq!(o.selected_users.len(), 12);
         assert!(o.avg_items_per_profile > 0.0);
+        // One reward round, after the last injection.
+        assert_eq!(o.queries, 1);
     }
 
     #[test]
@@ -340,10 +245,8 @@ mod tests {
         let (ds, map) = world();
         let mf = ca_mf::train(&ds, &BprConfig { max_epochs: 2, ..Default::default() });
         let src = SourceDomain { data: &ds, mf: &mf, to_target: &map };
-        let mut env =
-            AttackEnvironment::new(NullRec { n_users: 0 }, vec![UserId(0)], ItemId(2), 5, 15);
-        let mut rng = StdRng::seed_from_u64(2);
-        let o = target_attack(&src, &mut env, ItemId(2), 0.7, &mut rng);
+        let cfg = AttackConfig { budget: 15, ..Default::default() };
+        let o = run("TargetAttack70", &cfg, &src, 2);
         for u in &o.selected_users {
             assert!(src.has_item(*u, ItemId(2)), "non-carrier {u} selected");
         }
@@ -356,15 +259,10 @@ mod tests {
         let (ds, map) = world();
         let mf = ca_mf::train(&ds, &BprConfig { max_epochs: 2, ..Default::default() });
         let src = SourceDomain { data: &ds, mf: &mf, to_target: &map };
-        let run = |fraction: f32| {
-            let mut env =
-                AttackEnvironment::new(NullRec { n_users: 0 }, vec![UserId(0)], ItemId(2), 5, 10);
-            let mut rng = StdRng::seed_from_u64(3);
-            target_attack(&src, &mut env, ItemId(2), fraction, &mut rng).avg_items_per_profile
-        };
-        let l40 = run(0.4);
-        let l70 = run(0.7);
-        let l100 = run(1.0);
+        let cfg = AttackConfig { budget: 10, ..Default::default() };
+        let len = |name: &str| run(name, &cfg, &src, 3).avg_items_per_profile;
+        let (l40, l70, l100) =
+            (len("TargetAttack40"), len("TargetAttack70"), len("TargetAttack100"));
         assert!(l40 < l70 && l70 < l100, "{l40} {l70} {l100}");
         // Carrier profiles have 7 items.
         assert!((l100 - 7.0).abs() < 1e-4);
@@ -383,24 +281,9 @@ mod tests {
             seed: 4,
             ..Default::default()
         };
-        let mut agent = FlatPolicyAgent::new(cfg, &src, ItemId(2));
-        let mut env =
-            AttackEnvironment::new(NullRec { n_users: 0 }, vec![UserId(0)], ItemId(2), 5, 8);
-        let o = agent.execute(&src, &mut env);
+        let o = run("PolicyNetwork", &cfg, &src, 0);
         for u in &o.selected_users {
             assert!(src.has_item(*u, ItemId(2)), "flat agent picked non-carrier {u}");
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "no carrier")]
-    fn target_attack_rejects_absent_item() {
-        let (ds, map) = world();
-        let mf = ca_mf::train(&ds, &BprConfig { max_epochs: 2, ..Default::default() });
-        let src = SourceDomain { data: &ds, mf: &mf, to_target: &map };
-        let mut env =
-            AttackEnvironment::new(NullRec { n_users: 0 }, vec![UserId(0)], ItemId(3), 5, 5);
-        let mut rng = StdRng::seed_from_u64(5);
-        let _ = target_attack(&src, &mut env, ItemId(3), 0.5, &mut rng);
     }
 }

@@ -7,6 +7,10 @@
 //! r(s_t, a_t) = (1/|U^A*|) Σ_i HR(u^A_{i*}, v*, k)
 //! ```
 //!
+//! Every attack's episodes run here too: an attack is a `Proposer` of
+//! profiles, and `run_episode` is the one loop that injects them, queries
+//! on the cadence, and builds the [`AttackOutcome`].
+//!
 //! The environment speaks the *fallible* platform surface
 //! ([`FallibleBlackBox`]): calls can be rate-limited, time out, come back
 //! truncated, or cost the attacker an account. Resilience is configured via
@@ -16,9 +20,13 @@
 //! [`BlackBoxRecommender`](ca_recsys::BlackBoxRecommender)) fit through the
 //! blanket impl and behave exactly as in the original infallible API.
 
+use crate::attack::AttackOutcome;
+use crate::config::AttackConfig;
 use crate::retry::ResilienceConfig;
+use crate::source::SourceDomain;
 use ca_recsys::blackbox::MeteredFallible;
 use ca_recsys::{Dataset, FallibleBlackBox, ItemId, RecError, SplitMix64, UserId};
+use rand::rngs::StdRng;
 use rand::Rng;
 
 /// One reward measurement against a possibly-failing platform.
@@ -191,18 +199,6 @@ impl<R: FallibleBlackBox> AttackEnvironment<R> {
         r
     }
 
-    /// Infallible injection, for reliable simulation targets (the original
-    /// paper setting).
-    ///
-    /// # Panics
-    /// Panics if the budget is exhausted, or if the platform actually fails
-    /// (use [`AttackEnvironment::try_inject`] against an unreliable one).
-    pub fn inject(&mut self, profile: &[ItemId]) -> UserId {
-        self.try_inject(profile).unwrap_or_else(|e| {
-            panic!("platform error on infallible inject path: {e} (use try_inject)")
-        })
-    }
-
     /// Queries the pretend users' Top-k lists and returns the Eq. 1 reward
     /// over the *answered* subset — or [`RewardSample::Skipped`] when fewer
     /// than the quorum answered.
@@ -262,21 +258,6 @@ impl<R: FallibleBlackBox> AttackEnvironment<R> {
         }
     }
 
-    /// Infallible reward query, for reliable simulation targets.
-    ///
-    /// # Panics
-    /// Panics if the round misses quorum (impossible on a reliable
-    /// platform; use [`AttackEnvironment::try_query_reward`] otherwise).
-    pub fn query_reward(&mut self) -> f32 {
-        match self.try_query_reward() {
-            RewardSample::Observed { reward, .. } => reward,
-            RewardSample::Skipped { answered, total } => panic!(
-                "reward round missed quorum ({answered}/{total} answered) on the infallible \
-                 path (use try_query_reward)"
-            ),
-        }
-    }
-
     /// Replaces a suspended pretend user with a fresh account carrying the
     /// same stored profile. Costs metered injection attempts but not the
     /// crafted-profile budget Δ. No-op when re-establishment is disabled or
@@ -303,6 +284,121 @@ impl<R: FallibleBlackBox> AttackEnvironment<R> {
     /// surface; used by the experiment harness for final metrics).
     pub fn recommender(&self) -> &R {
         self.rec.inner()
+    }
+}
+
+/// What [`run_episode`] tells a [`Proposer`] about the step it asks for.
+pub(crate) struct Step<'e> {
+    /// Timestep within the episode, from 0.
+    pub t: usize,
+    /// The attacker's source-domain view.
+    pub src: &'e SourceDomain<'e>,
+    /// Source users copied at earlier steps of this episode, failed
+    /// injections included.
+    pub selected: &'e [UserId],
+}
+
+/// One step's proposal: the profile to inject and what the attack wants
+/// back for learning.
+pub(crate) struct Proposal<S> {
+    /// The profile to inject, in target-domain item ids.
+    pub profile: Vec<ItemId>,
+    /// The source user whose profile was copied, if any (synthesizing
+    /// attacks copy nobody).
+    pub copied: Option<UserId>,
+    /// Whatever [`Proposer::learn`] needs to credit this step.
+    pub sample: S,
+}
+
+/// An attack reduced to its decisions: which profile to inject next, and
+/// how to learn from an episode's rewards. Everything else — budget,
+/// injection failures, the reward cadence, early stop, the outcome — is
+/// [`run_episode`]'s.
+pub(crate) trait Proposer {
+    /// Per-step record handed back to [`Proposer::learn`].
+    type Sample;
+
+    /// Proposes the profile for step `step`, drawing randomness from `rng`.
+    fn propose(&mut self, step: &Step<'_>, rng: &mut StdRng) -> Proposal<Self::Sample>;
+
+    /// Learns from one episode: `samples[t]` and `rewards[t]` belong to
+    /// step `t`. Attacks that do not learn keep the no-op default.
+    fn learn(&mut self, cfg: &AttackConfig, samples: Vec<Self::Sample>, rewards: &[f32]) {
+        let _ = (cfg, samples, rewards);
+    }
+}
+
+/// Runs one attack episode: up to `cfg.budget` steps of propose → inject
+/// → query every `cfg.query_every` injections and after the last step.
+///
+/// Resilient against a flaky platform: an injection that still fails after
+/// the environment's retries spends the timestep (reward 0) but not the
+/// budget; a reward round that misses quorum counts as skipped and earns
+/// reward 0 instead of feeding a biased sample to learning. Observed hit
+/// ratios are mapped through `cfg.goal`. The episode stops early once a
+/// step earns reward 1 ("in the case when fewer user profiles are enough
+/// to successfully satisfy the promotion task, the process stops") or the
+/// environment's budget runs out. With `learn`, the proposer learns from
+/// the per-step rewards afterwards.
+pub(crate) fn run_episode<R: FallibleBlackBox, P: Proposer>(
+    env: &mut AttackEnvironment<R>,
+    src: &SourceDomain<'_>,
+    cfg: &AttackConfig,
+    proposer: &mut P,
+    rng: &mut StdRng,
+    learn: bool,
+) -> AttackOutcome {
+    let budget = cfg.budget;
+    let mut selected: Vec<UserId> = Vec::with_capacity(budget);
+    let mut samples = Vec::with_capacity(budget);
+    let mut rewards: Vec<f32> = Vec::with_capacity(budget);
+    let (mut total_items, mut landed, mut failed, mut skipped) = (0usize, 0usize, 0usize, 0usize);
+    let mut last_reward = 0.0f32;
+    let mut last_error: Option<RecError> = None;
+
+    for t in 0..budget {
+        if env.exhausted() {
+            break;
+        }
+        let p = proposer.propose(&Step { t, src, selected: &selected }, rng);
+        selected.extend(p.copied);
+        samples.push(p.sample);
+        if let Err(e) = env.try_inject(&p.profile) {
+            failed += 1;
+            last_error = Some(e);
+            rewards.push(0.0);
+            continue;
+        }
+        total_items += p.profile.len();
+        landed += 1;
+        let mut reward = 0.0;
+        if (t + 1) % cfg.query_every == 0 || t + 1 == budget {
+            match env.try_query_reward() {
+                RewardSample::Observed { reward: hr, .. } => {
+                    reward = cfg.goal.reward(hr);
+                    last_reward = reward;
+                }
+                RewardSample::Skipped { .. } => skipped += 1,
+            }
+        }
+        rewards.push(reward);
+        if reward >= 1.0 {
+            break;
+        }
+    }
+
+    if learn {
+        proposer.learn(cfg, samples, &rewards);
+    }
+    AttackOutcome {
+        final_reward: last_reward,
+        injections: env.injections(),
+        queries: env.queries(),
+        avg_items_per_profile: if landed == 0 { 0.0 } else { total_items as f32 / landed as f32 },
+        selected_users: selected,
+        failed_injections: failed,
+        skipped_rewards: skipped,
+        aborted: if landed == 0 && failed > 0 { last_error } else { None },
     }
 }
 
@@ -435,12 +531,12 @@ mod tests {
         let pretend = vec![UserId(0), UserId(1)];
         let target = ItemId(40);
         let mut env = AttackEnvironment::new(rec, pretend, target, 3, 30);
-        assert_eq!(env.query_reward(), 0.0);
+        assert_eq!(env.try_query_reward().reward(), Some(0.0));
         // Push the target into the top 3 by injecting it repeatedly.
         for _ in 0..20 {
-            env.inject(&[target]);
+            env.try_inject(&[target]).unwrap();
         }
-        assert_eq!(env.query_reward(), 1.0);
+        assert_eq!(env.try_query_reward().reward(), Some(1.0));
         assert_eq!(env.injections(), 20);
         assert!(env.queries() >= 2);
     }
@@ -450,10 +546,10 @@ mod tests {
     fn budget_is_enforced() {
         let rec = PopRec::new(10);
         let mut env = AttackEnvironment::new(rec, vec![UserId(0)], ItemId(0), 3, 2);
-        env.inject(&[ItemId(1)]);
-        env.inject(&[ItemId(1)]);
+        env.try_inject(&[ItemId(1)]).unwrap();
+        env.try_inject(&[ItemId(1)]).unwrap();
         assert!(env.exhausted());
-        env.inject(&[ItemId(1)]);
+        env.try_inject(&[ItemId(1)]).unwrap();
     }
 
     #[test]
@@ -478,7 +574,7 @@ mod tests {
         let rec = PopRec::new(10);
         let mut env = AttackEnvironment::new(rec, vec![UserId(0)], ItemId(0), 3, 5);
         assert_eq!(env.remaining_budget(), 5);
-        env.inject(&[ItemId(2)]);
+        env.try_inject(&[ItemId(2)]).unwrap();
         assert_eq!(env.remaining_budget(), 4);
         assert!(!env.exhausted());
     }
@@ -635,6 +731,47 @@ mod tests {
         assert_eq!(env.inject_attempts(), 1);
         assert_eq!(env.injections(), 0);
         assert_eq!(env.remaining_budget(), 10);
+    }
+
+    /// Proposes the same one-item profile at every step.
+    struct Fixed;
+    impl Proposer for Fixed {
+        type Sample = ();
+        fn propose(&mut self, _: &Step<'_>, _: &mut StdRng) -> Proposal<()> {
+            Proposal { profile: vec![ItemId(3)], copied: None, sample: () }
+        }
+    }
+
+    #[test]
+    fn episodes_spend_steps_not_budget_on_failed_injections() {
+        let mut b = DatasetBuilder::new(10);
+        b.user(&[ItemId(1), ItemId(3)]);
+        let ds = b.build();
+        let mf = ca_mf::train(&ds, &ca_mf::BprConfig { max_epochs: 1, ..Default::default() });
+        let map: Vec<ItemId> = (0..10).map(ItemId).collect();
+        let src = SourceDomain { data: &ds, mf: &mf, to_target: &map };
+        let cfg = AttackConfig { budget: 4, query_every: 2, ..Default::default() };
+        let rejecting = FaultyRecommender::new(
+            PopRec::new(10),
+            FaultConfig { reject_inject_prob: 1.0, ..FaultConfig::default() },
+        );
+        let mut env =
+            AttackEnvironment::new(rejecting, vec![UserId(0)], ItemId(3), 3, 4).with_resilience(
+                ResilienceConfig { retry: RetryPolicy::none(), ..ResilienceConfig::default() },
+            );
+        let mut rng = rand::SeedableRng::seed_from_u64(0);
+        let o = run_episode(&mut env, &src, &cfg, &mut Fixed, &mut rng, false);
+        // Every step was tried and failed; nothing landed, nothing queried.
+        assert_eq!((o.injections, o.failed_injections, o.queries), (0, 4, 0));
+        assert_eq!(env.remaining_budget(), 4);
+        assert!(o.aborted.is_some());
+
+        // On a reliable platform the same episode lands every profile and
+        // stops at the first reward of 1 (item 3 tops the popularity list).
+        let mut env = AttackEnvironment::new(PopRec::new(10), vec![UserId(0)], ItemId(3), 3, 4);
+        let o = run_episode(&mut env, &src, &cfg, &mut Fixed, &mut rng, false);
+        assert_eq!((o.injections, o.queries, o.final_reward), (2, 1, 1.0));
+        assert!(o.aborted.is_none());
     }
 
     #[test]

@@ -16,8 +16,10 @@
 //!
 //! [`attack::CopyAttackAgent`] ties the pieces together with REINFORCE
 //! training ([`reinforce`]); [`baselines`] provides the paper's comparison
-//! methods (RandomAttack, TargetAttack-40/70/100, the flat PolicyNetwork,
-//! and the CopyAttack−Masking / CopyAttack−Length ablations).
+//! methods (RandomAttack, TargetAttack-40/70/100, the flat PolicyNetwork),
+//! and [`arena`] serves them, the CopyAttack−Masking / CopyAttack−Length
+//! ablations, and two rival attacks by name. Every attack proposes
+//! profiles, and every episode runs in one loop, `env::run_episode`.
 
 #![forbid(unsafe_code)]
 
@@ -40,7 +42,7 @@ pub mod retry;
 pub mod selection;
 pub mod source;
 
-pub use arena::{Attack, AttackError, AttackRegistry, FakeProfileAttack, ItemKnowledge, KgAttack};
+pub use arena::{Attack, AttackError, AttackRegistry, ItemKnowledge};
 pub use attack::{AttackOutcome, CopyAttackAgent, CopyAttackVariant};
 pub use campaign::{Campaign, CampaignCheckpoint, CampaignRun};
 pub use config::{AttackConfig, AttackGoal};

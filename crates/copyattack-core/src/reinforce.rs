@@ -49,6 +49,22 @@ impl Baseline {
         self.stats[t].push(g);
     }
 
+    /// The advantages of one episode's `rewards` under discount `gamma`,
+    /// step by step: each step's advantage is taken before its return
+    /// updates the baseline.
+    pub(crate) fn advantages(&mut self, rewards: &[f32], gamma: f32) -> Vec<f32> {
+        let returns = discounted_returns(rewards, gamma);
+        returns
+            .into_iter()
+            .enumerate()
+            .map(|(t, g)| {
+                let adv = self.advantage(t, g);
+                self.update(t, g);
+                adv
+            })
+            .collect()
+    }
+
     /// The current baseline value at step `t`.
     pub fn value(&self, t: usize) -> f32 {
         self.stats[t].mean()

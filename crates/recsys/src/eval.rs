@@ -38,14 +38,21 @@ impl<'a> RankingEval<'a> {
     /// Rank of `item` for `user` among `NUM_NEGATIVES` sampled unseen items
     /// (0-based; 0 = best). Ties are broken pessimistically (the test item
     /// loses), so a degenerate constant scorer does not look artificially
-    /// good.
+    /// good. `None` when `user` has seen every item but `item`: there is
+    /// nothing to draw a negative from. That is decided before any draw, so
+    /// every other user consumes `rng` exactly as before.
     pub fn rank_against_negatives(
         &self,
         scorer: &impl Scorer,
         user: UserId,
         item: ItemId,
         rng: &mut impl Rng,
-    ) -> usize {
+    ) -> Option<usize> {
+        // Profiles are deduped, so the seen count is the profile length.
+        let seen = self.seen.profile(user).len() + usize::from(!self.seen.contains(user, item));
+        if seen >= self.seen.n_items() {
+            return None;
+        }
         let target_score = scorer.score(user, item);
         let n_items = self.seen.n_items() as u32;
         let mut rank = 0;
@@ -60,10 +67,11 @@ impl<'a> RankingEval<'a> {
                 rank += 1;
             }
         }
-        rank
+        Some(rank)
     }
 
-    /// HR@K / NDCG@K over a held-out pair list.
+    /// HR@K / NDCG@K over a held-out pair list, skipping users who have
+    /// seen every other item.
     pub fn evaluate(
         &self,
         scorer: &impl Scorer,
@@ -72,8 +80,9 @@ impl<'a> RankingEval<'a> {
     ) -> MetricAccumulator {
         let mut acc = MetricAccumulator::new(&self.ks);
         for h in heldout {
-            let rank = self.rank_against_negatives(scorer, h.user, h.item, rng);
-            acc.push(rank);
+            if let Some(rank) = self.rank_against_negatives(scorer, h.user, h.item, rng) {
+                acc.push(rank);
+            }
         }
         acc
     }
@@ -84,7 +93,8 @@ impl<'a> RankingEval<'a> {
     /// Top-k recommendation list of the users in the target domain").
     ///
     /// Users who already interacted with `target` are skipped: the paper
-    /// defines promotion over users that did not have the item before.
+    /// defines promotion over users that did not have the item before. So
+    /// are users who have seen every other item.
     pub fn evaluate_promotion(
         &self,
         scorer: &impl Scorer,
@@ -97,8 +107,9 @@ impl<'a> RankingEval<'a> {
             if self.seen.contains(u, target) {
                 continue;
             }
-            let rank = self.rank_against_negatives(scorer, u, target, rng);
-            acc.push(rank);
+            if let Some(rank) = self.rank_against_negatives(scorer, u, target, rng) {
+                acc.push(rank);
+            }
         }
         acc
     }
@@ -142,7 +153,7 @@ mod tests {
         let ev = RankingEval::standard(&ds);
         let mut rng = StdRng::seed_from_u64(1);
         let rank = ev.rank_against_negatives(&IdScorer, UserId(0), ItemId(199), &mut rng);
-        assert_eq!(rank, 0);
+        assert_eq!(rank, Some(0));
     }
 
     #[test]
@@ -153,7 +164,7 @@ mod tests {
         // User 3's profile is items 15..20, so item 0 is a valid unseen item
         // and scores lowest.
         let rank = ev.rank_against_negatives(&IdScorer, UserId(3), ItemId(0), &mut rng);
-        assert_eq!(rank, NUM_NEGATIVES);
+        assert_eq!(rank, Some(NUM_NEGATIVES));
     }
 
     #[test]
@@ -162,7 +173,7 @@ mod tests {
         let ev = RankingEval::standard(&ds);
         let mut rng = StdRng::seed_from_u64(3);
         let rank = ev.rank_against_negatives(&FlatScorer, UserId(0), ItemId(150), &mut rng);
-        assert_eq!(rank, NUM_NEGATIVES, "constant scorer must not get credit");
+        assert_eq!(rank, Some(NUM_NEGATIVES), "constant scorer must not get credit");
     }
 
     #[test]
@@ -188,6 +199,22 @@ mod tests {
         let users: Vec<UserId> = (0..10).map(UserId).collect();
         let acc = ev.evaluate_promotion(&IdScorer, &users, ItemId(0), &mut rng);
         assert_eq!(acc.count(), 9);
+    }
+
+    #[test]
+    fn a_user_who_has_seen_every_other_item_is_skipped() {
+        // User 1 has seen all of the catalog but item 9; user 0 sees item 0.
+        let mut b = DatasetBuilder::new(10);
+        b.user(&[ItemId(0)]);
+        b.user(&(0..9).map(ItemId).collect::<Vec<_>>());
+        let ds = b.build();
+        let ev = RankingEval::standard(&ds);
+        let mut rng = StdRng::seed_from_u64(7);
+        assert_eq!(ev.rank_against_negatives(&IdScorer, UserId(1), ItemId(9), &mut rng), None);
+        let users = [UserId(0), UserId(1)];
+        assert_eq!(ev.evaluate_promotion(&IdScorer, &users, ItemId(9), &mut rng).count(), 1);
+        let heldout = [HeldOut { user: UserId(1), item: ItemId(9) }];
+        assert_eq!(ev.evaluate(&IdScorer, &heldout, &mut rng).count(), 0);
     }
 
     #[test]

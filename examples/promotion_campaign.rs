@@ -11,10 +11,10 @@
 //!
 //! Run with: `cargo run --release --example promotion_campaign`
 
-use copyattack::core::baselines::target_attack;
 use copyattack::core::{
     AttackEnvironment, CopyAttackAgent, CopyAttackVariant, ResilienceConfig, RetryPolicy,
 };
+use copyattack::gnn::PinSageRecommender;
 use copyattack::par::split_seed;
 use copyattack::pipeline::{Pipeline, PipelineConfig};
 use copyattack::recsys::FaultConfig;
@@ -34,25 +34,29 @@ fn main() {
     );
     println!("{:>8} {:>16} {:>16}", "budget", "TargetAttack70", "CopyAttack");
 
+    let registry = pipe.registry::<PinSageRecommender>();
     for budget in [3usize, 9, 15, 21, 30] {
+        let mut attack_cfg = cfg.attack.config.clone();
+        attack_cfg.budget = budget;
+        attack_cfg.query_every = attack_cfg.query_every.min(budget);
+
         // Non-RL baseline at this budget.
+        let target_src = pipe.world.source_item(target).expect("overlap");
+        let mut baseline =
+            registry.build("TargetAttack70", &attack_cfg, &src, target_src).expect("carriers");
         let mut env = AttackEnvironment::new(
             pipe.recommender.clone(),
             pipe.pretend.clone(),
             target,
-            cfg.attack.config.reward_k,
+            attack_cfg.reward_k,
             budget,
         );
         let mut rng = StdRng::seed_from_u64(split_seed(cfg.seed, budget as u64));
-        let target_src = pipe.world.source_item(target).expect("overlap");
-        target_attack(&src, &mut env, target_src, 0.7, &mut rng);
+        baseline.run(&mut env, &src, target_src, &mut rng);
         let eval_seed = split_seed(cfg.seed, 1 + budget as u64);
         let hr_ta = pipe.evaluate_promotion(&env.into_recommender(), target, eval_seed).hr(20);
 
         // CopyAttack at this budget.
-        let mut attack_cfg = cfg.attack.config.clone();
-        attack_cfg.budget = budget;
-        attack_cfg.query_every = attack_cfg.query_every.min(budget);
         let mut agent =
             CopyAttackAgent::new(attack_cfg.clone(), CopyAttackVariant::full(), &src, target_src);
         agent.train(&src, || {

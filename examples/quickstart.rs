@@ -3,7 +3,7 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use copyattack::pipeline::{Method, Pipeline, PipelineConfig};
+use copyattack::pipeline::{Pipeline, PipelineConfig};
 
 fn main() {
     println!("== CopyAttack quickstart ==");
@@ -29,14 +29,14 @@ fn main() {
         3, cfg.attack.config.budget
     );
 
-    let before = pipe.run_method_over_targets(Method::WithoutAttack, 3);
+    let before = pipe.run_without_attack(3);
     println!(
         "before attack:  HR@20 = {:.4}  NDCG@20 = {:.4}",
         before.metrics.hr(20),
         before.metrics.ndcg(20)
     );
 
-    let after = pipe.run_method_over_targets(Method::CopyAttack, 3);
+    let after = pipe.run_attack_over_targets("CopyAttack", 3);
     println!(
         "after attack:   HR@20 = {:.4}  NDCG@20 = {:.4}  (avg {:.1} items per copied profile)",
         after.metrics.hr(20),

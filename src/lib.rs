@@ -28,11 +28,11 @@
 //! ## Quickstart
 //!
 //! ```no_run
-//! use copyattack::pipeline::{Method, Pipeline, PipelineConfig};
+//! use copyattack::pipeline::{Pipeline, PipelineConfig};
 //!
 //! let cfg = PipelineConfig::tiny(42);
 //! let pipe = Pipeline::build(&cfg);
-//! let row = pipe.run_method_over_targets(Method::CopyAttack, 4);
+//! let row = pipe.run_attack_over_targets("CopyAttack", 4);
 //! println!("CopyAttack HR@20 = {:.4}", row.metrics.hr(20));
 //! ```
 

@@ -26,7 +26,8 @@ use ca_recsys::{FaultConfig, FaultyRecommender};
 use ca_train::{History, StderrProgress, Tee, TrainObserver};
 use copyattack_core::env::plan_pretend_profiles;
 use copyattack_core::{
-    AttackConfig, AttackEnvironment, AttackRegistry, ItemKnowledge, ResilienceConfig, SourceDomain,
+    AttackConfig, AttackEnvironment, AttackError, AttackOutcome, AttackRegistry, ItemKnowledge,
+    ResilienceConfig, SourceDomain,
 };
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -132,66 +133,6 @@ impl PipelineConfig {
     }
 }
 
-/// The attacking methods of Table 2.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Method {
-    /// No injection at all (the "Without Attack" row).
-    WithoutAttack,
-    /// Uniformly random source profiles.
-    RandomAttack,
-    /// Carrier profiles clipped to the given percentage (40/70/100).
-    TargetAttack(u8),
-    /// Flat policy gradient over all users (no clustering tree).
-    PolicyNetwork,
-    /// The full framework.
-    CopyAttack,
-    /// Ablation: no masking mechanism (and no crafting, per the paper).
-    CopyAttackNoMasking,
-    /// Ablation: no profile crafting.
-    CopyAttackNoLength,
-}
-
-impl Method {
-    /// Table 2 row label.
-    pub fn label(&self) -> String {
-        match self {
-            Method::WithoutAttack => "Without Attack".into(),
-            Method::RandomAttack => "RandomAttack".into(),
-            Method::TargetAttack(p) => format!("TargetAttack{p}"),
-            Method::PolicyNetwork => "PolicyNetwork".into(),
-            Method::CopyAttack => "CopyAttack".into(),
-            Method::CopyAttackNoMasking => "CopyAttack-Masking".into(),
-            Method::CopyAttackNoLength => "CopyAttack-Length".into(),
-        }
-    }
-
-    /// All rows of Table 2, in the paper's order.
-    pub fn table2_rows() -> Vec<Method> {
-        vec![
-            Method::WithoutAttack,
-            Method::RandomAttack,
-            Method::TargetAttack(40),
-            Method::TargetAttack(70),
-            Method::TargetAttack(100),
-            Method::PolicyNetwork,
-            Method::CopyAttackNoMasking,
-            Method::CopyAttackNoLength,
-            Method::CopyAttack,
-        ]
-    }
-
-    /// The [`AttackRegistry`] key this method routes through, or `None`
-    /// for the injection-free "Without Attack" row. The key equals
-    /// [`Method::label`], which is exactly how the built-in registry names
-    /// its entries.
-    pub fn registry_key(&self) -> Option<String> {
-        match self {
-            Method::WithoutAttack => None,
-            m => Some(m.label()),
-        }
-    }
-}
-
 /// A registry-routed attack selection: *which* attack to run (any key in
 /// the pipeline's [`AttackRegistry`], built-in or custom) and under what
 /// configuration. This is what [`PipelineConfig`] carries, so swapping the
@@ -212,25 +153,13 @@ impl AttackSpec {
     }
 }
 
-/// An arena row: promotion metrics of one registered attack aggregated
-/// over target items (the registry-keyed sibling of [`MethodRow`]).
+/// A Table 2 row: promotion metrics of one registered attack (or the
+/// injection-free baseline) aggregated over target items.
 #[derive(Clone, Debug)]
 pub struct AttackRow {
-    /// The registry key the row was produced by.
+    /// The registry key the row was produced by ("Without Attack" for the
+    /// injection-free row).
     pub name: String,
-    /// HR@K / NDCG@K of the target items over the evaluation users.
-    pub metrics: MetricAccumulator,
-    /// Mean injected-profile length, averaged over target items.
-    pub avg_items_per_profile: f32,
-    /// Wall-clock seconds spent attacking (all target items).
-    pub attack_seconds: f64,
-}
-
-/// A Table 2 row: promotion metrics aggregated over target items.
-#[derive(Clone, Debug)]
-pub struct MethodRow {
-    /// The method.
-    pub method: Method,
     /// HR@K / NDCG@K of the target items over the evaluation users.
     pub metrics: MetricAccumulator,
     /// Mean injected-profile length, averaged over target items.
@@ -433,35 +362,11 @@ impl Pipeline {
         ev.evaluate_promotion(rec, &self.eval_users, target, &mut rng)
     }
 
-    /// Runs one method against one target item with the pipeline's default
-    /// attack configuration. See [`Pipeline::run_method_cfg`].
-    pub fn run_method(
-        &self,
-        method: Method,
-        target: ItemId,
-        seed: u64,
-    ) -> (MetricAccumulator, f32) {
-        let attack_cfg = AttackConfig { seed, ..self.config.attack.config.clone() };
-        self.run_method_cfg(method, target, &attack_cfg)
-    }
-
-    /// Runs one method against one target item under an explicit attack
-    /// configuration (the budget/depth sweeps override fields); returns the
-    /// promotion metrics of the polluted system and the average
-    /// injected-profile length.
-    pub fn run_method_cfg(
-        &self,
-        method: Method,
-        target: ItemId,
-        attack_cfg: &AttackConfig,
-    ) -> (MetricAccumulator, f32) {
-        self.run_named(method.registry_key().as_deref(), target, attack_cfg)
-    }
-
-    /// Runs one *registered* attack (any [`AttackRegistry`] key) against
-    /// one target item — the registry-keyed sibling of
-    /// [`Pipeline::run_method_cfg`], sharing the same retrieval routing
-    /// and evaluation.
+    /// Runs one registered attack (any [`AttackRegistry`] key) against one
+    /// target item under `attack_cfg`, routing the campaign through the
+    /// configured retrieval mode and evaluating promotion on the unwrapped
+    /// model; returns the promotion metrics of the polluted system and the
+    /// average injected-profile length.
     ///
     /// # Panics
     /// Panics when the name is not registered or the attack cannot be
@@ -472,26 +377,9 @@ impl Pipeline {
         target: ItemId,
         attack_cfg: &AttackConfig,
     ) -> (MetricAccumulator, f32) {
-        self.run_named(Some(name), target, attack_cfg)
-    }
-
-    /// Shared core of the method- and registry-keyed entry points:
-    /// resolves the target's source id, routes the campaign through the
-    /// configured retrieval mode, and evaluates promotion on the unwrapped
-    /// model. `None` is the injection-free baseline.
-    fn run_named(
-        &self,
-        name: Option<&str>,
-        target: ItemId,
-        attack_cfg: &AttackConfig,
-    ) -> (MetricAccumulator, f32) {
-        let target_src =
-            self.world.source_item(target).expect("target items are sampled from the overlap");
-        let seed = attack_cfg.seed;
-
-        let (polluted, avg_items) = match self.config.retrieval {
+        let attacked = match self.config.retrieval {
             RetrievalMode::Exact => {
-                self.attack_with(name, target, target_src, attack_cfg, &self.recommender)
+                self.attack_with(name, target, attack_cfg, &self.recommender, &self.pretend)
             }
             mode => {
                 // The campaign's reward signal (every Top-k the attacker
@@ -500,12 +388,13 @@ impl Pipeline {
                 // Ivf arms of the ablation are directly comparable.
                 let cfg = IvfConfig::from_mode(mode).expect("non-exact mode has an IVF config");
                 let ann = IvfRecommender::deploy(self.recommender.clone(), cfg);
-                let (p, a) = self.attack_with(name, target, target_src, attack_cfg, &ann);
-                (p.into_inner(), a)
+                self.attack_with(name, target, attack_cfg, &ann, &self.pretend)
+                    .map(|(p, o)| (p.into_inner(), o))
             }
         };
-        let metrics = self.evaluate_promotion(&polluted, target, seed ^ 0x5EED);
-        (metrics, avg_items)
+        let (polluted, outcome) = attacked.unwrap_or_else(|e| panic!("{e}"));
+        let metrics = self.evaluate_promotion(&polluted, target, attack_cfg.seed ^ 0x5EED);
+        (metrics, outcome.avg_items_per_profile)
     }
 
     /// The pipeline's attack registry over platform type `R`: every
@@ -517,37 +406,34 @@ impl Pipeline {
         reg
     }
 
-    /// Runs the attack phase of one registered attack against `base` — any
-    /// clonable black-box deployment of the target platform — and returns
-    /// the polluted deployment plus the average injected-profile length.
-    /// `None` skips injection entirely (the "Without Attack" row).
+    /// The attack lifecycle of one registered attack against `base` — any
+    /// clonable black-box deployment of the target platform whose
+    /// attacker accounts are `pretend`. Returns the polluted deployment and
+    /// the evaluation episode's outcome.
     ///
-    /// The registry factory constructs the attacker exactly as the old
-    /// hard-wired dispatch did (same constructor order, same seeds), then
-    /// `prepare` trains it against fresh environments and `run` executes
-    /// the evaluation episode on an episode RNG seeded `seed ^ 0xABCD` —
-    /// bitwise-identical to the pre-registry pipeline, pinned by the
-    /// golden hashes in `tests/arena.rs`.
-    fn attack_with<R: BlackBoxRecommender + Clone + 'static>(
+    /// The registry builds the attacker, `prepare` trains it against fresh
+    /// clones of `base`, and `run` executes the evaluation episode on
+    /// another clone with an episode RNG seeded `attack_cfg.seed ^ 0xABCD`.
+    /// The golden hashes in `tests/arena.rs` pin this lifecycle.
+    ///
+    /// # Panics
+    /// Panics when `target` is not in the source domain.
+    pub fn attack_with<R: BlackBoxRecommender + Clone + 'static>(
         &self,
-        name: Option<&str>,
+        name: &str,
         target: ItemId,
-        target_src: ItemId,
         attack_cfg: &AttackConfig,
         base: &R,
-    ) -> (R, f32) {
-        let Some(name) = name else {
-            return (base.clone(), 0.0);
-        };
+        pretend: &[UserId],
+    ) -> Result<(R, AttackOutcome), AttackError> {
+        let target_src =
+            self.world.source_item(target).expect("target items are sampled from the overlap");
         let src = self.source_domain();
-        let seed = attack_cfg.seed;
-        let registry = self.registry::<R>();
-        let mut attack =
-            registry.build(name, attack_cfg, &src, target_src).unwrap_or_else(|e| panic!("{e}"));
+        let mut attack = self.registry::<R>().build(name, attack_cfg, &src, target_src)?;
         let mut make_env = || {
             AttackEnvironment::new(
                 base.clone(),
-                self.pretend.clone(),
+                pretend.to_vec(),
                 target,
                 attack_cfg.reward_k,
                 attack_cfg.budget,
@@ -555,70 +441,55 @@ impl Pipeline {
         };
         attack.prepare(&src, &mut make_env);
         let mut env = make_env();
-        let mut rng = StdRng::seed_from_u64(seed ^ 0xABCD);
-        let o = attack.run(&mut env, &src, target_src, &mut rng);
-        (env.into_recommender(), o.avg_items_per_profile)
+        let mut rng = StdRng::seed_from_u64(attack_cfg.seed ^ 0xABCD);
+        let outcome = attack.run(&mut env, &src, target_src, &mut rng);
+        Ok((env.into_recommender(), outcome))
     }
 
-    /// Runs a method over the first `n_items` sampled target items
-    /// (in parallel across items) and aggregates a Table 2 row.
-    pub fn run_method_over_targets(&self, method: Method, n_items: usize) -> MethodRow {
-        let items: Vec<ItemId> = self.target_items.iter().copied().take(n_items).collect();
-        self.run_method_over_items(method, &items, &self.config.attack.config.clone())
+    /// The first `n_items` sampled target items.
+    fn first_targets(&self, n_items: usize) -> Vec<ItemId> {
+        self.target_items.iter().copied().take(n_items).collect()
     }
 
-    /// Like [`Pipeline::run_method_over_targets`] but with explicit items
-    /// and attack configuration (per-item seeds are derived from
-    /// `attack_cfg.seed ^ item id`).
-    pub fn run_method_over_items(
-        &self,
-        method: Method,
-        items: &[ItemId],
-        attack_cfg: &AttackConfig,
-    ) -> MethodRow {
-        let items: Vec<ItemId> = items.to_vec();
-        // ca-audit: allow(wall-clock) — MethodRow.seconds is reporting telemetry, never an input
-        let start = std::time::Instant::now();
-        // Per-item attacks are seed-isolated (`seed ^ item id`), so the
-        // deterministic runtime's ordered map gives the same row at any
-        // `CA_THREADS` setting.
-        let results: Vec<(MetricAccumulator, f32)> = ca_par::map(&items, |_, &t| {
-            let cfg = AttackConfig { seed: attack_cfg.seed ^ t.0 as u64, ..attack_cfg.clone() };
-            self.run_method_cfg(method, t, &cfg)
-        });
-        let mut metrics = MetricAccumulator::new(&[20, 10, 5]);
-        let mut avg_items = 0.0;
-        for (m, a) in &results {
-            metrics.merge(m);
-            avg_items += a;
-        }
-        avg_items /= results.len().max(1) as f32;
-        MethodRow {
-            method,
-            metrics,
-            avg_items_per_profile: avg_items,
-            attack_seconds: start.elapsed().as_secs_f64(),
-        }
+    /// Runs the registered attack `name` under the pipeline's attack
+    /// configuration over the first `n_items` sampled target items.
+    pub fn run_attack_over_targets(&self, name: &str, n_items: usize) -> AttackRow {
+        let spec = AttackSpec::new(name, self.config.attack.config.clone());
+        self.run_spec_over_items(&spec, &self.first_targets(n_items))
     }
 
-    /// Runs the *configured* attack ([`PipelineConfig::attack`]) over the
-    /// first `n_items` sampled target items.
-    pub fn run_spec_over_targets(&self, n_items: usize) -> AttackRow {
-        let items: Vec<ItemId> = self.target_items.iter().copied().take(n_items).collect();
-        self.run_spec_over_items(&self.config.attack, &items)
+    /// Table 2's "Without Attack" row over the first `n_items` sampled
+    /// target items: promotion on the clean deployment, evaluated at the
+    /// seed each attack row evaluates that item at.
+    pub fn run_without_attack(&self, n_items: usize) -> AttackRow {
+        let seed = self.config.attack.config.seed;
+        self.row("Without Attack", &self.first_targets(n_items), |t| {
+            (self.evaluate_promotion(&self.recommender, t, (seed ^ t.0 as u64) ^ 0x5EED), 0.0)
+        })
     }
 
     /// Runs one registry-keyed attack over explicit target items, in
-    /// parallel across items with the same seed isolation as
-    /// [`Pipeline::run_method_over_items`] (`spec.config.seed ^ item id`).
+    /// parallel across items; item `t` runs under seed
+    /// `spec.config.seed ^ t`.
     pub fn run_spec_over_items(&self, spec: &AttackSpec, items: &[ItemId]) -> AttackRow {
-        let items: Vec<ItemId> = items.to_vec();
-        // ca-audit: allow(wall-clock) — AttackRow.seconds is reporting telemetry, never an input
-        let start = std::time::Instant::now();
-        let results: Vec<(MetricAccumulator, f32)> = ca_par::map(&items, |_, &t| {
+        self.row(&spec.name, items, |t| {
             let cfg = AttackConfig { seed: spec.config.seed ^ t.0 as u64, ..spec.config.clone() };
             self.run_attack_cfg(&spec.name, t, &cfg)
-        });
+        })
+    }
+
+    /// Aggregates `run` over `items` into a row. Items are seed-isolated,
+    /// so the deterministic runtime's ordered map gives the same row at
+    /// any `CA_THREADS` setting.
+    fn row(
+        &self,
+        name: &str,
+        items: &[ItemId],
+        run: impl Fn(ItemId) -> (MetricAccumulator, f32) + Sync,
+    ) -> AttackRow {
+        // ca-audit: allow(wall-clock) — AttackRow.seconds is reporting telemetry, never an input
+        let start = std::time::Instant::now();
+        let results: Vec<(MetricAccumulator, f32)> = ca_par::map(items, |_, &t| run(t));
         let mut metrics = MetricAccumulator::new(&[20, 10, 5]);
         let mut avg_items = 0.0;
         for (m, a) in &results {
@@ -627,7 +498,7 @@ impl Pipeline {
         }
         avg_items /= results.len().max(1) as f32;
         AttackRow {
-            name: spec.name.clone(),
+            name: name.to_string(),
             metrics,
             avg_items_per_profile: avg_items,
             attack_seconds: start.elapsed().as_secs_f64(),
@@ -690,7 +561,7 @@ mod tests {
     fn without_attack_leaves_cold_items_cold() {
         let cfg = PipelineConfig::tiny(7);
         let pipe = Pipeline::build(&cfg);
-        let row = pipe.run_method_over_targets(Method::WithoutAttack, 3);
+        let row = pipe.run_without_attack(3);
         assert!(row.metrics.hr(20) < 0.3, "cold items should rank low: {}", row.metrics.hr(20));
         assert_eq!(row.avg_items_per_profile, 0.0);
     }
@@ -704,12 +575,12 @@ mod tests {
         // WithoutAttack never queries the black box, and promotion metrics
         // are always evaluated on the unwrapped model, so the two retrieval
         // modes must agree exactly on the no-attack baseline.
-        let none_exact = pipe_exact.run_method_over_targets(Method::WithoutAttack, 2);
-        let none_ivf = pipe_ivf.run_method_over_targets(Method::WithoutAttack, 2);
+        let none_exact = pipe_exact.run_without_attack(2);
+        let none_ivf = pipe_ivf.run_without_attack(2);
         assert_eq!(none_exact.metrics.hr(20), none_ivf.metrics.hr(20));
         // A real campaign runs end-to-end with the reward signal routed
         // through the IVF index and still promotes the target.
-        let t70 = pipe_ivf.run_method_over_targets(Method::TargetAttack(70), 2);
+        let t70 = pipe_ivf.run_attack_over_targets("TargetAttack70", 2);
         assert!(
             t70.metrics.hr(20) > none_ivf.metrics.hr(20),
             "TargetAttack70 under IVF {} vs none {}",
@@ -722,8 +593,8 @@ mod tests {
     fn target_attack_beats_no_attack_on_tiny_world() {
         let cfg = PipelineConfig::tiny(7);
         let pipe = Pipeline::build(&cfg);
-        let none = pipe.run_method_over_targets(Method::WithoutAttack, 3);
-        let t70 = pipe.run_method_over_targets(Method::TargetAttack(70), 3);
+        let none = pipe.run_without_attack(3);
+        let t70 = pipe.run_attack_over_targets("TargetAttack70", 3);
         assert!(
             t70.metrics.hr(20) > none.metrics.hr(20) + 0.1,
             "TargetAttack70 {} vs none {}",

@@ -10,7 +10,7 @@
 
 use copyattack::core::AttackConfig;
 use copyattack::par;
-use copyattack::pipeline::{Method, Pipeline, PipelineConfig};
+use copyattack::pipeline::{Pipeline, PipelineConfig};
 use proptest::prelude::*;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -38,8 +38,8 @@ fn golden_pipeline() -> Pipeline {
 
 /// Hashes a Table 2 row exactly as the capture harness did: the six
 /// promotion metrics followed by the mean injected-profile length.
-fn row_hash(pipe: &Pipeline, method: Method) -> u64 {
-    let row = pipe.run_method_over_targets(method, 2);
+fn row_hash(pipe: &Pipeline, name: &str) -> u64 {
+    let row = pipe.run_attack_over_targets(name, 2);
     let mut h = FNV_OFFSET;
     hash_f32s(
         &mut h,
@@ -60,14 +60,14 @@ fn row_hash(pipe: &Pipeline, method: Method) -> u64 {
 fn heuristic_attacks_match_pre_registry_goldens() {
     at_thread_counts(|t| {
         let pipe = golden_pipeline();
-        for (method, golden) in [
-            (Method::RandomAttack, 0x71a2af7fe99e1fe2u64),
-            (Method::TargetAttack(40), 0x6eac32f8aa0f1e9d),
-            (Method::TargetAttack(70), 0x8e2e7ccc13e18564),
-            (Method::TargetAttack(100), 0x523311da0c6b2913),
+        for (name, golden) in [
+            ("RandomAttack", 0x71a2af7fe99e1fe2u64),
+            ("TargetAttack40", 0x6eac32f8aa0f1e9d),
+            ("TargetAttack70", 0x8e2e7ccc13e18564),
+            ("TargetAttack100", 0x523311da0c6b2913),
         ] {
-            let h = row_hash(&pipe, method);
-            assert_eq!(h, golden, "{} golden diverged at CA_THREADS={t}", method.label());
+            let h = row_hash(&pipe, name);
+            assert_eq!(h, golden, "{name} golden diverged at CA_THREADS={t}");
         }
     });
 }
@@ -76,14 +76,14 @@ fn heuristic_attacks_match_pre_registry_goldens() {
 fn learned_attacks_match_pre_registry_goldens() {
     at_thread_counts(|t| {
         let pipe = golden_pipeline();
-        for (method, golden) in [
-            (Method::PolicyNetwork, 0x322dc77e9ab156a5u64),
-            (Method::CopyAttack, 0xe3375640c36a92a8),
-            (Method::CopyAttackNoMasking, 0x20915f7ffc321933),
-            (Method::CopyAttackNoLength, 0xffcc07a340a02fed),
+        for (name, golden) in [
+            ("PolicyNetwork", 0x322dc77e9ab156a5u64),
+            ("CopyAttack", 0xe3375640c36a92a8),
+            ("CopyAttack-Masking", 0x20915f7ffc321933),
+            ("CopyAttack-Length", 0xffcc07a340a02fed),
         ] {
-            let h = row_hash(&pipe, method);
-            assert_eq!(h, golden, "{} golden diverged at CA_THREADS={t}", method.label());
+            let h = row_hash(&pipe, name);
+            assert_eq!(h, golden, "{name} golden diverged at CA_THREADS={t}");
         }
     });
 }
@@ -107,12 +107,6 @@ fn every_table2_method_resolves_in_the_registry() {
             "TargetAttack70",
         ],
     );
-    for method in Method::table2_rows() {
-        match method.registry_key() {
-            None => assert_eq!(method, Method::WithoutAttack),
-            Some(key) => assert!(reg.contains(&key), "{key} missing from the registry"),
-        }
-    }
 }
 
 /// Every registered attack — legacy and rival alike — must run end to end

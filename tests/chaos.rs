@@ -9,17 +9,24 @@
 //! 3. every retry is charged to the metered attempt counts — the wrapper
 //!    stack cannot hide attacker cost;
 //! 4. an identical-seed rerun reproduces the same outcome bit for bit.
+//!
+//! The first three also hold for every registered attack, not only
+//! CopyAttack: they all run through the same episode loop.
 
 use copyattack::core::{
-    AttackConfig, AttackEnvironment, Campaign, CampaignRun, CopyAttackAgent, CopyAttackVariant,
-    ResilienceConfig, RetryPolicy,
+    AttackConfig, AttackEnvironment, AttackOutcome, AttackRegistry, Campaign, CampaignRun,
+    CopyAttackAgent, CopyAttackVariant, ResilienceConfig, RetryPolicy,
 };
 use copyattack::datagen::OrganicSampler;
+use copyattack::gnn::PinSageRecommender;
+use copyattack::par::split_seed;
 use copyattack::pipeline::{Pipeline, PipelineConfig};
 use copyattack::recsys::{BlackBoxRecommender, FallibleBlackBox, RecError};
 use copyattack::recsys::{FaultConfig, FaultStats, FaultyRecommender, ItemId, UserId};
 use copyattack::serve::{LivePlatform, ServeConfig};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 const FAULT_SEED: u64 = 0xC0FFEE;
 
@@ -134,6 +141,57 @@ fn identical_seeds_reproduce_the_chaos_outcome_exactly() {
     let a = chaos_run(&pipe, target);
     let b = chaos_run(&pipe, target);
     assert_eq!(a, b, "same seeds must reproduce the same chaos run");
+}
+
+/// One registered attack's lifecycle behind the chaos preset: `prepare`
+/// and `run`, each environment with its own fault stream. Returns the
+/// evaluation outcome and its `Debug` text, which covers every field.
+fn chaos_lifecycle(pipe: &Pipeline, name: &str, fault_seed: u64) -> (String, AttackOutcome) {
+    let target = pipe.target_items[0];
+    let target_src = pipe.world.source_item(target).unwrap();
+    let src = pipe.source_domain();
+    let cfg = &pipe.config.attack.config;
+    let mut registry = AttackRegistry::<FaultyRecommender<PinSageRecommender>>::with_builtins();
+    registry.register_kg_attack(pipe.knowledge.clone());
+    let mut attack = registry.build(name, cfg, &src, target_src).unwrap();
+    let mut episode = 0;
+    let mut make_env = || {
+        episode += 1;
+        let faults = FaultConfig::chaos(split_seed(fault_seed, episode));
+        pipe.make_faulty_env(target, faults, chaos_resilience())
+    };
+    attack.prepare(&src, &mut make_env);
+    let mut env = make_env();
+    let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0xABCD);
+    let outcome = attack.run(&mut env, &src, target_src, &mut rng);
+    let metered = env.queries() + env.inject_attempts();
+    let calls = env.into_recommender().calls();
+    assert_eq!(metered, calls, "{name}: metered attempts must equal platform calls");
+    (format!("{outcome:?}"), outcome)
+}
+
+/// Every registry key survives the chaos preset the way CopyAttack does:
+/// no panic, every platform call metered, the budget respected, `aborted`
+/// set exactly when nothing landed, and a same-seed rerun identical.
+#[test]
+fn every_registered_attack_survives_chaos() {
+    let pipe = Pipeline::build(&PipelineConfig::tiny(42));
+    let names: Vec<String> = {
+        let mut registry = AttackRegistry::<FaultyRecommender<PinSageRecommender>>::with_builtins();
+        registry.register_kg_attack(pipe.knowledge.clone());
+        registry.names().iter().map(|s| s.to_string()).collect()
+    };
+    assert_eq!(names.len(), 10);
+    for fault_seed in [1u64, 2, 3] {
+        for name in &names {
+            let (text, o) = chaos_lifecycle(&pipe, name, fault_seed);
+            assert!(o.injections <= pipe.config.attack.config.budget, "{name}: {text}");
+            let defeated = o.injections == 0 && o.failed_injections > 0;
+            assert_eq!(o.aborted.is_some(), defeated, "{name}: {text}");
+            let (again, _) = chaos_lifecycle(&pipe, name, fault_seed);
+            assert_eq!(text, again, "{name} is not reproducible under chaos seed {fault_seed}");
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@
 
 use copyattack::datagen::{generate, CrossDomainConfig};
 use copyattack::par;
-use copyattack::pipeline::{Method, Pipeline, PipelineConfig};
+use copyattack::pipeline::{Pipeline, PipelineConfig};
 use copyattack::recsys::{split_dataset, Dataset};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -113,7 +113,7 @@ fn split_on_generated_world_matches_nested_vec_golden() {
 fn copyattack_curve_matches_nested_vec_golden() {
     at_thread_counts(|t| {
         let pipe = Pipeline::build(&PipelineConfig::tiny(7));
-        let row = pipe.run_method_over_targets(Method::CopyAttack, 2);
+        let row = pipe.run_attack_over_targets("CopyAttack", 2);
         let mut h = FNV_OFFSET;
         mix(&mut h, row.metrics.count() as u64);
         for k in [20usize, 10, 5] {
@@ -149,7 +149,7 @@ fn capture_goldens() {
         eprintln!("t={t} small target {:#x}", hash_dataset(&w.target));
         eprintln!("t={t} small source {:#x}", hash_dataset(&w.source));
         let pipe = Pipeline::build(&PipelineConfig::tiny(7));
-        let row = pipe.run_method_over_targets(Method::CopyAttack, 2);
+        let row = pipe.run_attack_over_targets("CopyAttack", 2);
         let mut h = FNV_OFFSET;
         mix(&mut h, row.metrics.count() as u64);
         for k in [20usize, 10, 5] {

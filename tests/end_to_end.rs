@@ -1,7 +1,8 @@
 //! End-to-end integration tests spanning every crate: world generation →
 //! target-model training → attack → evaluation.
 
-use copyattack::pipeline::{Method, Pipeline, PipelineConfig};
+use copyattack::core::AttackConfig;
+use copyattack::pipeline::{Pipeline, PipelineConfig};
 
 fn pipeline() -> Pipeline {
     Pipeline::build(&PipelineConfig::tiny(42))
@@ -10,8 +11,8 @@ fn pipeline() -> Pipeline {
 #[test]
 fn copyattack_promotes_cold_items_end_to_end() {
     let pipe = pipeline();
-    let none = pipe.run_method_over_targets(Method::WithoutAttack, 3);
-    let full = pipe.run_method_over_targets(Method::CopyAttack, 3);
+    let none = pipe.run_without_attack(3);
+    let full = pipe.run_attack_over_targets("CopyAttack", 3);
     assert!(
         full.metrics.hr(20) > none.metrics.hr(20) + 0.1,
         "CopyAttack {} vs no attack {}",
@@ -25,8 +26,8 @@ fn copyattack_promotes_cold_items_end_to_end() {
 #[test]
 fn random_attack_changes_little() {
     let pipe = pipeline();
-    let none = pipe.run_method_over_targets(Method::WithoutAttack, 3);
-    let rand = pipe.run_method_over_targets(Method::RandomAttack, 3);
+    let none = pipe.run_without_attack(3);
+    let rand = pipe.run_attack_over_targets("RandomAttack", 3);
     assert!(
         (rand.metrics.hr(20) - none.metrics.hr(20)).abs() < 0.15,
         "RandomAttack moved HR@20 from {} to {}",
@@ -38,8 +39,8 @@ fn random_attack_changes_little() {
 #[test]
 fn masking_ablation_hurts() {
     let pipe = pipeline();
-    let full = pipe.run_method_over_targets(Method::CopyAttack, 3);
-    let nomask = pipe.run_method_over_targets(Method::CopyAttackNoMasking, 3);
+    let full = pipe.run_attack_over_targets("CopyAttack", 3);
+    let nomask = pipe.run_attack_over_targets("CopyAttack-Masking", 3);
     assert!(
         full.metrics.hr(20) > nomask.metrics.hr(20),
         "full {} !> no-masking {}",
@@ -51,8 +52,8 @@ fn masking_ablation_hurts() {
 #[test]
 fn crafting_reduces_item_budget() {
     let pipe = pipeline();
-    let full = pipe.run_method_over_targets(Method::CopyAttack, 3);
-    let nolen = pipe.run_method_over_targets(Method::CopyAttackNoLength, 3);
+    let full = pipe.run_attack_over_targets("CopyAttack", 3);
+    let nolen = pipe.run_attack_over_targets("CopyAttack-Length", 3);
     assert!(
         full.avg_items_per_profile < nolen.avg_items_per_profile,
         "crafted {} !< raw {}",
@@ -64,9 +65,20 @@ fn crafting_reduces_item_budget() {
 #[test]
 fn table2_rows_all_run() {
     let pipe = pipeline();
-    for method in Method::table2_rows() {
-        let row = pipe.run_method_over_targets(method, 1);
-        assert!(row.metrics.count() > 0, "{} produced no evaluations", method.label());
+    let table2 = [
+        "RandomAttack",
+        "TargetAttack40",
+        "TargetAttack70",
+        "TargetAttack100",
+        "PolicyNetwork",
+        "CopyAttack-Masking",
+        "CopyAttack-Length",
+        "CopyAttack",
+    ];
+    let rows = std::iter::once(pipe.run_without_attack(1))
+        .chain(table2.iter().map(|name| pipe.run_attack_over_targets(name, 1)));
+    for row in rows {
+        assert!(row.metrics.count() > 0, "{} produced no evaluations", row.name);
         assert!(row.metrics.hr(20) >= row.metrics.hr(10));
         assert!(row.metrics.hr(10) >= row.metrics.hr(5));
         assert!(row.metrics.ndcg(20) <= row.metrics.hr(20) + 1e-6);
@@ -75,8 +87,8 @@ fn table2_rows_all_run() {
 
 #[test]
 fn experiments_are_deterministic() {
-    let a = pipeline().run_method_over_targets(Method::TargetAttack(70), 2);
-    let b = pipeline().run_method_over_targets(Method::TargetAttack(70), 2);
+    let a = pipeline().run_attack_over_targets("TargetAttack70", 2);
+    let b = pipeline().run_attack_over_targets("TargetAttack70", 2);
     assert_eq!(a.metrics.hr(20), b.metrics.hr(20));
     assert_eq!(a.metrics.ndcg(5), b.metrics.ndcg(5));
     assert_eq!(a.avg_items_per_profile, b.avg_items_per_profile);
@@ -88,19 +100,10 @@ fn injected_profiles_only_contain_overlap_items() {
     // (the attacker can only copy what the source domain has).
     let pipe = pipeline();
     let target = pipe.target_items[0];
-    let (_, _) = pipe.run_method(Method::CopyAttack, target, 7);
-    // Re-run capturing the polluted system.
-    let src = pipe.source_domain();
-    let target_src = pipe.world.source_item(target).unwrap();
-    let mut agent = copyattack::core::CopyAttackAgent::new(
-        pipe.config.attack.config.clone(),
-        copyattack::core::CopyAttackVariant::full(),
-        &src,
-        target_src,
-    );
-    let mut env = pipe.make_env(target);
-    let outcome = agent.execute(&src, &mut env);
-    let polluted = env.into_recommender();
+    let cfg = AttackConfig { seed: 7, ..pipe.config.attack.config.clone() };
+    let (polluted, outcome) = pipe
+        .attack_with("CopyAttack", target, &cfg, &pipe.recommender, &pipe.pretend)
+        .expect("CopyAttack builds for a sampled target");
     let n_real = pipe.recommender.data().n_users();
     for u in n_real..polluted.data().n_users() {
         for &v in polluted.data().profile(copyattack::recsys::UserId(u as u32)) {
@@ -117,37 +120,11 @@ fn injected_profiles_only_contain_overlap_items() {
 fn budget_is_respected_across_methods() {
     let pipe = pipeline();
     let target = pipe.target_items[0];
-    let budget = pipe.config.attack.config.budget;
-    for method in [Method::RandomAttack, Method::TargetAttack(70), Method::CopyAttack] {
-        let src = pipe.source_domain();
-        let target_src = pipe.world.source_item(target).unwrap();
-        let mut env = pipe.make_env(target);
-        let injections = match method {
-            Method::RandomAttack => {
-                let mut rng: rand::rngs::StdRng = rand::SeedableRng::seed_from_u64(1);
-                copyattack::core::baselines::random_attack(&src, &mut env, &mut rng).injections
-            }
-            Method::TargetAttack(p) => {
-                let mut rng: rand::rngs::StdRng = rand::SeedableRng::seed_from_u64(1);
-                copyattack::core::baselines::target_attack(
-                    &src,
-                    &mut env,
-                    target_src,
-                    p as f32 / 100.0,
-                    &mut rng,
-                )
-                .injections
-            }
-            _ => {
-                let mut agent = copyattack::core::CopyAttackAgent::new(
-                    pipe.config.attack.config.clone(),
-                    copyattack::core::CopyAttackVariant::full(),
-                    &src,
-                    target_src,
-                );
-                agent.execute(&src, &mut env).injections
-            }
-        };
-        assert!(injections <= budget, "{method:?} exceeded budget: {injections}");
+    let cfg = &pipe.config.attack.config;
+    for name in ["RandomAttack", "TargetAttack70", "CopyAttack"] {
+        let (_, outcome) = pipe
+            .attack_with(name, target, cfg, &pipe.recommender, &pipe.pretend)
+            .expect("registered attack builds");
+        assert!(outcome.injections <= cfg.budget, "{name} exceeded budget: {}", outcome.injections);
     }
 }

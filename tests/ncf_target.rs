@@ -2,9 +2,10 @@
 //! purely over the `BlackBoxRecommender` trait, so the same agent that
 //! attacks the inductive GNN attacks a fine-tune-cycle platform unchanged.
 
-use copyattack::core::baselines::target_attack;
 use copyattack::core::env::establish_pretend_users;
-use copyattack::core::{AttackEnvironment, CopyAttackAgent, CopyAttackVariant};
+use copyattack::core::{
+    AttackConfig, AttackEnvironment, AttackRegistry, CopyAttackAgent, CopyAttackVariant,
+};
 use copyattack::datagen::{generate, CrossDomainConfig};
 use copyattack::mf::BprConfig;
 use copyattack::ncf::{train, NcfConfig, NcfRecommender};
@@ -65,9 +66,18 @@ fn target_attack_promotes_through_the_refresh_cycle() {
     };
 
     let before = promotion_hr(&w, &w.recommender, target);
-    let mut env = AttackEnvironment::new(w.recommender.clone(), w.pretend.clone(), target, 20, 30);
+    let cfg = AttackConfig { budget: 30, reward_k: 20, ..Default::default() };
+    let registry = AttackRegistry::<NcfRecommender>::with_builtins();
+    let mut attack = registry.build("TargetAttack70", &cfg, &src, target_src).unwrap();
+    let mut env = AttackEnvironment::new(
+        w.recommender.clone(),
+        w.pretend.clone(),
+        target,
+        cfg.reward_k,
+        cfg.budget,
+    );
     let mut arng = StdRng::seed_from_u64(4);
-    target_attack(&src, &mut env, target_src, 0.7, &mut arng);
+    attack.run(&mut env, &src, target_src, &mut arng);
     let polluted = env.into_recommender();
     let after = promotion_hr(&w, &polluted, target);
 

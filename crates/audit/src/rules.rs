@@ -67,8 +67,8 @@ pub enum Rule {
     /// `#![forbid(unsafe_code)]` (or a justification pragma).
     UnsafeAudit,
     /// `.sum()`/`.fold(` over values produced by a `par::map*` call in the
-    /// same statement: float reduction whose rounding schedule is not
-    /// pinned by the blessed `ca_par::map_reduce` combiner.
+    /// same statement: a float reduction chained onto parallel output
+    /// instead of a serial fold over `ca_par::map`'s input-ordered result.
     UnorderedReduce,
     /// `thread::sleep` inside the service-path crates (`ca-serve`,
     /// `ca-recsys`): those layers run on logical clocks only, and a
@@ -180,9 +180,7 @@ impl Rule {
                 "direct profile injection bypasses the AttackEnvironment budget surface"
             }
             Rule::UnsafeAudit => "library crate does not carry #![forbid(unsafe_code)]",
-            Rule::UnorderedReduce => {
-                "float reduction over par-produced values outside ca_par::map_reduce"
-            }
+            Rule::UnorderedReduce => "float reduction chained onto par-produced values",
             Rule::ServiceSleep => "thread::sleep in a logical-clock service path",
             Rule::NestedVec => "nested Vec<Vec<…>> in a compact-data-plane crate",
             Rule::ExactScan => {
@@ -218,8 +216,8 @@ impl Rule {
             }
             Rule::AdHocRng => "thread a seeded StdRng (or derive one via ca_par::split_seed)",
             Rule::RawThread => {
-                "route through ca_par::{map, map_min, map_mut, map_reduce} so the CA_THREADS \
-                 knob governs every parallel stage"
+                "route through ca_par::{map, map_mut} so the CA_THREADS knob governs every \
+                 parallel stage"
             }
             Rule::EnvInjection => {
                 "inject through AttackEnvironment::inject/try_inject so every crafted \
@@ -231,8 +229,8 @@ impl Rule {
                  stating why unsafe is required"
             }
             Rule::UnorderedReduce => {
-                "reduce through ca_par::map_reduce: its fixed chunk grid and serial \
-                 ascending combine pin the float rounding schedule at any thread count"
+                "bind ca_par::map's input-ordered output, then fold it serially: the fold \
+                 order, and so the float rounding, is the same at any thread count"
             }
             Rule::ServiceSleep => {
                 "model every delay as logical ticks (FallibleBlackBox::wait, the ServeConfig \

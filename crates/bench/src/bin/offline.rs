@@ -1,6 +1,5 @@
-//! Microbench for the deterministic parallel offline pipeline: clustering
-//! tree construction, BPR surrogate training, and an 8-target
-//! [`ParallelCampaign`], each timed at 1 worker, 2 workers, and the
+//! Microbench for the offline pipeline's per-target `ca-par` fan-out: an
+//! 8-target [`ParallelCampaign`] timed at 1 worker, 2 workers, and the
 //! machine's available parallelism via [`par::set_threads`] — the same
 //! knob `CA_THREADS` drives.
 //!
@@ -8,11 +7,13 @@
 //! cargo run --release -p copyattack-bench --bin offline -- --reps=5
 //! ```
 //!
-//! Before any timing means anything, each stage asserts bitwise parity
+//! Before any timing means anything, the stage asserts bitwise parity
 //! between its serial and widest-parallel results (the `ca-par` contract).
 //! Speedups are reported as measured: on a single-core container the
 //! parallel columns show ~1.0× (plus scheduling overhead), which is the
-//! honest number for that machine, not a defect in the runtime.
+//! honest number for that machine, not a defect in the runtime. Tree
+//! building and BPR training are serial code, timed end to end by the
+//! `e2ebench` package (`core.build_s`, `train.source_mf_s`).
 //!
 //! Emits `results/BENCH_offline.json`, plus `results/BENCH_train.json`
 //! with per-epoch loss curves and pairs/sec for each model family's
@@ -20,7 +21,6 @@
 
 use std::time::Instant;
 
-use copyattack::cluster::ClusterTree;
 use copyattack::core::{
     AttackConfig, AttackEnvironment, CopyAttackVariant, ParallelCampaign, SourceDomain,
 };
@@ -55,13 +55,7 @@ fn timed_at<T>(threads: usize, reps: usize, mut f: impl FnMut() -> T) -> (f64, T
     (us, out.expect("at least one rep"))
 }
 
-/// Random user embeddings for the tree-build stage.
-fn embeddings(n: usize, dim: usize, seed: u64) -> Vec<Vec<f32>> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    (0..n).map(|_| (0..dim).map(|_| rng.gen_range(-1.0f32..1.0)).collect()).collect()
-}
-
-/// Synthetic interaction dataset for the surrogate-training stage.
+/// Synthetic interaction dataset for the training-telemetry stage.
 fn training_world(n_users: usize, n_items: usize, seed: u64) -> Dataset {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut b = DatasetBuilder::new(n_items);
@@ -181,31 +175,7 @@ fn main() {
         ));
     };
 
-    // --- Stage 1: clustering-tree build over 4096 users ------------------
-    let emb = embeddings(4096, 16, 0xC0FFEE);
-    let (t1, base) = timed_at(1, reps, || ClusterTree::build_seeded(&emb, 8, 7));
-    let (t2, _) = timed_at(2, reps, || ClusterTree::build_seeded(&emb, 8, 7));
-    let (tn, widest) = timed_at(wide, reps, || ClusterTree::build_seeded(&emb, 8, 7));
-    assert!(widest == base, "tree build diverges across thread counts");
-    push("tree_build", emb.len(), t1, t2, tn);
-
-    // --- Stage 2: BPR surrogate training -----------------------------------
-    let ds = training_world(2_000, 1_000, 0xBEEF);
-    // Minibatch past the trainers' PAR_MIN_PAIRS threshold so per-pair
-    // gradients actually fan out to workers.
-    let cfg = BprConfig { max_epochs: 2, seed: 3, minibatch: 512, ..Default::default() };
-    let (t1, base) = timed_at(1, reps, || mf::train(&ds, &cfg));
-    let (t2, _) = timed_at(2, reps, || mf::train(&ds, &cfg));
-    let (tn, widest) = timed_at(wide, reps, || mf::train(&ds, &cfg));
-    assert!(
-        widest.user_emb == base.user_emb
-            && widest.item_emb == base.item_emb
-            && widest.item_bias == base.item_bias,
-        "mf training diverges across thread counts"
-    );
-    push("mf_train", ds.n_users(), t1, t2, tn);
-
-    // --- Stage 3: 8-target parallel campaign -------------------------------
+    // --- Stage 1: 8-target parallel campaign -------------------------------
     let (src_ds, map) = campaign_world();
     let surrogate = mf::train(&src_ds, &BprConfig { max_epochs: 3, ..Default::default() });
     let src = SourceDomain { data: &src_ds, mf: &surrogate, to_target: &map };
@@ -245,7 +215,7 @@ fn main() {
 
     par::set_threads(None);
 
-    // --- Stage 4: per-model training telemetry -----------------------------
+    // --- Stage 2: per-model training telemetry -----------------------------
     // One real training run per model family, with the epoch-level curves
     // captured through the `ca-train` observer hook.
     let tele_ds = training_world(600, 300, 0xCAFE);

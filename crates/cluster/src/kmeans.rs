@@ -1,21 +1,20 @@
 //! Lloyd's k-means \[17\] with k-means++ seeding.
 //!
-//! The Lloyd iterations run on the deterministic parallel runtime
-//! (`ca-par`): the assignment step is an ordered parallel map over fixed
-//! row-chunks of the flattened point matrix, and the update step is a
-//! `map_reduce` whose per-chunk partial sums are combined in ascending
-//! chunk order — so the result is bitwise identical at any `CA_THREADS`.
-//! Seeding stays serial (it is inherently sequential in the RNG) and
-//! consumes exactly the same random stream as the single-threaded path.
+//! Plain serial code. The clustering tree runs k-means once per internal
+//! node, and each target item builds its own tree inside the pipeline's
+//! per-target `ca-par` fan-out, so that fan-out already keeps the cores
+//! busy; a second one in here would only nest inside it.
 
-use ca_par as par;
 use ca_tensor::ops::sq_dist;
 use ca_tensor::Matrix;
 use rand::Rng;
 
-/// Rows per parallel work chunk in the assignment/update/inertia sweeps.
-/// Part of the deterministic contract: the chunk grid (and therefore the
-/// floating-point reduction order) depends only on the point count.
+/// Rows per partial sum in the update and inertia sweeps. Each chunk sums
+/// from zero and the partials combine in ascending chunk order. The grid
+/// fixes the floating-point rounding of the centroids and the inertia: one
+/// running sum over all points rounds differently, and IVF trains its
+/// cells on these centroids, so the grid stays although nothing here runs
+/// in parallel.
 const CHUNK_ROWS: usize = 256;
 
 /// Result of a k-means run.
@@ -45,7 +44,7 @@ pub fn kmeans(points: &[&[f32]], k: usize, max_iters: usize, rng: &mut impl Rng)
     let n = points.len();
 
     // One flat `n × dim` copy of the points: the hot sweeps below walk
-    // contiguous row-chunks instead of chasing `&[&[f32]]` pointers.
+    // contiguous rows instead of chasing `&[&[f32]]` pointers.
     let flat = Matrix::from_rows(points);
 
     // Flattened `k × dim` centroid buffer (same rationale: the assignment
@@ -57,49 +56,34 @@ pub fn kmeans(points: &[&[f32]], k: usize, max_iters: usize, rng: &mut impl Rng)
     let mut assignment = vec![usize::MAX; n];
 
     for _ in 0..max_iters {
-        // Assignment step: ordered parallel map over fixed row-chunks.
-        let chunk_views: Vec<&[f32]> = flat.row_chunks(CHUNK_ROWS).collect();
-        let new_chunks = par::map(&chunk_views, |_, rows| {
-            rows.chunks_exact(dim).map(|p| nearest(p, &centroids, dim)).collect::<Vec<usize>>()
-        });
+        // Assignment step.
         let mut changed = false;
-        let mut i = 0;
-        for chunk in new_chunks {
-            for c in chunk {
-                if assignment[i] != c {
-                    assignment[i] = c;
-                    changed = true;
-                }
-                i += 1;
+        for (a, p) in assignment.iter_mut().zip(flat.as_slice().chunks_exact(dim)) {
+            let c = nearest(p, &centroids, dim);
+            if *a != c {
+                *a = c;
+                changed = true;
             }
         }
         if !changed {
             break;
         }
         // Update step: per-chunk partial sums, combined in chunk order.
-        let chunks: Vec<(usize, &[f32])> = flat
+        let (sums, counts) = flat
             .row_chunks(CHUNK_ROWS)
-            .enumerate()
-            .map(|(c, rows)| (c * CHUNK_ROWS, rows))
-            .collect();
-        let (sums, counts) = par::map_reduce(
-            &chunks,
-            1,
-            |_, part| {
+            .zip(assignment.chunks(CHUNK_ROWS))
+            .map(|(rows, assigned)| {
                 let mut sums = vec![0.0f32; k * dim];
                 let mut counts = vec![0usize; k];
-                for &(start, rows) in part {
-                    for (j, p) in rows.chunks_exact(dim).enumerate() {
-                        let c = assignment[start + j];
-                        for (s, &x) in sums[c * dim..(c + 1) * dim].iter_mut().zip(p) {
-                            *s += x;
-                        }
-                        counts[c] += 1;
+                for (p, &c) in rows.chunks_exact(dim).zip(assigned) {
+                    for (s, &x) in sums[c * dim..(c + 1) * dim].iter_mut().zip(p) {
+                        *s += x;
                     }
+                    counts[c] += 1;
                 }
                 (sums, counts)
-            },
-            |(mut sa, mut ca), (sb, cb)| {
+            })
+            .reduce(|(mut sa, mut ca), (sb, cb)| {
                 for (a, b) in sa.iter_mut().zip(&sb) {
                     *a += b;
                 }
@@ -107,9 +91,8 @@ pub fn kmeans(points: &[&[f32]], k: usize, max_iters: usize, rng: &mut impl Rng)
                     *a += b;
                 }
                 (sa, ca)
-            },
-        )
-        .expect("non-empty points");
+            })
+            .expect("non-empty points");
         for c in 0..k {
             if counts[c] == 0 {
                 // Re-seed the empty cluster on the point farthest from its
@@ -131,24 +114,17 @@ pub fn kmeans(points: &[&[f32]], k: usize, max_iters: usize, rng: &mut impl Rng)
         }
     }
 
-    // Inertia: same fixed-chunk reduction discipline as the update step.
-    let chunks: Vec<(usize, &[f32])> =
-        flat.row_chunks(CHUNK_ROWS).enumerate().map(|(c, rows)| (c * CHUNK_ROWS, rows)).collect();
-    let inertia = par::map_reduce(
-        &chunks,
-        1,
-        |_, part| {
-            let mut acc = 0.0f32;
-            for &(start, rows) in part {
-                for (j, p) in rows.chunks_exact(dim).enumerate() {
-                    acc += sq_dist(p, centroid(&centroids, assignment[start + j], dim));
-                }
-            }
-            acc
-        },
-        |a, b| a + b,
-    )
-    .expect("non-empty points");
+    // Inertia: on the same chunk grid as the update step.
+    let inertia = flat
+        .row_chunks(CHUNK_ROWS)
+        .zip(assignment.chunks(CHUNK_ROWS))
+        .map(|(rows, assigned)| {
+            rows.chunks_exact(dim)
+                .zip(assigned)
+                .fold(0.0f32, |acc, (p, &c)| acc + sq_dist(p, centroid(&centroids, c, dim)))
+        })
+        .reduce(|a, b| a + b)
+        .expect("non-empty points");
 
     let centroids = centroids.chunks_exact(dim).map(<[f32]>::to_vec).collect();
     KMeansResult { centroids, assignment, inertia }
@@ -307,25 +283,5 @@ mod tests {
         let refs: Vec<&[f32]> = pts.iter().map(|p| p.as_slice()).collect();
         let mut rng = StdRng::seed_from_u64(6);
         let _ = kmeans(&refs, 2, 10, &mut rng);
-    }
-
-    #[test]
-    fn result_is_bitwise_identical_across_thread_counts() {
-        let pts = blobs();
-        let refs: Vec<&[f32]> = pts.iter().map(|p| p.as_slice()).collect();
-        let run = || {
-            let mut rng = StdRng::seed_from_u64(7);
-            kmeans(&refs, 4, 50, &mut rng)
-        };
-        par::set_threads(Some(1));
-        let base = run();
-        for t in [2, 3, 8] {
-            par::set_threads(Some(t));
-            let r = run();
-            assert_eq!(r.assignment, base.assignment, "threads {t}");
-            assert_eq!(r.centroids, base.centroids, "threads {t}");
-            assert_eq!(r.inertia.to_bits(), base.inertia.to_bits(), "threads {t}");
-        }
-        par::set_threads(None);
     }
 }

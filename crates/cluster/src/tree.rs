@@ -4,23 +4,18 @@
 //! 64-bit root seed, and every node derives its own k-means RNG and its
 //! children's subtree seeds from its position in the tree
 //! ([`ca_par::SeedSplit`]). Sibling subtrees therefore never share random
-//! state, so they build independently — in parallel on the `ca-par`
-//! runtime — and the finished tree is bitwise identical at any
-//! `CA_THREADS` setting.
+//! state. The build is serial: each target item builds its own tree inside
+//! the pipeline's per-target `ca-par` fan-out, which already keeps the
+//! cores busy.
 
 use crate::balanced::balanced_groups;
-use ca_par::{self as par, SeedSplit};
+use ca_par::SeedSplit;
 use ca_recsys::UserId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// Index of a node within a [`ClusterTree`].
 pub type NodeId = usize;
-
-/// Smallest member count worth forking sibling builds for. The gate depends
-/// only on the subtree size — never the thread count — so the recursion
-/// structure (and with seed-splitting, the output) is invariant.
-const PAR_MIN_MEMBERS: usize = 256;
 
 /// Node payload.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -37,20 +32,6 @@ pub enum NodeKind {
     },
 }
 
-#[derive(Clone, Debug, PartialEq, Eq)]
-struct Node {
-    kind: NodeKind,
-    #[allow(dead_code)] // kept for tree inspection / future traversals
-    parent: Option<NodeId>,
-}
-
-/// One independently built subtree: nodes in DFS preorder with local ids
-/// (0 = subtree root, local parent links), plus its decision depth.
-struct Sub {
-    nodes: Vec<Node>,
-    depth: usize,
-}
-
 /// Balanced hierarchical clustering tree over source-domain users.
 ///
 /// Built top-down: a node holding more than `fanout` users splits them into
@@ -60,7 +41,8 @@ struct Sub {
 #[derive(Clone, Debug, PartialEq)]
 pub struct ClusterTree {
     fanout: usize,
-    nodes: Vec<Node>,
+    /// Nodes in DFS preorder; the root is id 0.
+    nodes: Vec<NodeKind>,
     leaf_of_user: Vec<NodeId>,
     internal_index: Vec<Option<usize>>,
     n_internal: usize,
@@ -81,7 +63,7 @@ impl ClusterTree {
 
     /// Builds the tree from an explicit root seed. The same
     /// `(embeddings, fanout, seed)` triple yields the same tree on every
-    /// run and at every thread count.
+    /// run.
     ///
     /// # Panics
     /// Panics if `fanout < 2` or there are no users.
@@ -89,13 +71,14 @@ impl ClusterTree {
         assert!(fanout >= 2, "fanout must be at least 2");
         assert!(!embeddings.is_empty(), "cannot build a tree over zero users");
         let all: Vec<usize> = (0..embeddings.len()).collect();
-        let sub = build_subtree(embeddings, &all, fanout, SeedSplit::new(seed));
+        let mut nodes = Vec::new();
+        let depth = build_subtree(embeddings, &all, fanout, SeedSplit::new(seed), &mut nodes);
 
         let mut leaf_of_user = vec![usize::MAX; embeddings.len()];
-        let mut internal_index = vec![None; sub.nodes.len()];
+        let mut internal_index = vec![None; nodes.len()];
         let mut n_internal = 0;
-        for (id, node) in sub.nodes.iter().enumerate() {
-            match node.kind {
+        for (id, node) in nodes.iter().enumerate() {
+            match *node {
                 NodeKind::Internal { .. } => {
                     internal_index[id] = Some(n_internal);
                     n_internal += 1;
@@ -103,14 +86,7 @@ impl ClusterTree {
                 NodeKind::Leaf { user } => leaf_of_user[user.idx()] = id,
             }
         }
-        Self {
-            fanout,
-            nodes: sub.nodes,
-            leaf_of_user,
-            internal_index,
-            n_internal,
-            depth: sub.depth,
-        }
+        Self { fanout, nodes, leaf_of_user, internal_index, n_internal, depth }
     }
 
     /// Builds a tree of (approximately) the requested decision depth by
@@ -135,7 +111,7 @@ impl ClusterTree {
 
     /// The node's payload.
     pub fn kind(&self, node: NodeId) -> &NodeKind {
-        &self.nodes[node].kind
+        &self.nodes[node]
     }
 
     /// Children of an internal node.
@@ -143,7 +119,7 @@ impl ClusterTree {
     /// # Panics
     /// Panics if `node` is a leaf.
     pub fn children(&self, node: NodeId) -> &[NodeId] {
-        match &self.nodes[node].kind {
+        match &self.nodes[node] {
             NodeKind::Internal { children } => children,
             NodeKind::Leaf { .. } => panic!("node {node} is a leaf"),
         }
@@ -151,7 +127,7 @@ impl ClusterTree {
 
     /// Whether the node is a leaf.
     pub fn is_leaf(&self, node: NodeId) -> bool {
-        matches!(self.nodes[node].kind, NodeKind::Leaf { .. })
+        matches!(self.nodes[node], NodeKind::Leaf { .. })
     }
 
     /// The user at a leaf.
@@ -159,7 +135,7 @@ impl ClusterTree {
     /// # Panics
     /// Panics if `node` is internal.
     pub fn leaf_user(&self, node: NodeId) -> UserId {
-        match self.nodes[node].kind {
+        match self.nodes[node] {
             NodeKind::Leaf { user } => user,
             NodeKind::Internal { .. } => panic!("node {node} is internal"),
         }
@@ -206,84 +182,45 @@ impl ClusterTree {
     }
 }
 
-/// Builds one subtree over `members` (global user indices).
+/// Appends the subtree over `members` (global user indices) to `nodes` in
+/// DFS preorder — the node, then each child subtree in group order — and
+/// returns its decision depth.
 ///
 /// RNG discipline: this node's balanced k-means runs on `seed.child(0)`,
 /// and child subtree `i` receives `seed.child(i + 1)` — so a subtree's
-/// randomness is a pure function of its position under the root seed,
-/// independent of when (or on which thread) it is built.
+/// randomness is a pure function of its position under the root seed.
 fn build_subtree(
     embeddings: &[Vec<f32>],
     members: &[usize],
     fanout: usize,
     seed: SeedSplit,
-) -> Sub {
-    let mut nodes = vec![Node { kind: NodeKind::Internal { children: Vec::new() }, parent: None }];
+    nodes: &mut Vec<NodeKind>,
+) -> usize {
+    let id = nodes.len();
+    nodes.push(NodeKind::Internal { children: Vec::new() });
 
     if members.len() <= fanout {
         // Attach leaves directly, in member order.
-        let children: Vec<NodeId> = members
-            .iter()
-            .map(|&m| {
-                nodes.push(Node {
-                    kind: NodeKind::Leaf { user: UserId(m as u32) },
-                    parent: Some(0),
-                });
-                nodes.len() - 1
-            })
-            .collect();
-        nodes[0].kind = NodeKind::Internal { children };
-        return Sub { nodes, depth: 1 };
+        let children = (id + 1..=id + members.len()).collect();
+        nodes.extend(members.iter().map(|&m| NodeKind::Leaf { user: UserId(m as u32) }));
+        nodes[id] = NodeKind::Internal { children };
+        return 1;
     }
 
     let mut rng = StdRng::seed_from_u64(seed.child(0).seed());
     let refs: Vec<&[f32]> = members.iter().map(|&m| embeddings[m].as_slice()).collect();
     let groups = balanced_groups(&refs, fanout, 25, &mut rng);
-    let group_members: Vec<Vec<usize>> = groups
-        .into_iter()
-        .map(|group| {
-            debug_assert!(!group.is_empty(), "balanced split produced an empty group");
-            group.into_iter().map(|local| members[local]).collect()
-        })
-        .collect();
-
-    // Sibling subtrees are seed-independent, so they can build on worker
-    // threads; small nodes recurse inline to avoid fork overhead.
-    let subs: Vec<Sub> = if members.len() >= PAR_MIN_MEMBERS {
-        par::map(&group_members, |i, sub_members| {
-            build_subtree(embeddings, sub_members, fanout, seed.child(i as u64 + 1))
-        })
-    } else {
-        group_members
-            .iter()
-            .enumerate()
-            .map(|(i, sub_members)| {
-                build_subtree(embeddings, sub_members, fanout, seed.child(i as u64 + 1))
-            })
-            .collect()
-    };
-
-    // Splice the subtrees in fixed child order, remapping local ids by each
-    // subtree's offset. The result is exactly the DFS preorder a serial
-    // recursive build would produce.
-    let mut children = Vec::with_capacity(subs.len());
+    let mut children = Vec::with_capacity(groups.len());
     let mut depth = 0;
-    for sub in subs {
-        let offset = nodes.len();
-        children.push(offset);
-        depth = depth.max(sub.depth);
-        for mut node in sub.nodes {
-            node.parent = Some(node.parent.map_or(0, |p| p + offset));
-            if let NodeKind::Internal { children } = &mut node.kind {
-                for c in children.iter_mut() {
-                    *c += offset;
-                }
-            }
-            nodes.push(node);
-        }
+    for (i, group) in groups.into_iter().enumerate() {
+        debug_assert!(!group.is_empty(), "balanced split produced an empty group");
+        let sub_members: Vec<usize> = group.into_iter().map(|local| members[local]).collect();
+        children.push(nodes.len());
+        let sub_seed = seed.child(i as u64 + 1);
+        depth = depth.max(build_subtree(embeddings, &sub_members, fanout, sub_seed, nodes));
     }
-    nodes[0].kind = NodeKind::Internal { children };
-    Sub { nodes, depth: depth + 1 }
+    nodes[id] = NodeKind::Internal { children };
+    depth + 1
 }
 
 #[cfg(test)]
@@ -404,21 +341,6 @@ mod tests {
                 || (groups[0] == blob_b && groups[1] == blob_a),
             "top split mixed the blobs: {groups:?}"
         );
-    }
-
-    #[test]
-    fn build_is_identical_across_thread_counts() {
-        // 300 users crosses PAR_MIN_MEMBERS, so the root-level siblings fork
-        // onto workers whenever more than one thread is available.
-        let e = embeddings(300);
-        par::set_threads(Some(1));
-        let base = ClusterTree::build_seeded(&e, 4, 0xC0FFEE);
-        for t in [2, 3, 8] {
-            par::set_threads(Some(t));
-            let tree = ClusterTree::build_seeded(&e, 4, 0xC0FFEE);
-            assert_eq!(tree, base, "threads {t}");
-        }
-        par::set_threads(None);
     }
 
     #[test]

@@ -20,9 +20,8 @@ pub struct GnnConfig {
     /// hand-rolled tower updates bit-for-bit.
     pub optimizer: ca_train::Optimizer,
     /// Pairs per minibatch in training: gradients within a batch are
-    /// computed against the frozen batch-start towers (in parallel on the
-    /// `ca-par` runtime) and applied in pair order. `1` recovers classic
-    /// per-pair SGD exactly.
+    /// computed against the frozen batch-start towers and applied in pair
+    /// order. `1` recovers classic per-pair SGD exactly.
     pub minibatch: usize,
 }
 

@@ -47,9 +47,8 @@ pub struct BprConfig {
     /// historical hand-rolled update loop bit-for-bit.
     pub optimizer: Optimizer,
     /// Pairs per minibatch. Gradients within a minibatch are computed
-    /// against the frozen batch-start model (in parallel on the `ca-par`
-    /// runtime) and applied in pair order, so results do not depend on the
-    /// thread count. `1` recovers classic per-pair SGD exactly.
+    /// against the frozen batch-start model and applied in pair order.
+    /// `1` recovers classic per-pair SGD exactly.
     pub minibatch: usize,
 }
 
@@ -122,10 +121,10 @@ impl PairwiseModel for MfTrainer<'_> {
 /// Trains an [`MfModel`] on `ds` with minibatch BPR-SGD for exactly
 /// `cfg.max_epochs` epochs (MF's historical fixed-epoch behavior).
 ///
-/// Determinism: negatives are sampled serially in pair order (the RNG
-/// stream is identical for every `minibatch` and thread count); per-pair
-/// gradients are order-blind functions of the frozen batch-start model and
-/// are applied serially in pair order.
+/// Determinism: negatives are sampled in pair order (the RNG stream is
+/// identical for every `minibatch`); per-pair gradients are order-blind
+/// functions of the frozen batch-start model and are applied in pair
+/// order.
 pub fn train(ds: &Dataset, cfg: &BprConfig) -> MfModel {
     train_observed(ds, cfg, &mut NullObserver).0
 }
@@ -232,7 +231,6 @@ fn dot_rows(model: &MfModel, u: UserId, v: ItemId) -> f32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ca_par as par;
     use ca_recsys::{split_dataset, DatasetBuilder, Scorer};
     use rand::Rng;
 
@@ -301,22 +299,6 @@ mod tests {
         let b = train(&ds, &cfg);
         assert_eq!(a.user_emb.as_slice(), b.user_emb.as_slice());
         assert_eq!(a.item_bias, b.item_bias);
-    }
-
-    #[test]
-    fn training_is_identical_across_thread_counts() {
-        let ds = polarized();
-        let cfg = BprConfig { max_epochs: 3, seed: 2, ..Default::default() };
-        par::set_threads(Some(1));
-        let base = train(&ds, &cfg);
-        for t in [2, 8] {
-            par::set_threads(Some(t));
-            let m = train(&ds, &cfg);
-            assert_eq!(m.user_emb.as_slice(), base.user_emb.as_slice(), "threads {t}");
-            assert_eq!(m.item_emb.as_slice(), base.item_emb.as_slice(), "threads {t}");
-            assert_eq!(m.item_bias, base.item_bias, "threads {t}");
-        }
-        par::set_threads(None);
     }
 
     #[test]

@@ -29,9 +29,8 @@ pub struct NcfConfig {
     /// hand-rolled update loop bit-for-bit.
     pub optimizer: ca_train::Optimizer,
     /// Pairs per minibatch in [`crate::train::train`]: gradients within a
-    /// batch are computed against the frozen batch-start model (in parallel
-    /// on the `ca-par` runtime) and applied in pair order. `1` recovers
-    /// classic per-pair SGD exactly.
+    /// batch are computed against the frozen batch-start model and applied
+    /// in pair order. `1` recovers classic per-pair SGD exactly.
     pub minibatch: usize,
 }
 

@@ -8,10 +8,11 @@
 //! injected users during the refresh.
 
 use crate::model::NcfModel;
-use crate::train::{bpr_step, fine_tune_user};
+use crate::train::{apply_grad, fine_tune_user, pair_grad};
 use ca_recsys::engine::{self, EmbeddingEngine, ScoringEngine};
 use ca_recsys::{BlackBoxRecommender, Dataset, ItemId, Scorer, UserId};
 use ca_tensor::{Matrix, Scratch};
+use ca_train::{OptState, Optimizer};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -69,8 +70,12 @@ impl NcfRecommender {
     }
 
     /// Runs the global fine-tune immediately (the "nightly retrain"),
-    /// consuming the fresh-interaction buffer.
+    /// consuming the fresh-interaction buffer. Each fresh interaction takes
+    /// one plain-SGD step at the model's base rate, whatever optimizer the
+    /// model was trained with.
     pub fn refresh(&mut self) {
+        let mut opt = OptState::new(Optimizer::Sgd);
+        let lr = self.model.cfg.lr;
         for _ in 0..self.refresh_epochs {
             for &u in &self.fresh_users {
                 for &pos in self.data.profile(u) {
@@ -81,7 +86,8 @@ impl NcfRecommender {
                             break cand;
                         }
                     };
-                    bpr_step(&mut self.model, u, pos, neg);
+                    let (g, _) = pair_grad(&self.model, u, pos, neg);
+                    apply_grad(&mut self.model, u, pos, neg, &g, &mut opt.step(lr));
                 }
             }
         }
@@ -260,6 +266,33 @@ mod tests {
         assert_eq!(rec.pending_refresh(), 0);
         let after = rec.score(probe, target);
         assert!(after > before, "refresh-cycle poisoning failed: {before} -> {after}");
+    }
+
+    /// Pins the refresh's fine-tune bit for bit: every parameter block
+    /// after two refresh cycles of two epochs each.
+    #[test]
+    fn refresh_matches_golden() {
+        let mut rec = platform(4);
+        for i in 0..8u32 {
+            let profile: Vec<ItemId> = (0..5).map(|j| ItemId((i * 3 + j * 7) % 30)).collect();
+            rec.inject_user(&profile);
+        }
+        assert_eq!(rec.pending_refresh(), 0);
+        let m = rec.model();
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut fnv = |xs: &[f32]| {
+            for &x in xs {
+                h = (h ^ x.to_bits() as u64).wrapping_mul(0x1000_0000_01b3);
+            }
+        };
+        fnv(m.p.as_slice());
+        fnv(m.q.as_slice());
+        fnv(&m.w_gmf);
+        for l in m.mlp.layers() {
+            fnv(l.w.as_slice());
+            fnv(&l.b);
+        }
+        assert_eq!(h, 0x69b9_9673_8fee_5619, "NCF refresh golden diverged");
     }
 
     #[test]

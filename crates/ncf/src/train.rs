@@ -1,11 +1,12 @@
 //! BPR training and incremental fine-tuning for the NCF model.
 //!
-//! The epoch loop (minibatching, serial negative sampling, parallel
-//! gradient fan-out, early stopping) lives in `ca-train`; this module
-//! contributes the NCF-specific [`ca_train::PairwiseModel`] implementation
-//! — the two-branch (GMF ⊕ MLP) gradient against a frozen batch-start
-//! model and its fixed-order apply — plus the validation protocol (HR@10
-//! of a ≤500-pair sample, post-update, fresh seeded RNG per epoch).
+//! The epoch loop (minibatching, in-order negative sampling, early
+//! stopping) lives in `ca-train`; this module contributes the NCF-specific
+//! [`ca_train::PairwiseModel`] implementation — the two-branch (GMF ⊕ MLP)
+//! gradient against a frozen batch-start model and its fixed-order apply,
+//! which the platform's fine-tune refresh reuses — plus the validation
+//! protocol (HR@10 of a ≤500-pair sample, post-update, fresh seeded RNG
+//! per epoch).
 
 use crate::model::{NcfConfig, NcfModel};
 use ca_nn::MlpGrad;
@@ -118,7 +119,7 @@ pub struct PairGrad {
     d_w: Vec<f32>,
 }
 
-fn pair_grad(model: &NcfModel, u: UserId, pos: ItemId, neg: ItemId) -> (PairGrad, f32) {
+pub(crate) fn pair_grad(model: &NcfModel, u: UserId, pos: ItemId, neg: ItemId) -> (PairGrad, f32) {
     let reg = model.cfg.reg;
     let dim = model.cfg.dim;
 
@@ -166,7 +167,7 @@ fn pair_grad(model: &NcfModel, u: UserId, pos: ItemId, neg: ItemId) -> (PairGrad
 /// element order as `Mlp::sgd_step`). All blocks a pair touches are
 /// disjoint (`pos ≠ neg` by sampling), so block-order application is
 /// bitwise identical to the historical interleaved per-`k` loop.
-fn apply_grad(
+pub(crate) fn apply_grad(
     model: &mut NcfModel,
     u: UserId,
     pos: ItemId,
@@ -181,49 +182,6 @@ fn apply_grad(
     step.descend(n_users + pos.idx(), model.q.row_mut(pos.idx()), &g.d_qp);
     step.descend(n_users + neg.idx(), model.q.row_mut(neg.idx()), &g.d_qn);
     step.descend(n_users + n_items, &mut model.w_gmf, &g.d_w);
-}
-
-/// One BPR-SGD step on `(u, v⁺, v⁻)` through both branches.
-pub(crate) fn bpr_step(model: &mut NcfModel, u: UserId, pos: ItemId, neg: ItemId) {
-    let lr = model.cfg.lr;
-    let reg = model.cfg.reg;
-    let dim = model.cfg.dim;
-
-    let x_pos = model.fusion_input(u, pos);
-    let x_neg = model.fusion_input(u, neg);
-    let (out_pos, cache_pos) = model.mlp.forward(&x_pos);
-    let (out_neg, cache_neg) = model.mlp.forward(&x_neg);
-    let gmf = |m: &NcfModel, v: ItemId| -> f32 {
-        let pu = m.p.row(u.idx());
-        let qv = m.q.row(v.idx());
-        (0..dim).map(|k| m.w_gmf[k] * pu[k] * qv[k]).sum()
-    };
-    let s_pos = gmf(model, pos) + out_pos[0];
-    let s_neg = gmf(model, neg) + out_neg[0];
-    let g = sigmoid(s_pos - s_neg) - 1.0; // dL/ds⁺, negative
-
-    // MLP branch: backward both passes, collect input grads.
-    let mut grad = model.mlp.zero_grad();
-    let gx_pos = model.mlp.backward(&cache_pos, &[g], &mut grad);
-    let gx_neg = model.mlp.backward(&cache_neg, &[-g], &mut grad);
-    model.mlp.sgd_step(&grad, lr);
-
-    // Embedding and GMF-weight updates (copy rows first: the rows alias).
-    let pu: Vec<f32> = model.p.row(u.idx()).to_vec();
-    let qp: Vec<f32> = model.q.row(pos.idx()).to_vec();
-    let qn: Vec<f32> = model.q.row(neg.idx()).to_vec();
-    for k in 0..dim {
-        let w = model.w_gmf[k];
-        // dL/dp_u[k]: GMF from both scores + MLP input grads.
-        let d_pu = g * w * (qp[k] - qn[k]) + gx_pos[k] + gx_neg[k];
-        let d_qp = g * w * pu[k] + gx_pos[dim + k];
-        let d_qn = -g * w * pu[k] + gx_neg[dim + k];
-        let d_w = g * pu[k] * (qp[k] - qn[k]);
-        model.p[(u.idx(), k)] -= lr * (d_pu + reg * pu[k]);
-        model.q[(pos.idx(), k)] -= lr * (d_qp + reg * qp[k]);
-        model.q[(neg.idx(), k)] -= lr * (d_qn + reg * qn[k]);
-        model.w_gmf[k] -= lr * d_w;
-    }
 }
 
 /// Local fine-tuning of a *single user's* embedding on their interactions

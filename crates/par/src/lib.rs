@@ -7,12 +7,7 @@
 //!
 //! - [`map`] / [`map_mut`] return outputs in input order — each slot is the
 //!   pure function of its input, so which worker computed it is invisible;
-//! - [`map_reduce`] folds *fixed-size* chunks whose boundaries depend only
-//!   on the input length and the caller's `grain` (never on the thread
-//!   count), and combines the per-chunk partials **serially, in ascending
-//!   chunk order** on the calling thread. Floating-point reductions are
-//!   therefore reproducible: the rounding schedule is pinned by the chunk
-//!   grid, not by whichever worker finished first;
+//!   a caller that reduces the outputs folds them serially, in that order;
 //! - [`SeedSplit`] derives statistically independent RNG seeds from a
 //!   parent seed and a *stable task index* (SplitMix64-style mixing), so a
 //!   task's random stream is a function of its position in the work tree,
@@ -128,7 +123,7 @@ pub fn even_chunks(n: usize, parts: usize) -> Vec<std::ops::Range<usize>> {
 /// Deterministic parallel map: `out[i] = f(i, &items[i])`, in input order.
 ///
 /// Work is handed out as contiguous chunks through an atomic cursor (cheap
-/// dynamic load balancing for uneven tasks like sibling-subtree builds);
+/// dynamic load balancing for uneven tasks like per-target attacks);
 /// since each output slot depends only on its own input, scheduling cannot
 /// affect the result. Runs inline on the calling thread when one worker
 /// suffices.
@@ -165,24 +160,6 @@ pub fn map<T: Sync, R: Send>(items: &[T], f: impl Fn(usize, &T) -> R + Sync) -> 
     parts.into_iter().flat_map(|(_, p)| p).collect()
 }
 
-/// Like [`map`], but stays inline below `min_items` items.
-///
-/// For fine-grained workloads (per-pair SGD gradients, small minibatches)
-/// the tens-of-microseconds cost of spawning scoped workers dwarfs the
-/// work itself; callers that know their per-item cost pass the break-even
-/// batch size here. Purely a scheduling decision — [`map`] returns the
-/// same bits either way.
-pub fn map_min<T: Sync, R: Send>(
-    items: &[T],
-    min_items: usize,
-    f: impl Fn(usize, &T) -> R + Sync,
-) -> Vec<R> {
-    if items.len() < min_items {
-        return items.iter().enumerate().map(|(i, x)| f(i, x)).collect();
-    }
-    map(items, f)
-}
-
 /// Deterministic parallel map over mutable slots: `out[i] = f(i, &mut
 /// items[i])`. Each item is visited exactly once by exactly one worker
 /// (contiguous chunk split), so `f` may mutate its item freely; outputs
@@ -213,31 +190,6 @@ pub fn map_mut<T: Send, R: Send>(items: &mut [T], f: impl Fn(usize, &mut T) -> R
         out.extend(handles.into_iter().map(|h| h.join().expect("ca-par map_mut worker panicked")));
     });
     out.into_iter().flatten().collect()
-}
-
-/// Deterministic parallel fold: the input is cut into fixed `grain`-sized
-/// chunks (boundaries depend only on `items.len()` and `grain`), each
-/// chunk is folded by `fold_chunk`, and the per-chunk partials are combined
-/// **serially in ascending chunk order** on the calling thread.
-///
-/// Because both the chunk grid and the combine order are independent of the
-/// worker count, floating-point accumulations through this function are
-/// bitwise identical at any thread count — the rounding schedule is a
-/// function of the data alone. Returns `None` for an empty input.
-pub fn map_reduce<T: Sync, A: Send>(
-    items: &[T],
-    grain: usize,
-    fold_chunk: impl Fn(usize, &[T]) -> A + Sync,
-    mut combine: impl FnMut(A, A) -> A,
-) -> Option<A> {
-    let n = items.len();
-    if n == 0 {
-        return None;
-    }
-    let grain = grain.max(1);
-    let chunks: Vec<(usize, &[T])> = items.chunks(grain).enumerate().collect();
-    let partials = map(&chunks, |_, &(c, slice)| fold_chunk(c, slice));
-    partials.into_iter().reduce(&mut combine)
 }
 
 #[cfg(test)]
@@ -301,16 +253,6 @@ mod tests {
     }
 
     #[test]
-    fn map_min_matches_map_on_both_sides_of_the_threshold() {
-        let small: Vec<u32> = (0..10).collect();
-        let large: Vec<u32> = (0..500).collect();
-        let f = |i: usize, x: &u32| *x as u64 + i as u64;
-        let out = at_thread_counts(|| (map_min(&small, 64, f), map_min(&large, 64, f)));
-        assert_eq!(out.0, map(&small, f));
-        assert_eq!(out.1, map(&large, f));
-    }
-
-    #[test]
     fn map_mut_touches_every_slot_once() {
         let out = at_thread_counts(|| {
             let mut items: Vec<u32> = (0..100).collect();
@@ -322,32 +264,6 @@ mod tests {
         });
         assert_eq!(out.0, (1..=100).collect::<Vec<u32>>());
         assert!(out.1.iter().enumerate().all(|(i, &v)| v == 2 * i + 1));
-    }
-
-    #[test]
-    fn map_reduce_float_sum_is_bitwise_stable() {
-        // A sum that *does* depend on association order in f32 — the fixed
-        // chunk grid must pin one order regardless of worker count.
-        let items: Vec<f32> = (0..10_000).map(|i| (i as f32 * 0.731).sin() * 1e3).collect();
-        let sum = at_thread_counts(|| {
-            map_reduce(&items, 64, |_, chunk| chunk.iter().sum::<f32>(), |a, b| a + b)
-                .unwrap()
-                .to_bits()
-        });
-        // And the chunked sum equals the serial chunk-order fold.
-        let serial = items.chunks(64).map(|c| c.iter().sum::<f32>()).fold(None, |acc, p| {
-            Some(match acc {
-                None => p,
-                Some(a) => a + p,
-            })
-        });
-        assert_eq!(sum, serial.unwrap().to_bits());
-    }
-
-    #[test]
-    fn map_reduce_empty_is_none() {
-        let empty: Vec<f32> = Vec::new();
-        assert!(map_reduce(&empty, 8, |_, c| c.len(), |a, b| a + b).is_none());
     }
 
     #[test]

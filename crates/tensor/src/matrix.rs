@@ -46,7 +46,7 @@ impl Matrix {
 
     /// Packs equal-length row slices into one contiguous row-major buffer.
     ///
-    /// The parallel k-means steps flatten their `&[&[f32]]` point set
+    /// The k-means steps flatten their `&[&[f32]]` point set
     /// through this once, then sweep cache-friendly [`Matrix::row_chunks`]
     /// views instead of chasing per-row pointers.
     ///
@@ -138,9 +138,8 @@ impl Matrix {
     }
 
     /// Row-aligned chunked views: contiguous blocks of up to `rows_per_chunk`
-    /// whole rows, in row order. This is the unit the deterministic
-    /// parallel runtime (`ca-par`) hands to workers — the chunk grid
-    /// depends only on the matrix shape, never on the thread count.
+    /// whole rows, in row order. k-means sums its points over this grid,
+    /// which depends only on the matrix shape.
     ///
     /// # Panics
     /// Panics if `rows_per_chunk == 0`.

@@ -73,9 +73,8 @@ pub struct TrainConfig {
     /// hand-rolled loops bit-for-bit; see [`crate::optim`]).
     pub optimizer: Optimizer,
     /// Pairs per minibatch: gradients within a batch are computed against
-    /// the frozen batch-start model (in parallel on the `ca-par` runtime)
-    /// and applied in pair order. `1` recovers classic per-pair SGD
-    /// exactly.
+    /// the frozen batch-start model and applied in pair order. `1`
+    /// recovers classic per-pair SGD exactly.
     pub minibatch: usize,
     /// RNG seed, used by [`crate::fit_seeded`] to create the trainer RNG.
     /// Callers that need the historical draw order (model init on the same

@@ -3,37 +3,31 @@
 use crate::config::TrainConfig;
 use crate::observe::{EpochStats, TrainObserver};
 use crate::optim::{OptState, Step};
-use ca_par as par;
 use ca_recsys::{Dataset, ItemId, UserId};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use std::time::Instant;
 
-/// Minimum minibatch size before per-pair gradients go to worker threads:
-/// below this, scoped-thread spawn costs more than the gradient math.
-/// Scheduling only — the serial and parallel paths return the same bits.
-pub const PAR_MIN_PAIRS: usize = 256;
-
 /// A model trainable with pairwise (BPR) SGD by [`fit`].
 ///
 /// The contract mirrors what the deterministic minibatch loop needs:
 ///
 /// - [`PairwiseModel::pair_grad`] is a *pure* function of the model as it
-///   stood at the start of the minibatch (the driver only calls it between
-///   applies of *previous* batches), so it may run on any worker thread;
+///   stood at the start of the minibatch (the driver computes every
+///   gradient of a batch before applying any of them);
 /// - [`PairwiseModel::apply`] folds one pair's gradient into the model
-///   through the driver's [`Step`] (the configured optimizer) and is always
-///   called serially, in pair order, on the driver's thread;
+///   through the driver's [`Step`] (the configured optimizer), in pair
+///   order;
 /// - [`PairwiseModel::begin_epoch`] runs before each epoch's shuffle — the
 ///   place to refresh stale per-epoch state (the GNN's neighbor caches);
 /// - [`PairwiseModel::validate`] computes the post-update validation score
 ///   after each epoch; returning `None` (the default) disables early
 ///   stopping and validation telemetry.
-pub trait PairwiseModel: Sync {
+pub trait PairwiseModel {
     /// Gradient of one training pair, produced by [`PairwiseModel::pair_grad`]
     /// and consumed by [`PairwiseModel::apply`].
-    type Grad: Send;
+    type Grad;
 
     /// Hook run at the start of each epoch, before shuffling.
     fn begin_epoch(&mut self) {}
@@ -44,8 +38,8 @@ pub trait PairwiseModel: Sync {
     fn pair_grad(&self, u: UserId, pos: ItemId, neg: ItemId) -> (Self::Grad, f32);
 
     /// Applies one pair's gradient through `step` (which carries the epoch
-    /// learning rate and the configured optimizer's state). Called serially
-    /// in pair order. Models route each parameter block they own through
+    /// learning rate and the configured optimizer's state). Called in pair
+    /// order. Models route each parameter block they own through
     /// [`Step::ascend`] / [`Step::descend`] under a stable block key.
     fn apply(
         &mut self,
@@ -100,10 +94,8 @@ pub struct TrainOutcome {
 /// Per epoch: run [`PairwiseModel::begin_epoch`], shuffle the interaction
 /// pairs on `rng`, then for each minibatch sample one negative per pair
 /// *serially in pair order* on the same `rng` (the random stream is
-/// identical at every minibatch size and thread count), compute per-pair
-/// gradients against the frozen batch-start model via [`ca_par::map_min`]
-/// (parallel at or above [`PAR_MIN_PAIRS`] pairs), and apply them serially
-/// in pair order. After the epoch's updates, the post-update validation
+/// identical at every minibatch size), compute per-pair gradients against
+/// the frozen batch-start model, and apply them in pair order. After the epoch's updates, the post-update validation
 /// score (if any) drives the shared early-stopping rule: stop once
 /// `patience` consecutive epochs fail to beat the best score by more than
 /// `tolerance`.
@@ -122,9 +114,8 @@ pub fn fit<M: PairwiseModel>(
     let mut pairs: Vec<(UserId, ItemId)> = ds.interactions().collect();
     let n_items = ds.n_items() as u32;
     let batch = cfg.minibatch.max(1);
-    // Optimizer state (momentum velocities) lives with the driver and is
-    // only touched from the serial apply phase below — a momentum run is
-    // exactly as thread-count-independent as a plain-SGD run.
+    // Optimizer state (momentum velocities, Adam moments) lives with the
+    // driver and is only touched from the in-order apply phase below.
     let mut opt = OptState::new(cfg.optimizer);
 
     let mut val_history = Vec::new();
@@ -155,10 +146,8 @@ pub fn fit<M: PairwiseModel>(
                     (u, pos, neg)
                 })
                 .collect();
-            let frozen: &M = model;
-            let grads = par::map_min(&triples, PAR_MIN_PAIRS, |_, &(u, pos, neg)| {
-                frozen.pair_grad(u, pos, neg)
-            });
+            let grads: Vec<(M::Grad, f32)> =
+                triples.iter().map(|&(u, pos, neg)| model.pair_grad(u, pos, neg)).collect();
             for (&(u, pos, neg), (g, loss)) in triples.iter().zip(&grads) {
                 loss_sum += *loss as f64;
                 model.apply(u, pos, neg, g, &mut opt.step(lr));

@@ -11,10 +11,9 @@
 //!   a per-pair gradient against the **frozen batch-start model** plus a
 //!   fixed-order apply, with optional per-epoch setup (stale-cache refresh)
 //!   and an optional post-update validation score;
-//! - [`fit`] is the epoch driver: serial in-order negative sampling on the
-//!   single trainer RNG, minibatching, the `ca-par` gradient fan-out behind
-//!   [`PAR_MIN_PAIRS`], an early-stopping rule shared by every model, and a
-//!   learning-rate schedule;
+//! - [`fit`] is the epoch driver: in-order negative sampling on the single
+//!   trainer RNG, minibatching, an early-stopping rule shared by every
+//!   model, and a learning-rate schedule;
 //! - [`TrainConfig`] unifies the hyper-parameters that used to drift across
 //!   the per-crate configs (`epochs` vs `max_epochs`, early stopping only
 //!   in some crates);
@@ -25,20 +24,18 @@
 //!
 //! # Determinism
 //!
-//! The driver preserves the `ca-par` contract — **bitwise-identical models
-//! at any thread count** — by construction:
+//! Training is serial, and the same seed gives a **bitwise-identical
+//! model**:
 //!
-//! 1. shuffling and negative sampling draw from one trainer RNG, serially,
-//!    in pair order; the random stream never depends on `CA_THREADS` or the
-//!    minibatch size;
+//! 1. shuffling and negative sampling draw from one trainer RNG, in pair
+//!    order; the random stream never depends on the minibatch size;
 //! 2. per-pair gradients are pure functions of the frozen batch-start
-//!    model, computed (possibly in parallel) by [`ca_par::map_min`], which
-//!    returns them in input order;
-//! 3. gradients are applied serially, in pair order, on the calling thread,
-//!    through the configured [`Optimizer`] ([`optim`]): plain SGD is
-//!    bitwise-identical to the historical hand-rolled update loops, and
-//!    momentum keeps its velocity state in driver-owned [`OptState`] so it
-//!    is exactly as reproducible.
+//!    model, computed in pair order;
+//! 3. gradients are applied in pair order through the configured
+//!    [`Optimizer`] ([`optim`]): plain SGD is bitwise-identical to the
+//!    historical hand-rolled update loops, and momentum and Adam keep their
+//!    state in driver-owned [`OptState`] so they are exactly as
+//!    reproducible.
 //!
 //! Telemetry is computed *outside* that loop (loss folds over the returned
 //! gradient vector in pair order), so observing a run never perturbs it.
@@ -60,6 +57,6 @@ pub mod observe;
 pub mod optim;
 
 pub use config::{LrSchedule, TrainConfig};
-pub use driver::{fit, fit_seeded, PairwiseModel, StopReason, TrainOutcome, PAR_MIN_PAIRS};
+pub use driver::{fit, fit_seeded, PairwiseModel, StopReason, TrainOutcome};
 pub use observe::{EpochStats, History, NullObserver, StderrProgress, Tee, TrainObserver};
 pub use optim::{OptState, Optimizer, Step};

@@ -1,25 +1,20 @@
-//! Workspace parity suite for the deterministic parallel runtime: every
-//! stage of the offline pipeline that runs on `ca-par` must produce
-//! bitwise-identical output at any thread count. These tests pin that
-//! contract for k-means, clustering-tree construction, surrogate training,
-//! and multi-target campaigns by sweeping `par::set_threads` over
+//! Parity suite for the per-target `ca-par` fan-out: a multi-target
+//! [`ParallelCampaign`] must produce bitwise-identical curves at any thread
+//! count, and each curve must equal a standalone serial campaign at the
+//! derived seed. The thread-count test sweeps `par::set_threads` over
 //! {1, 2, 3, 8} — the same knob `CA_THREADS` sets from the environment —
-//! and comparing against the single-worker (serial) result.
+//! and compares against the single-worker (serial) result.
 //!
 //! The sweep is safe under the parallel test runner precisely because the
 //! property under test holds: outputs are thread-count-invariant, so a
 //! concurrent test flipping the global knob cannot change any baseline.
 
-use copyattack::cluster::{kmeans, ClusterTree};
 use copyattack::core::{
     AttackConfig, AttackEnvironment, Campaign, CopyAttackVariant, ParallelCampaign, SourceDomain,
 };
 use copyattack::mf::{self, BprConfig};
 use copyattack::par;
 use copyattack::recsys::{BlackBoxRecommender, Dataset, DatasetBuilder, ItemId, UserId};
-use proptest::prelude::*;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 const THREAD_SWEEP: [usize; 4] = [1, 2, 3, 8];
 
@@ -34,113 +29,6 @@ fn assert_thread_invariant<T: PartialEq + std::fmt::Debug>(label: &str, mut f: i
         assert_eq!(got, base, "{label} diverges at {t} threads");
     }
     par::set_threads(None);
-}
-
-/// Random 4-wide coordinate rows; tests truncate every row to a drawn
-/// `dim` so point dimensionality still varies per case.
-fn point_grid() -> impl Strategy<Value = Vec<Vec<f32>>> {
-    prop::collection::vec(prop::collection::vec(-4.0f32..4.0, 4..=4), 6..40)
-}
-
-/// Truncates every row to `dim` coordinates.
-fn truncated(points: &[Vec<f32>], dim: usize) -> Vec<Vec<f32>> {
-    points.iter().map(|p| p[..dim].to_vec()).collect()
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    #[test]
-    fn kmeans_is_bitwise_identical_across_thread_counts(
-        points in point_grid(),
-        dim in 2usize..5,
-        k in 1usize..5,
-        seed in 0u64..1000,
-    ) {
-        let points = truncated(&points, dim);
-        let k = k.min(points.len());
-        let refs: Vec<&[f32]> = points.iter().map(Vec::as_slice).collect();
-        par::set_threads(Some(1));
-        let base = kmeans(&refs, k, 20, &mut StdRng::seed_from_u64(seed));
-        for &t in &THREAD_SWEEP[1..] {
-            par::set_threads(Some(t));
-            let got = kmeans(&refs, k, 20, &mut StdRng::seed_from_u64(seed));
-            prop_assert_eq!(&got.centroids, &base.centroids, "centroids at {} threads", t);
-            prop_assert_eq!(&got.assignment, &base.assignment, "assignment at {} threads", t);
-            prop_assert_eq!(got.inertia.to_bits(), base.inertia.to_bits(), "inertia at {} threads", t);
-        }
-        par::set_threads(None);
-    }
-
-    #[test]
-    fn tree_build_is_identical_across_thread_counts(
-        points in point_grid(),
-        dim in 2usize..5,
-        fanout in 2usize..5,
-        seed in 0u64..1000,
-    ) {
-        let points = truncated(&points, dim);
-        par::set_threads(Some(1));
-        let base = ClusterTree::build_seeded(&points, fanout, seed);
-        for &t in &THREAD_SWEEP[1..] {
-            par::set_threads(Some(t));
-            let got = ClusterTree::build_seeded(&points, fanout, seed);
-            prop_assert!(got == base, "tree diverges at {} threads", t);
-        }
-        par::set_threads(None);
-    }
-}
-
-/// Deterministic synthetic dataset shared by the training/campaign tests.
-fn world() -> Dataset {
-    let mut b = DatasetBuilder::new(60);
-    for u in 0..48u32 {
-        let profile: Vec<ItemId> = (0..6).map(|j| ItemId((u * 7 + j * 11) % 60)).collect();
-        b.user(&profile);
-    }
-    b.build()
-}
-
-#[test]
-fn mf_training_is_invariant_to_ca_threads() {
-    let ds = world();
-    let cfg = BprConfig { max_epochs: 3, seed: 9, ..Default::default() };
-    assert_thread_invariant("mf::train", || {
-        let m = mf::train(&ds, &cfg);
-        (m.user_emb.clone(), m.item_emb.clone(), m.item_bias.clone())
-    });
-}
-
-#[test]
-fn ncf_training_is_invariant_to_ca_threads() {
-    use copyattack::ncf::{self, NcfConfig};
-    let ds = world();
-    let cfg = NcfConfig { max_epochs: 2, seed: 4, ..Default::default() };
-    assert_thread_invariant("ncf::train", || {
-        let (m, report) = ncf::train(&ds, &[], &cfg);
-        // Compare through the scoring surface (the model's attacker-visible
-        // behavior) plus the training trajectory length.
-        let scores: Vec<u32> = (0..8u32)
-            .flat_map(|u| (0..8u32).map(move |v| (UserId(u), ItemId(v))))
-            .map(|(u, v)| copyattack::recsys::Scorer::score(&m, u, v).to_bits())
-            .collect();
-        (scores, report.epochs_run)
-    });
-}
-
-#[test]
-fn gnn_training_is_invariant_to_ca_threads() {
-    use copyattack::gnn::{self, GnnConfig};
-    let ds = world();
-    let cfg = GnnConfig { max_epochs: 2, seed: 7, ..Default::default() };
-    assert_thread_invariant("gnn::train", || {
-        let (rec, report) = gnn::train(&ds, &[], &cfg);
-        let scores: Vec<u32> = (0..8u32)
-            .flat_map(|u| (0..8u32).map(move |v| (UserId(u), ItemId(v))))
-            .map(|(u, v)| copyattack::recsys::Scorer::score(&rec, u, v).to_bits())
-            .collect();
-        (scores, report.epochs_run)
-    });
 }
 
 /// Minimal counting platform for the campaign parity test: promotion

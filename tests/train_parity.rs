@@ -131,6 +131,34 @@ fn gnn_early_stopping_trace_matches_pre_refactor_golden() {
     });
 }
 
+/// A world with 1,200 interaction pairs: at `minibatch: 512` every epoch
+/// runs two full batches and a 176-pair tail.
+fn minibatch_world() -> Dataset {
+    let mut b = DatasetBuilder::new(80);
+    for u in 0..150u32 {
+        let base = if u < 75 { 0u32 } else { 40 };
+        let profile: Vec<ItemId> = (0..8).map(|i| ItemId(base + (u * 11 + i * 5) % 40)).collect();
+        b.user(&profile);
+    }
+    b.build()
+}
+
+/// The only golden whose batches exceed 256 pairs: the size at which the
+/// driver used to hand per-pair gradients to worker threads.
+#[test]
+fn mf_training_at_minibatch_512_matches_golden() {
+    at_thread_counts(|t| {
+        let ds = minibatch_world();
+        let cfg = BprConfig { max_epochs: 3, seed: 17, minibatch: 512, ..Default::default() };
+        let m = copyattack::mf::train(&ds, &cfg);
+        let mut h = FNV_OFFSET;
+        hash_f32s(&mut h, m.user_emb.as_slice());
+        hash_f32s(&mut h, m.item_emb.as_slice());
+        hash_f32s(&mut h, &m.item_bias);
+        assert_eq!(h, 0x2f20_7d10_ac01_c6c4, "minibatch-512 mf golden diverged at CA_THREADS={t}");
+    });
+}
+
 /// A no-op model whose validation scores follow a fixed script — isolates
 /// the driver's early-stopping logic from any real gradient math.
 struct Scripted {

@@ -111,11 +111,25 @@ impl PinSageModel {
 
     /// Concatenated item-tower input `[f_v ⊕ n_v ⊕ log(1 + deg_v)]`.
     pub fn item_tower_input(&self, v: ItemId, n_v: &[f32], degree: usize) -> Vec<f32> {
-        let mut x = Vec::with_capacity(self.feat_dim() + self.dim() + 1);
-        x.extend_from_slice(self.features.row(v.idx()));
-        x.extend_from_slice(n_v);
-        x.push((1.0 + degree as f32).ln());
+        let mut x = vec![0.0; self.item_tower.in_dim()];
+        self.item_tower_input_into(v, n_v, degree, &mut x);
         x
+    }
+
+    /// [`PinSageModel::item_tower_input`] written into `x`, which must be
+    /// exactly the item tower's input width (`feat_dim + dim + 1`).
+    pub(crate) fn item_tower_input_into(
+        &self,
+        v: ItemId,
+        n_v: &[f32],
+        degree: usize,
+        x: &mut [f32],
+    ) {
+        let fd = self.feat_dim();
+        assert_eq!(x.len(), fd + n_v.len() + 1, "item tower input width mismatch");
+        x[..fd].copy_from_slice(self.features.row(v.idx()));
+        x[fd..fd + n_v.len()].copy_from_slice(n_v);
+        x[fd + n_v.len()] = (1.0 + degree as f32).ln();
     }
 
     /// Item representation `h_v = MLP_item([f_v ⊕ n_v ⊕ log(1+deg)])` given

@@ -23,13 +23,26 @@ impl Caches {
     /// Computes all caches from scratch, running each tower once over a
     /// stacked input matrix instead of row by row.
     pub fn compute(model: &PinSageModel, data: &Dataset) -> Self {
-        let dim = model.dim();
-        let mut scratch = Scratch::new();
+        Self::compute_from(model, data, &Self::user_means(model, data))
+    }
+
+    /// The item→user aggregate `m_u` of every user, one row per user. It
+    /// reads only the frozen item features, so it stays valid while the
+    /// towers train.
+    pub(crate) fn user_means(model: &PinSageModel, data: &Dataset) -> Matrix {
         let mut m_users = Matrix::zeros(data.n_users(), model.feat_dim());
         for u in data.users() {
             m_users.row_mut(u.idx()).copy_from_slice(&model.aggregate_profile(data.profile(u)));
         }
-        let h_user = model.user_tower.infer_batch(&m_users, &mut scratch);
+        m_users
+    }
+
+    /// [`Caches::compute`] given [`Caches::user_means`] of the same model
+    /// features and data.
+    pub(crate) fn compute_from(model: &PinSageModel, data: &Dataset, m_users: &Matrix) -> Self {
+        let dim = model.dim();
+        let mut scratch = Scratch::new();
+        let h_user = model.user_tower.infer_batch(m_users, &mut scratch);
         let mut n_item_sum = vec![vec![0.0; dim]; data.n_items()];
         let mut n_item_cnt = vec![0usize; data.n_items()];
         for u in data.users() {
@@ -39,11 +52,11 @@ impl Caches {
                 n_item_cnt[v.idx()] += 1;
             }
         }
-        let mut x_items = Matrix::zeros(data.n_items(), model.feat_dim() + dim + 1);
+        let mut x_items = Matrix::zeros(data.n_items(), model.item_tower.in_dim());
+        let mut n_v = vec![0.0; dim];
         for v in 0..data.n_items() {
-            let n_v = mean_from_sum(&n_item_sum[v], n_item_cnt[v]);
-            let x = model.item_tower_input(ItemId(v as u32), &n_v, n_item_cnt[v]);
-            x_items.row_mut(v).copy_from_slice(&x);
+            mean_into(&n_item_sum[v], n_item_cnt[v], &mut n_v);
+            model.item_tower_input_into(ItemId(v as u32), &n_v, n_item_cnt[v], x_items.row_mut(v));
         }
         let h_item = model.item_tower.infer_batch(&x_items, &mut scratch);
         Self { h_user, n_item_sum, n_item_cnt, h_item }
@@ -51,16 +64,23 @@ impl Caches {
 
     /// The user→item aggregate `n_v`.
     pub fn n_item(&self, v: ItemId) -> Vec<f32> {
-        mean_from_sum(&self.n_item_sum[v.idx()], self.n_item_cnt[v.idx()])
+        let mut n_v = vec![0.0; self.n_item_sum[v.idx()].len()];
+        self.n_item_into(v, &mut n_v);
+        n_v
+    }
+
+    /// [`Caches::n_item`] written into `out` (length `dim`).
+    pub(crate) fn n_item_into(&self, v: ItemId, out: &mut [f32]) {
+        mean_into(&self.n_item_sum[v.idx()], self.n_item_cnt[v.idx()], out);
     }
 }
 
-fn mean_from_sum(sum: &[f32], cnt: usize) -> Vec<f32> {
-    let mut m = sum.to_vec();
+/// `out = sum · (1/cnt)`, or `sum` itself when `cnt` is 0.
+fn mean_into(sum: &[f32], cnt: usize, out: &mut [f32]) {
+    out.copy_from_slice(sum);
     if cnt > 0 {
-        ops::scale(&mut m, 1.0 / cnt as f32);
+        ops::scale(out, 1.0 / cnt as f32);
     }
-    m
 }
 
 /// A deployed PinSage recommender: the black-box system under attack.

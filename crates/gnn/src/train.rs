@@ -6,14 +6,18 @@
 //! gradients against the frozen batch-start model *and* the epoch-start
 //! stale aggregate caches (recomputed in `begin_epoch`, before the pair
 //! shuffle), with validation scored through fresh caches after every
-//! epoch's updates.
+//! epoch's updates. Each user's `m_u` reads only the frozen item features,
+//! so it is computed once per fit and shared by every pair gradient and
+//! every cache rebuild.
 
 use crate::config::GnnConfig;
 use crate::model::PinSageModel;
 use crate::recommender::{Caches, PinSageRecommender};
+use ca_nn::{MlpCache, MlpGrad};
 use ca_recsys::eval::RankingEval;
 use ca_recsys::{Dataset, HeldOut, ItemId, Scorer, UserId};
 use ca_tensor::ops::{self, sigmoid};
+use ca_tensor::Matrix;
 use ca_train::{NullObserver, PairwiseModel, Step, TrainConfig, TrainObserver};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -67,6 +71,9 @@ impl Scorer for EvalView<'_> {
 struct GnnTrainer<'a> {
     model: PinSageModel,
     ds: &'a Dataset,
+    /// `m_u` of every training user ([`Caches::user_means`]), fixed for the
+    /// whole fit because the item features are frozen.
+    m_users: Matrix,
     /// Stale aggregates, recomputed at the top of each epoch.
     caches: Option<Caches>,
     val_sample: Vec<HeldOut>,
@@ -79,12 +86,12 @@ impl PairwiseModel for GnnTrainer<'_> {
     /// Recompute the stale neighbor aggregates for this epoch (before the
     /// driver shuffles the pair order).
     fn begin_epoch(&mut self) {
-        self.caches = Some(Caches::compute(&self.model, self.ds));
+        self.caches = Some(Caches::compute_from(&self.model, self.ds, &self.m_users));
     }
 
-    fn pair_grad(&self, u: UserId, pos: ItemId, neg: ItemId) -> (PairGrad, f32) {
+    fn pair_grad(&self, u: UserId, pos: ItemId, neg: ItemId, slot: &mut PairGrad) -> f32 {
         let caches = self.caches.as_ref().expect("begin_epoch computes the caches");
-        pair_grad(&self.model, self.ds, caches, u, pos, neg)
+        pair_grad(&self.model, self.m_users.row(u.idx()), caches, pos, neg, slot)
     }
 
     /// Block-key layout: the item tower's layer blocks from key 0, the user
@@ -100,7 +107,7 @@ impl PairwiseModel for GnnTrainer<'_> {
     /// criterion always reads the score of the model after this epoch's
     /// updates, not the stale training aggregates).
     fn validate(&mut self) -> Option<f32> {
-        let fresh = Caches::compute(&self.model, self.ds);
+        let fresh = Caches::compute_from(&self.model, self.ds, &self.m_users);
         let view = EvalView { model: &self.model, caches: &fresh };
         let ev = RankingEval { seen: self.ds, ks: vec![10] };
         let mut val_rng = StdRng::seed_from_u64(self.val_seed);
@@ -169,9 +176,11 @@ fn train_model(
     val_sample.shuffle(&mut rng);
     val_sample.truncate(500);
 
+    let m_users = Caches::user_means(&model, train_ds);
     let mut trainer = GnnTrainer {
         model,
         ds: train_ds,
+        m_users,
         caches: None,
         val_sample,
         val_seed: cfg.seed.wrapping_add(7777),
@@ -187,54 +196,73 @@ fn train_model(
     (rec, report)
 }
 
-/// Tower gradients of one BPR triple against frozen towers (features are
-/// frozen, so gradients stop at the tower inputs).
+/// Gradient slot of one BPR triple: tower gradients against frozen towers
+/// (features are frozen, so gradients stop at the tower inputs), plus the
+/// forward and backward scratch that computes them.
+#[derive(Default)]
 pub struct PairGrad {
-    item: ca_nn::MlpGrad,
-    user: ca_nn::MlpGrad,
+    item: MlpGrad,
+    user: MlpGrad,
+    /// `n_v` of the item whose tower input is being built.
+    n_v: Vec<f32>,
+    /// Item-tower input `[f_v ⊕ n_v ⊕ log(1 + deg_v)]`.
+    x: Vec<f32>,
+    cache_u: MlpCache,
+    cache_pos: MlpCache,
+    cache_neg: MlpCache,
+    /// Loss gradients on the tower outputs `h_u`, `h_pos` and `h_neg`.
+    g_hu: Vec<f32>,
+    g_hpos: Vec<f32>,
+    g_hneg: Vec<f32>,
+    /// Backward scratch, shared by both towers.
+    g: Vec<f32>,
+    gx: Vec<f32>,
 }
 
+/// Writes the pair's tower gradients into `slot` and returns its loss;
+/// `m_u` is the user's item→user aggregate.
 fn pair_grad(
     model: &PinSageModel,
-    ds: &Dataset,
+    m_u: &[f32],
     caches: &Caches,
-    u: UserId,
     pos: ItemId,
     neg: ItemId,
-) -> (PairGrad, f32) {
-    let profile = ds.profile(u);
-
+    slot: &mut PairGrad,
+) -> f32 {
     // Forward.
-    let m_u = model.aggregate_profile(profile);
-    let (h_u, cache_u) = model.user_tower.forward(&m_u);
+    let h_u = model.user_tower.forward_into(m_u, &mut slot.cache_u);
 
-    let x_pos = model.item_tower_input(pos, &caches.n_item(pos), caches.n_item_cnt[pos.idx()]);
-    let x_neg = model.item_tower_input(neg, &caches.n_item(neg), caches.n_item_cnt[neg.idx()]);
-    let (h_pos, cache_pos) = model.item_tower.forward(&x_pos);
-    let (h_neg, cache_neg) = model.item_tower.forward(&x_neg);
+    slot.n_v.resize(model.dim(), 0.0);
+    slot.x.resize(model.item_tower.in_dim(), 0.0);
+    caches.n_item_into(pos, &mut slot.n_v);
+    model.item_tower_input_into(pos, &slot.n_v, caches.n_item_cnt[pos.idx()], &mut slot.x);
+    let h_pos = model.item_tower.forward_into(&slot.x, &mut slot.cache_pos);
+    caches.n_item_into(neg, &mut slot.n_v);
+    model.item_tower_input_into(neg, &slot.n_v, caches.n_item_cnt[neg.idx()], &mut slot.x);
+    let h_neg = model.item_tower.forward_into(&slot.x, &mut slot.cache_neg);
 
-    let s_pos = ops::dot(&h_u, &h_pos);
-    let s_neg = ops::dot(&h_u, &h_neg);
+    let s_pos = ops::dot(h_u, h_pos);
+    let s_neg = ops::dot(h_u, h_neg);
     let g = sigmoid(s_pos - s_neg) - 1.0; // dL/d(s_pos) for L = -ln σ(s⁺−s⁻)
 
     // dL/dh_u = g * (h_pos - h_neg); dL/dh_pos = g * h_u; dL/dh_neg = -g * h_u.
-    let dim = model.dim();
-    let mut g_hu = vec![0.0; dim];
-    for k in 0..dim {
-        g_hu[k] = g * (h_pos[k] - h_neg[k]);
-    }
-    let g_hpos: Vec<f32> = h_u.iter().map(|x| g * x).collect();
-    let g_hneg: Vec<f32> = h_u.iter().map(|x| -g * x).collect();
+    slot.g_hu.clear();
+    slot.g_hu.extend(h_pos.iter().zip(h_neg).map(|(p, n)| g * (p - n)));
+    slot.g_hpos.clear();
+    slot.g_hpos.extend(h_u.iter().map(|x| g * x));
+    slot.g_hneg.clear();
+    slot.g_hneg.extend(h_u.iter().map(|x| -g * x));
 
-    let mut item = model.item_tower.zero_grad();
-    model.item_tower.backward(&cache_pos, &g_hpos, &mut item);
-    model.item_tower.backward(&cache_neg, &g_hneg, &mut item);
+    let item = &model.item_tower;
+    item.zero_grad_into(&mut slot.item);
+    item.backward_into(&slot.cache_pos, &slot.g_hpos, &mut slot.item, &mut slot.g, &mut slot.gx);
+    item.backward_into(&slot.cache_neg, &slot.g_hneg, &mut slot.item, &mut slot.g, &mut slot.gx);
 
-    let mut user = model.user_tower.zero_grad();
-    model.user_tower.backward(&cache_u, &g_hu, &mut user);
+    let user = &model.user_tower;
+    user.zero_grad_into(&mut slot.user);
+    user.backward_into(&slot.cache_u, &slot.g_hu, &mut slot.user, &mut slot.g, &mut slot.gx);
 
-    let loss = -sigmoid(s_pos - s_neg).ln();
-    (PairGrad { item, user }, loss)
+    -sigmoid(s_pos - s_neg).ln()
 }
 
 #[cfg(test)]

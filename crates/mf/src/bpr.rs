@@ -102,8 +102,8 @@ struct ValCtx<'a> {
 impl PairwiseModel for MfTrainer<'_> {
     type Grad = PairGrad;
 
-    fn pair_grad(&self, u: UserId, pos: ItemId, neg: ItemId) -> (PairGrad, f32) {
-        pair_grad(&self.model, u, pos, neg, self.reg)
+    fn pair_grad(&self, u: UserId, pos: ItemId, neg: ItemId, grad: &mut PairGrad) -> f32 {
+        pair_grad(&self.model, u, pos, neg, self.reg, grad)
     }
 
     fn apply(&mut self, u: UserId, pos: ItemId, neg: ItemId, g: &PairGrad, step: &mut Step<'_>) {
@@ -166,7 +166,9 @@ pub fn train_with_validation(
     (trainer.model, outcome)
 }
 
-/// Gradient of one BPR triple `(u, v⁺, v⁻)` against a frozen model.
+/// Gradient slot of one BPR triple `(u, v⁺, v⁻)` against a frozen model.
+/// Each pair overwrites the three rows in place.
+#[derive(Default)]
 pub struct PairGrad {
     d_pu: Vec<f32>,
     d_qp: Vec<f32>,
@@ -175,7 +177,15 @@ pub struct PairGrad {
     d_bn: f32,
 }
 
-fn pair_grad(model: &MfModel, u: UserId, pos: ItemId, neg: ItemId, reg: f32) -> (PairGrad, f32) {
+/// Writes the pair's gradient into `grad` and returns its loss.
+fn pair_grad(
+    model: &MfModel,
+    u: UserId,
+    pos: ItemId,
+    neg: ItemId,
+    reg: f32,
+    grad: &mut PairGrad,
+) -> f32 {
     let dim = model.dim();
     let s_pos = dot_rows(model, u, pos) + model.item_bias[pos.idx()];
     let s_neg = dot_rows(model, u, neg) + model.item_bias[neg.idx()];
@@ -184,22 +194,19 @@ fn pair_grad(model: &MfModel, u: UserId, pos: ItemId, neg: ItemId, reg: f32) -> 
 
     let (qp, qn) = (pos.idx(), neg.idx());
     let pu = model.user_emb.row(u.idx());
-    let mut grad = PairGrad {
-        d_pu: Vec::with_capacity(dim),
-        d_qp: Vec::with_capacity(dim),
-        d_qn: Vec::with_capacity(dim),
-        d_bp: g - reg * model.item_bias[qp],
-        d_bn: -g - reg * model.item_bias[qn],
-    };
+    grad.d_bp = g - reg * model.item_bias[qp];
+    grad.d_bn = -g - reg * model.item_bias[qn];
+    grad.d_pu.resize(dim, 0.0);
+    grad.d_qp.resize(dim, 0.0);
+    grad.d_qn.resize(dim, 0.0);
     for (k, &puk) in pu.iter().enumerate().take(dim) {
         let qpk = model.item_emb[(qp, k)];
         let qnk = model.item_emb[(qn, k)];
-        grad.d_pu.push(g * (qpk - qnk) - reg * puk);
-        grad.d_qp.push(g * puk - reg * qpk);
-        grad.d_qn.push(-g * puk - reg * qnk);
+        grad.d_pu[k] = g * (qpk - qnk) - reg * puk;
+        grad.d_qp[k] = g * puk - reg * qpk;
+        grad.d_qn[k] = -g * puk - reg * qnk;
     }
-    let loss = -sigmoid(s_pos - s_neg).ln();
-    (grad, loss)
+    -sigmoid(s_pos - s_neg).ln()
 }
 
 /// Block-key layout: user rows at `u`, item rows at `n_users + v`, item
@@ -289,6 +296,28 @@ mod tests {
         }
         let auc = wins as f32 / total as f32;
         assert!(auc > 0.9, "training AUC {auc}");
+    }
+
+    /// A user who has seen the whole catalog has no negative to draw: that
+    /// user's pairs are dropped instead of sampling forever, and every
+    /// other user still trains.
+    #[test]
+    fn user_covering_the_catalog_is_skipped() {
+        let mut b = DatasetBuilder::new(4);
+        b.user(&[ItemId(0), ItemId(1), ItemId(2), ItemId(3)]);
+        b.user(&[ItemId(0), ItemId(1)]);
+        b.user(&[ItemId(2), ItemId(3)]);
+        let ds = b.build();
+        let cfg = BprConfig { max_epochs: 3, seed: 5, ..Default::default() };
+        let mut hist = ca_train::History::new();
+        let (model, _) = train_observed(&ds, &cfg, &mut hist);
+        assert!(hist.epochs.iter().all(|e| e.pairs == 4), "only the 4 other pairs train");
+        let mut rng = StdRng::seed_from_u64(cfg.seed);
+        let init = MfModel::new(&mut rng, ds.n_users(), ds.n_items(), cfg.dim);
+        assert_eq!(model.user_emb.row(0), init.user_emb.row(0));
+        for u in 1..3 {
+            assert_ne!(model.user_emb.row(u), init.user_emb.row(u), "user {u} did not train");
+        }
     }
 
     #[test]

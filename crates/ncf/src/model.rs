@@ -95,10 +95,16 @@ impl NcfModel {
 
     /// The MLP input `[p_u ⊕ q_v]`.
     pub fn fusion_input(&self, u: UserId, v: ItemId) -> Vec<f32> {
-        let mut x = Vec::with_capacity(2 * self.dim());
-        x.extend_from_slice(self.p.row(u.idx()));
-        x.extend_from_slice(self.q.row(v.idx()));
+        let mut x = vec![0.0; 2 * self.dim()];
+        self.fusion_input_into(u, v, &mut x);
         x
+    }
+
+    /// [`NcfModel::fusion_input`] written into `x` (length `2 · dim`).
+    pub(crate) fn fusion_input_into(&self, u: UserId, v: ItemId, x: &mut [f32]) {
+        let (pu, qv) = x.split_at_mut(self.dim());
+        pu.copy_from_slice(self.p.row(u.idx()));
+        qv.copy_from_slice(self.q.row(v.idx()));
     }
 
     /// Onboards a new user: embedding initialized at the mean of the

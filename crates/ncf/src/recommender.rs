@@ -8,7 +8,7 @@
 //! injected users during the refresh.
 
 use crate::model::NcfModel;
-use crate::train::{apply_grad, fine_tune_user, pair_grad};
+use crate::train::{apply_grad, fine_tune_user, pair_grad, PairGrad};
 use ca_recsys::engine::{self, EmbeddingEngine, ScoringEngine};
 use ca_recsys::{BlackBoxRecommender, Dataset, ItemId, Scorer, UserId};
 use ca_tensor::{Matrix, Scratch};
@@ -72,22 +72,29 @@ impl NcfRecommender {
     /// Runs the global fine-tune immediately (the "nightly retrain"),
     /// consuming the fresh-interaction buffer. Each fresh interaction takes
     /// one plain-SGD step at the model's base rate, whatever optimizer the
-    /// model was trained with.
+    /// model was trained with. An account whose profile covers the whole
+    /// catalog has no negative to draw and is skipped.
     pub fn refresh(&mut self) {
         let mut opt = OptState::new(Optimizer::Sgd);
+        let mut slot = PairGrad::default();
         let lr = self.model.cfg.lr;
+        let n_items = self.data.n_items();
         for _ in 0..self.refresh_epochs {
             for &u in &self.fresh_users {
-                for &pos in self.data.profile(u) {
+                let profile = self.data.profile(u);
+                if profile.len() >= n_items {
+                    continue;
+                }
+                for &pos in profile {
                     let neg = loop {
                         use rand::Rng;
-                        let cand = ItemId(self.rng.gen_range(0..self.data.n_items() as u32));
+                        let cand = ItemId(self.rng.gen_range(0..n_items as u32));
                         if cand != pos && !self.data.contains(u, cand) {
                             break cand;
                         }
                     };
-                    let (g, _) = pair_grad(&self.model, u, pos, neg);
-                    apply_grad(&mut self.model, u, pos, neg, &g, &mut opt.step(lr));
+                    pair_grad(&self.model, u, pos, neg, &mut slot);
+                    apply_grad(&mut self.model, u, pos, neg, &slot, &mut opt.step(lr));
                 }
             }
         }
@@ -293,6 +300,22 @@ mod tests {
             fnv(&l.b);
         }
         assert_eq!(h, 0x69b9_9673_8fee_5619, "NCF refresh golden diverged");
+    }
+
+    /// An account whose profile covers the whole catalog has no negative
+    /// to draw: the onboarding fine-tune and the refresh skip it instead of
+    /// sampling forever.
+    #[test]
+    fn injecting_a_catalog_covering_profile_returns() {
+        let mut rec = platform(2);
+        let everything: Vec<ItemId> = (0..30u32).map(ItemId).collect();
+        let mut warm = rec.model().clone();
+        let expect = warm.onboard_user(&everything);
+        let uid = rec.inject_user(&everything);
+        assert_eq!(rec.model().p.row(uid.idx()), warm.p.row(expect.idx()));
+        rec.inject_user(&[ItemId(1), ItemId(2)]);
+        assert_eq!(rec.pending_refresh(), 0, "the refresh fired");
+        assert_eq!(rec.model().p.row(uid.idx()), warm.p.row(expect.idx()));
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! per epoch).
 
 use crate::model::{NcfConfig, NcfModel};
-use ca_nn::MlpGrad;
+use ca_nn::{MlpCache, MlpGrad};
 use ca_recsys::eval::RankingEval;
 use ca_recsys::{Dataset, HeldOut, ItemId, UserId};
 use ca_tensor::ops::sigmoid;
@@ -56,8 +56,8 @@ struct NcfTrainer<'a> {
 impl PairwiseModel for NcfTrainer<'_> {
     type Grad = PairGrad;
 
-    fn pair_grad(&self, u: UserId, pos: ItemId, neg: ItemId) -> (PairGrad, f32) {
-        pair_grad(&self.model, u, pos, neg)
+    fn pair_grad(&self, u: UserId, pos: ItemId, neg: ItemId, slot: &mut PairGrad) -> f32 {
+        pair_grad(&self.model, u, pos, neg, slot)
     }
 
     fn apply(&mut self, u: UserId, pos: ItemId, neg: ItemId, g: &PairGrad, step: &mut Step<'_>) {
@@ -108,57 +108,71 @@ pub fn train_observed(
     (trainer.model, report)
 }
 
-/// Gradient of one BPR triple through both branches, against a frozen
-/// model. Regularization is folded in, so applying is a uniform
+/// Gradient slot of one BPR triple through both branches, against a
+/// frozen model, plus the MLP's forward and backward scratch.
+/// Regularization is folded in, so applying is a uniform
 /// `param -= lr * d`.
+#[derive(Default)]
 pub struct PairGrad {
     mlp: MlpGrad,
     d_pu: Vec<f32>,
     d_qp: Vec<f32>,
     d_qn: Vec<f32>,
     d_w: Vec<f32>,
+    /// Fusion input `[p_u ⊕ q_v]` of the item being scored.
+    x: Vec<f32>,
+    cache_pos: MlpCache,
+    cache_neg: MlpCache,
+    /// Backward scratch, and the MLP's input gradients per branch.
+    g: Vec<f32>,
+    gx_pos: Vec<f32>,
+    gx_neg: Vec<f32>,
 }
 
-pub(crate) fn pair_grad(model: &NcfModel, u: UserId, pos: ItemId, neg: ItemId) -> (PairGrad, f32) {
+/// Writes the pair's gradient into `slot` and returns its loss.
+pub(crate) fn pair_grad(
+    model: &NcfModel,
+    u: UserId,
+    pos: ItemId,
+    neg: ItemId,
+    slot: &mut PairGrad,
+) -> f32 {
     let reg = model.cfg.reg;
     let dim = model.cfg.dim;
 
-    let x_pos = model.fusion_input(u, pos);
-    let x_neg = model.fusion_input(u, neg);
-    let (out_pos, cache_pos) = model.mlp.forward(&x_pos);
-    let (out_neg, cache_neg) = model.mlp.forward(&x_neg);
+    slot.x.resize(2 * dim, 0.0);
+    model.fusion_input_into(u, pos, &mut slot.x);
+    let out_pos = model.mlp.forward_into(&slot.x, &mut slot.cache_pos)[0];
+    model.fusion_input_into(u, neg, &mut slot.x);
+    let out_neg = model.mlp.forward_into(&slot.x, &mut slot.cache_neg)[0];
     let gmf = |v: ItemId| -> f32 {
         let pu = model.p.row(u.idx());
         let qv = model.q.row(v.idx());
         (0..dim).map(|k| model.w_gmf[k] * pu[k] * qv[k]).sum()
     };
-    let s_pos = gmf(pos) + out_pos[0];
-    let s_neg = gmf(neg) + out_neg[0];
+    let s_pos = gmf(pos) + out_pos;
+    let s_neg = gmf(neg) + out_neg;
     let g = sigmoid(s_pos - s_neg) - 1.0; // dL/ds⁺, negative
 
-    let mut mlp = model.mlp.zero_grad();
-    let gx_pos = model.mlp.backward(&cache_pos, &[g], &mut mlp);
-    let gx_neg = model.mlp.backward(&cache_neg, &[-g], &mut mlp);
+    model.mlp.zero_grad_into(&mut slot.mlp);
+    model.mlp.backward_into(&slot.cache_pos, &[g], &mut slot.mlp, &mut slot.g, &mut slot.gx_pos);
+    model.mlp.backward_into(&slot.cache_neg, &[-g], &mut slot.mlp, &mut slot.g, &mut slot.gx_neg);
 
     let pu = model.p.row(u.idx());
     let qp = model.q.row(pos.idx());
     let qn = model.q.row(neg.idx());
-    let mut grad = PairGrad {
-        mlp,
-        d_pu: Vec::with_capacity(dim),
-        d_qp: Vec::with_capacity(dim),
-        d_qn: Vec::with_capacity(dim),
-        d_w: Vec::with_capacity(dim),
-    };
+    let (gx_pos, gx_neg) = (&slot.gx_pos, &slot.gx_neg);
+    for d in [&mut slot.d_pu, &mut slot.d_qp, &mut slot.d_qn, &mut slot.d_w] {
+        d.resize(dim, 0.0);
+    }
     for k in 0..dim {
         let w = model.w_gmf[k];
-        grad.d_pu.push(g * w * (qp[k] - qn[k]) + gx_pos[k] + gx_neg[k] + reg * pu[k]);
-        grad.d_qp.push(g * w * pu[k] + gx_pos[dim + k] + reg * qp[k]);
-        grad.d_qn.push(-g * w * pu[k] + gx_neg[dim + k] + reg * qn[k]);
-        grad.d_w.push(g * pu[k] * (qp[k] - qn[k]));
+        slot.d_pu[k] = g * w * (qp[k] - qn[k]) + gx_pos[k] + gx_neg[k] + reg * pu[k];
+        slot.d_qp[k] = g * w * pu[k] + gx_pos[dim + k] + reg * qp[k];
+        slot.d_qn[k] = -g * w * pu[k] + gx_neg[dim + k] + reg * qn[k];
+        slot.d_w[k] = g * pu[k] * (qp[k] - qn[k]);
     }
-    let loss = -sigmoid(s_pos - s_neg).ln();
-    (grad, loss)
+    -sigmoid(s_pos - s_neg).ln()
 }
 
 /// Block-key layout: user rows at `u`, item rows at `n_users + v`, the GMF
@@ -188,6 +202,9 @@ pub(crate) fn apply_grad(
 /// (incremental onboarding): `epochs` BPR passes over the user's profile,
 /// updating only `p_u` (item embeddings, GMF weights, and the MLP stay
 /// frozen — the platform does not retrain globally for one signup).
+///
+/// A user whose profile covers the whole catalog has no negative to draw
+/// and is left as onboarded.
 pub fn fine_tune_user(
     model: &mut NcfModel,
     data: &Dataset,
@@ -199,9 +216,13 @@ pub fn fine_tune_user(
     let lr = model.cfg.lr;
     let n_items = data.n_items() as u32;
     let profile = data.profile(user);
-    if profile.is_empty() {
+    if profile.is_empty() || profile.len() >= data.n_items() {
         return;
     }
+    // A pair slot as the workspace for every step: only its forward and
+    // backward scratch is used, since just `p_u` moves (arithmetic below).
+    let mut ws = PairGrad::default();
+    ws.x.resize(2 * dim, 0.0);
     for _ in 0..epochs {
         for &pos in profile {
             let neg = loop {
@@ -210,22 +231,22 @@ pub fn fine_tune_user(
                     break cand;
                 }
             };
-            let x_pos = model.fusion_input(user, pos);
-            let x_neg = model.fusion_input(user, neg);
-            let (out_pos, cache_pos) = model.mlp.forward(&x_pos);
-            let (out_neg, cache_neg) = model.mlp.forward(&x_neg);
-            let pu: Vec<f32> = model.p.row(user.idx()).to_vec();
+            model.fusion_input_into(user, pos, &mut ws.x);
+            let out_pos = model.mlp.forward_into(&ws.x, &mut ws.cache_pos)[0];
+            model.fusion_input_into(user, neg, &mut ws.x);
+            let out_neg = model.mlp.forward_into(&ws.x, &mut ws.cache_neg)[0];
+            let pu = model.p.row(user.idx());
             let qp = model.q.row(pos.idx());
             let qn = model.q.row(neg.idx());
             let gmf_pos: f32 = (0..dim).map(|k| model.w_gmf[k] * pu[k] * qp[k]).sum();
             let gmf_neg: f32 = (0..dim).map(|k| model.w_gmf[k] * pu[k] * qn[k]).sum();
-            let g = sigmoid(gmf_pos + out_pos[0] - gmf_neg - out_neg[0]) - 1.0;
+            let g = sigmoid(gmf_pos + out_pos - gmf_neg - out_neg) - 1.0;
             // Only p_u moves; reuse the MLP backward for its input grads.
-            let mut scratch = model.mlp.zero_grad();
-            let gx_pos = model.mlp.backward(&cache_pos, &[g], &mut scratch);
-            let gx_neg = model.mlp.backward(&cache_neg, &[-g], &mut scratch);
+            model.mlp.zero_grad_into(&mut ws.mlp);
+            model.mlp.backward_into(&ws.cache_pos, &[g], &mut ws.mlp, &mut ws.g, &mut ws.gx_pos);
+            model.mlp.backward_into(&ws.cache_neg, &[-g], &mut ws.mlp, &mut ws.g, &mut ws.gx_neg);
             for k in 0..dim {
-                let d_pu = g * model.w_gmf[k] * (qp[k] - qn[k]) + gx_pos[k] + gx_neg[k];
+                let d_pu = g * model.w_gmf[k] * (qp[k] - qn[k]) + ws.gx_pos[k] + ws.gx_neg[k];
                 model.p[(user.idx(), k)] -= lr * d_pu;
             }
         }

@@ -8,8 +8,10 @@
 //!   policy (§4.4) are MLP heads ending in a (masked) softmax;
 //! - [`Rnn`] — the state encoder over already-selected source users
 //!   (`x_{v*} = RNN(U^{B→A}_t)`, §4.3.3);
-//! - [`optim`] — plain SGD and Adam; the paper trains everything with
-//!   learning rate 1e-3.
+//! - [`optim`] — global-norm gradient clipping for the policy update;
+//!   every layer carries its own plain-SGD `sgd_step` (the paper trains
+//!   everything with learning rate 1e-3). The recommender trainers'
+//!   SGD, momentum and Adam live in `ca-train`.
 //!
 //! There is no autograd tape. Each layer's `forward` returns a cache of the
 //! values its `backward` needs, and `backward` accumulates parameter
@@ -32,5 +34,5 @@ pub use encoder::{EncoderKind, SeqCache, SeqEncoder, SeqGrad};
 pub use gru::{Gru, GruCache, GruGrad};
 pub use linear::{Linear, LinearGrad};
 pub use mlp::{Mlp, MlpCache, MlpGrad};
-pub use optim::{Adam, GradClip};
+pub use optim::GradClip;
 pub use rnn::{Rnn, RnnCache, RnnGrad};

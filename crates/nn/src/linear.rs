@@ -48,11 +48,18 @@ impl Linear {
 
     /// `y = W x + b`.
     pub fn forward(&self, x: &[f32]) -> Vec<f32> {
-        let mut y = self.w.matvec(x);
+        let mut y = vec![0.0; self.out_dim()];
+        self.forward_into(x, &mut y);
+        y
+    }
+
+    /// [`Linear::forward`] written into `y` (length `out_dim`), whose old
+    /// contents are overwritten.
+    pub fn forward_into(&self, x: &[f32], y: &mut [f32]) {
+        self.w.matvec_into(x, y);
         for (yi, bi) in y.iter_mut().zip(self.b.iter()) {
             *yi += bi;
         }
-        y
     }
 
     /// Batched forward: `out.row(i) = W · x.row(i) + b` for every row of
@@ -81,11 +88,19 @@ impl Linear {
     /// Backward pass. Accumulates `∂L/∂W += gy ⊗ x`, `∂L/∂b += gy`, and
     /// returns `∂L/∂x = Wᵀ gy`.
     pub fn backward(&self, x: &[f32], gy: &[f32], grad: &mut LinearGrad) -> Vec<f32> {
+        let mut gx = vec![0.0; self.in_dim()];
+        self.backward_into(x, gy, grad, &mut gx);
+        gx
+    }
+
+    /// [`Linear::backward`] with `∂L/∂x` written into `gx` (length
+    /// `in_dim`), whose old contents are overwritten.
+    pub fn backward_into(&self, x: &[f32], gy: &[f32], grad: &mut LinearGrad, gx: &mut [f32]) {
         debug_assert_eq!(x.len(), self.in_dim());
         debug_assert_eq!(gy.len(), self.out_dim());
         grad.w.add_outer(gy, x, 1.0);
         ca_tensor::ops::axpy(1.0, gy, &mut grad.b);
-        self.w.matvec_t(gy)
+        self.w.matvec_t_into(gy, gx);
     }
 
     /// A zeroed gradient accumulator of matching shape.

@@ -19,7 +19,11 @@ pub struct Mlp {
 }
 
 /// Forward-pass cache: the input plus each layer's pre- and post-activation.
-#[derive(Clone, Debug)]
+///
+/// A default (empty) cache is a reusable workspace: [`Mlp::forward_into`]
+/// resizes it to the network's shape and overwrites every value it reads
+/// back, so one cache can serve many forward passes without reallocating.
+#[derive(Clone, Debug, Default)]
 pub struct MlpCache {
     /// `acts[0]` is the input; `acts[i]` is the post-activation output of
     /// layer `i-1` (for the last layer, the raw logits).
@@ -29,7 +33,7 @@ pub struct MlpCache {
 }
 
 /// Gradient accumulator mirroring an [`Mlp`].
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct MlpGrad {
     /// Per-layer gradients.
     pub layers: Vec<LinearGrad>,
@@ -59,21 +63,34 @@ impl Mlp {
 
     /// Forward pass returning the logits and the cache for `backward`.
     pub fn forward(&self, x: &[f32]) -> (Vec<f32>, MlpCache) {
-        let mut acts = Vec::with_capacity(self.layers.len() + 1);
-        let mut pres = Vec::with_capacity(self.layers.len().saturating_sub(1));
-        acts.push(x.to_vec());
-        let mut cur = x.to_vec();
+        let mut cache = MlpCache::default();
+        let out = self.forward_into(x, &mut cache).to_vec();
+        (out, cache)
+    }
+
+    /// [`Mlp::forward`] through a reusable `cache`: fills it for
+    /// [`Mlp::backward_into`] and returns the logits, which live in the
+    /// cache. Nothing a previous pass (of this or any other network) left
+    /// in `cache` survives into the result.
+    pub fn forward_into<'c>(&self, x: &[f32], cache: &'c mut MlpCache) -> &'c [f32] {
+        let n = self.layers.len();
+        cache.acts.resize_with(n + 1, Vec::new);
+        cache.pres.resize_with(n - 1, Vec::new);
+        cache.acts[0].clear();
+        cache.acts[0].extend_from_slice(x);
         for (i, layer) in self.layers.iter().enumerate() {
-            let mut y = layer.forward(&cur);
-            if i + 1 < self.layers.len() {
-                pres.push(y.clone());
-                relu_inplace(&mut y);
+            let (done, rest) = cache.acts.split_at_mut(i + 1);
+            let y = &mut rest[0];
+            y.resize(layer.out_dim(), 0.0);
+            layer.forward_into(&done[i], y);
+            if i + 1 < n {
+                let pre = &mut cache.pres[i];
+                pre.clear();
+                pre.extend_from_slice(y);
+                relu_inplace(y);
             }
-            acts.push(y.clone());
-            cur = y;
         }
-        let out = acts.last().expect("non-empty").clone();
-        (out, MlpCache { acts, pres })
+        &cache.acts[n]
     }
 
     /// Logits only, skipping the cache (inference / evaluation path).
@@ -114,23 +131,57 @@ impl Mlp {
     /// Backward pass from a gradient on the logits. Accumulates into `grad`
     /// and returns the gradient w.r.t. the input.
     pub fn backward(&self, cache: &MlpCache, g_logits: &[f32], grad: &mut MlpGrad) -> Vec<f32> {
+        let (mut g, mut gx) = (Vec::new(), Vec::new());
+        self.backward_into(cache, g_logits, grad, &mut g, &mut gx);
+        gx
+    }
+
+    /// [`Mlp::backward`] through reusable buffers: accumulates into `grad`
+    /// and leaves the gradient w.r.t. the input in `gx`; `g` is scratch.
+    /// Both are resized as needed, and their old contents never reach the
+    /// result, so one pair of buffers can serve networks of any shape.
+    pub fn backward_into(
+        &self,
+        cache: &MlpCache,
+        g_logits: &[f32],
+        grad: &mut MlpGrad,
+        g: &mut Vec<f32>,
+        gx: &mut Vec<f32>,
+    ) {
         assert_eq!(grad.layers.len(), self.layers.len(), "grad shape mismatch");
-        let mut g = g_logits.to_vec();
+        g.clear();
+        g.extend_from_slice(g_logits);
         for i in (0..self.layers.len()).rev() {
             // Input to layer i is cache.acts[i] (post-activation of layer i-1).
-            let x = &cache.acts[i];
-            let gx = self.layers[i].backward(x, &g, &mut grad.layers[i]);
-            g = gx;
+            let layer = &self.layers[i];
+            gx.resize(layer.in_dim(), 0.0);
+            layer.backward_into(&cache.acts[i], g, &mut grad.layers[i], gx);
             if i > 0 {
-                relu_backward(&cache.pres[i - 1], &mut g);
+                relu_backward(&cache.pres[i - 1], gx);
+                std::mem::swap(g, gx);
             }
         }
-        g
     }
 
     /// A zeroed gradient accumulator of matching shape.
     pub fn zero_grad(&self) -> MlpGrad {
-        MlpGrad { layers: self.layers.iter().map(Linear::zero_grad).collect() }
+        let mut grad = MlpGrad::default();
+        self.zero_grad_into(&mut grad);
+        grad
+    }
+
+    /// Zeroes `grad` in place, reshaping it first only if it does not
+    /// already mirror this network (a default `MlpGrad`, or another MLP's).
+    pub fn zero_grad_into(&self, grad: &mut MlpGrad) {
+        let fits = grad.layers.len() == self.layers.len()
+            && grad.layers.iter().zip(&self.layers).all(|(g, l)| {
+                (g.w.rows(), g.w.cols(), g.b.len()) == (l.out_dim(), l.in_dim(), l.out_dim())
+            });
+        if fits {
+            grad.zero();
+        } else {
+            grad.layers = self.layers.iter().map(Linear::zero_grad).collect();
+        }
     }
 
     /// Plain SGD step.
@@ -183,8 +234,63 @@ impl MlpGrad {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    fn bits(xs: &[f32]) -> Vec<u32> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    proptest! {
+        /// One dirty workspace (cache, gradient, `g`/`gx`) carried through
+        /// a random sequence of passes over MLPs of different shapes — as
+        /// the GNN's two towers share `g`/`gx` — gives bitwise the logits,
+        /// input gradients and parameter gradients of fresh `forward` /
+        /// `backward` calls. `twice` runs a second backward into the same
+        /// gradient, as a BPR pair does for its positive and negative item.
+        #[test]
+        fn reused_workspace_matches_fresh_passes(
+            steps in prop::collection::vec((0usize..3, 0u8..2), 1..12),
+            seed in 0u64..1000,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mlps = [
+                Mlp::new(&mut rng, &[5, 7, 3], 0.5),
+                Mlp::new(&mut rng, &[9, 4], 0.5),
+                Mlp::new(&mut rng, &[3, 8, 6, 2], 0.5),
+            ];
+            let mut cache = MlpCache::default();
+            let mut grad = MlpGrad::default();
+            let (mut g, mut gx) = (Vec::new(), Vec::new());
+            for (step, &(which, twice)) in steps.iter().enumerate() {
+                let mlp = &mlps[which];
+                let x: Vec<f32> = (0..mlp.in_dim()).map(|_| rng.gen_range(-2.0..2.0)).collect();
+                let gy: Vec<f32> = (0..mlp.out_dim()).map(|_| rng.gen_range(-1.0..1.0)).collect();
+                let neg_gy: Vec<f32> = gy.iter().map(|v| -v).collect();
+
+                let (want_out, want_cache) = mlp.forward(&x);
+                let mut want_grad = mlp.zero_grad();
+                let mut want_gx = mlp.backward(&want_cache, &gy, &mut want_grad);
+
+                let out = mlp.forward_into(&x, &mut cache).to_vec();
+                mlp.zero_grad_into(&mut grad);
+                mlp.backward_into(&cache, &gy, &mut grad, &mut g, &mut gx);
+                if twice == 1 {
+                    want_gx = mlp.backward(&want_cache, &neg_gy, &mut want_grad);
+                    mlp.backward_into(&cache, &neg_gy, &mut grad, &mut g, &mut gx);
+                }
+
+                prop_assert_eq!(bits(&out), bits(&want_out), "logits at step {}", step);
+                prop_assert_eq!(bits(&gx), bits(&want_gx), "input grad at step {}", step);
+                prop_assert_eq!(grad.layers.len(), want_grad.layers.len());
+                for (got, want) in grad.layers.iter().zip(&want_grad.layers) {
+                    prop_assert_eq!(bits(got.w.as_slice()), bits(want.w.as_slice()));
+                    prop_assert_eq!(bits(&got.b), bits(&want.b));
+                }
+            }
+        }
+    }
 
     fn scalar_loss(mlp: &Mlp, x: &[f32]) -> f32 {
         mlp.infer(x).iter().map(|y| y * y).sum::<f32>() / 2.0

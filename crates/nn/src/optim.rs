@@ -1,9 +1,9 @@
-//! Optimizers: gradient clipping and Adam.
+//! Gradient clipping for the policy update.
 //!
-//! The layers in this crate implement plain SGD themselves (`sgd_step`);
-//! Adam is provided for the recommender-model training in `ca-gnn`/`ca-mf`
-//! where adaptive step sizes noticeably speed up convergence of the
-//! embedding tables.
+//! The layers in this crate implement plain SGD themselves (`sgd_step`).
+//! The recommender models (MF, NCF, PinSage) train through `ca-train`,
+//! whose pluggable `Optimizer` (SGD, momentum, Adam) owns their update
+//! rules.
 
 /// Global-norm gradient clipping.
 ///
@@ -27,60 +27,6 @@ impl GradClip {
     }
 }
 
-/// Adam optimizer state for one flat parameter tensor.
-///
-/// Callers create one `Adam` per parameter buffer (a weight matrix's backing
-/// slice, a bias vector, an embedding row block) and call [`Adam::step`]
-/// with matching param/grad slices.
-#[derive(Clone, Debug)]
-pub struct Adam {
-    m: Vec<f32>,
-    v: Vec<f32>,
-    t: u32,
-    beta1: f32,
-    beta2: f32,
-    eps: f32,
-}
-
-impl Adam {
-    /// Adam with the standard (0.9, 0.999, 1e-8) hyper-parameters.
-    pub fn new(param_len: usize) -> Self {
-        Self {
-            m: vec![0.0; param_len],
-            v: vec![0.0; param_len],
-            t: 0,
-            beta1: 0.9,
-            beta2: 0.999,
-            eps: 1e-8,
-        }
-    }
-
-    /// One update: `param -= lr * m̂ / (sqrt(v̂) + eps)`.
-    ///
-    /// # Panics
-    /// Panics if `param`/`grad` length differs from the state length.
-    pub fn step(&mut self, param: &mut [f32], grad: &[f32], lr: f32) {
-        assert_eq!(param.len(), self.m.len(), "Adam param length mismatch");
-        assert_eq!(grad.len(), self.m.len(), "Adam grad length mismatch");
-        self.t += 1;
-        let b1t = 1.0 - self.beta1.powi(self.t as i32);
-        let b2t = 1.0 - self.beta2.powi(self.t as i32);
-        for i in 0..param.len() {
-            let g = grad[i];
-            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g;
-            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * g * g;
-            let mhat = self.m[i] / b1t;
-            let vhat = self.v[i] / b2t;
-            param[i] -= lr * mhat / (vhat.sqrt() + self.eps);
-        }
-    }
-
-    /// Number of steps taken so far.
-    pub fn steps(&self) -> u32 {
-        self.t
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -97,47 +43,5 @@ mod tests {
         let clip = GradClip { max_norm: 5.0 };
         let s = clip.scale_for(10.0);
         assert!((s - 0.5).abs() < 1e-6);
-    }
-
-    #[test]
-    fn adam_minimizes_quadratic() {
-        // f(x) = (x - 3)², gradient 2(x - 3).
-        let mut x = vec![0.0f32];
-        let mut adam = Adam::new(1);
-        for _ in 0..500 {
-            let g = vec![2.0 * (x[0] - 3.0)];
-            adam.step(&mut x, &g, 0.05);
-        }
-        assert!((x[0] - 3.0).abs() < 1e-2, "converged to {}", x[0]);
-    }
-
-    #[test]
-    fn adam_beats_sgd_on_ill_conditioned_quadratic() {
-        // f(x, y) = 100 x² + y²; SGD with a stable lr crawls on y.
-        let grad = |p: &[f32]| vec![200.0 * p[0], 2.0 * p[1]];
-        let f = |p: &[f32]| 100.0 * p[0] * p[0] + p[1] * p[1];
-
-        let mut sgd = vec![1.0f32, 1.0];
-        for _ in 0..100 {
-            let g = grad(&sgd);
-            for (p, gi) in sgd.iter_mut().zip(g.iter()) {
-                *p -= 0.004 * gi; // ~ largest stable lr for the x curvature
-            }
-        }
-        let mut ad = vec![1.0f32, 1.0];
-        let mut adam = Adam::new(2);
-        for _ in 0..100 {
-            let g = grad(&ad);
-            adam.step(&mut ad, &g, 0.05);
-        }
-        assert!(f(&ad) < f(&sgd), "adam {} vs sgd {}", f(&ad), f(&sgd));
-    }
-
-    #[test]
-    #[should_panic(expected = "length mismatch")]
-    fn adam_rejects_shape_mismatch() {
-        let mut adam = Adam::new(2);
-        let mut p = vec![0.0; 3];
-        adam.step(&mut p, &[0.0, 0.0, 0.0], 0.1);
     }
 }

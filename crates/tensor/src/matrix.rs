@@ -187,8 +187,17 @@ impl Matrix {
 
     /// `y = selfᵀ * x` for a column vector `x` (len = rows); returns len-cols vector.
     pub fn matvec_t(&self, x: &[f32]) -> Vec<f32> {
-        assert_eq!(x.len(), self.rows, "matvec_t dimension mismatch");
         let mut y = vec![0.0; self.cols];
+        self.matvec_t_into(x, &mut y);
+        y
+    }
+
+    /// `y = selfᵀ * x` written into a caller-provided buffer (no
+    /// allocation); whatever `y` held before is overwritten.
+    pub fn matvec_t_into(&self, x: &[f32], y: &mut [f32]) {
+        assert_eq!(x.len(), self.rows, "matvec_t dimension mismatch");
+        assert_eq!(y.len(), self.cols, "matvec_t output mismatch");
+        y.fill(0.0);
         for (r, &xr) in x.iter().enumerate() {
             if xr == 0.0 {
                 continue;
@@ -197,7 +206,6 @@ impl Matrix {
                 *yc += a * xr;
             }
         }
-        y
     }
 
     /// Dense matrix product `self * other`.

@@ -15,7 +15,8 @@ use std::time::Instant;
 ///
 /// - [`PairwiseModel::pair_grad`] is a *pure* function of the model as it
 ///   stood at the start of the minibatch (the driver computes every
-///   gradient of a batch before applying any of them);
+///   gradient of a batch before applying any of them), written into a
+///   gradient slot the driver owns;
 /// - [`PairwiseModel::apply`] folds one pair's gradient into the model
 ///   through the driver's [`Step`] (the configured optimizer), in pair
 ///   order;
@@ -25,17 +26,22 @@ use std::time::Instant;
 ///   after each epoch; returning `None` (the default) disables early
 ///   stopping and validation telemetry.
 pub trait PairwiseModel {
-    /// Gradient of one training pair, produced by [`PairwiseModel::pair_grad`]
-    /// and consumed by [`PairwiseModel::apply`].
-    type Grad;
+    /// One pair's gradient slot, filled by [`PairwiseModel::pair_grad`] and
+    /// consumed by [`PairwiseModel::apply`]. [`fit`] creates one slot per
+    /// minibatch position with `Default` and reuses it for the whole run,
+    /// so a slot may also carry the model's forward and backward scratch:
+    /// once its buffers have grown, a training step allocates nothing.
+    type Grad: Default;
 
     /// Hook run at the start of each epoch, before shuffling.
     fn begin_epoch(&mut self) {}
 
-    /// Gradient of the BPR triple `(u, v⁺, v⁻)` against the frozen
-    /// batch-start model, plus the pair's loss `-ln σ(s⁺ − s⁻)` (telemetry
-    /// only — the loss never feeds back into training).
-    fn pair_grad(&self, u: UserId, pos: ItemId, neg: ItemId) -> (Self::Grad, f32);
+    /// Writes the gradient of the BPR triple `(u, v⁺, v⁻)` against the
+    /// frozen batch-start model into `grad` and returns the pair's loss
+    /// `-ln σ(s⁺ − s⁻)` (telemetry only — the loss never feeds back into
+    /// training). `grad` holds whatever an earlier pair left in it, so the
+    /// model must overwrite or re-zero every value `apply` reads.
+    fn pair_grad(&self, u: UserId, pos: ItemId, neg: ItemId, grad: &mut Self::Grad) -> f32;
 
     /// Applies one pair's gradient through `step` (which carries the epoch
     /// learning rate and the configured optimizer's state). Called in pair
@@ -100,6 +106,11 @@ pub struct TrainOutcome {
 /// `patience` consecutive epochs fail to beat the best score by more than
 /// `tolerance`.
 ///
+/// A user who has seen every item in the catalog has no negative to
+/// draw, so that user's pairs are dropped before the first shuffle. The
+/// decision reads only profile lengths, so a dataset without such users
+/// trains on exactly the same random stream.
+///
 /// The caller owns `rng` so historical draw orders are reproducible (model
 /// init on the same stream before training, a validation-sample shuffle
 /// between model init and the first epoch); use [`fit_seeded`] when no such
@@ -111,12 +122,19 @@ pub fn fit<M: PairwiseModel>(
     rng: &mut StdRng,
     obs: &mut dyn TrainObserver,
 ) -> TrainOutcome {
-    let mut pairs: Vec<(UserId, ItemId)> = ds.interactions().collect();
+    // Profiles are deduped, so a user has an unseen item to draw iff the
+    // profile is shorter than the catalog.
+    let mut pairs: Vec<(UserId, ItemId)> =
+        ds.interactions().filter(|&(u, _)| ds.profile(u).len() < ds.n_items()).collect();
     let n_items = ds.n_items() as u32;
     let batch = cfg.minibatch.max(1);
     // Optimizer state (momentum velocities, Adam moments) lives with the
     // driver and is only touched from the in-order apply phase below.
     let mut opt = OptState::new(cfg.optimizer);
+    // Scratch for one minibatch, reused by every batch of every epoch.
+    let width = batch.min(pairs.len());
+    let mut triples: Vec<(UserId, ItemId, ItemId)> = Vec::with_capacity(width);
+    let mut slots: Vec<M::Grad> = std::iter::repeat_with(M::Grad::default).take(width).collect();
 
     let mut val_history = Vec::new();
     let mut best = f32::NEG_INFINITY;
@@ -134,23 +152,21 @@ pub fn fit<M: PairwiseModel>(
         let mut loss_sum = 0f64;
         for chunk in pairs.chunks(batch) {
             // Negative sampling stays on the single trainer RNG.
-            let triples: Vec<(UserId, ItemId, ItemId)> = chunk
-                .iter()
-                .map(|&(u, pos)| {
-                    let neg = loop {
-                        let cand = ItemId(rng.gen_range(0..n_items));
-                        if cand != pos && !ds.contains(u, cand) {
-                            break cand;
-                        }
-                    };
-                    (u, pos, neg)
-                })
-                .collect();
-            let grads: Vec<(M::Grad, f32)> =
-                triples.iter().map(|&(u, pos, neg)| model.pair_grad(u, pos, neg)).collect();
-            for (&(u, pos, neg), (g, loss)) in triples.iter().zip(&grads) {
-                loss_sum += *loss as f64;
-                model.apply(u, pos, neg, g, &mut opt.step(lr));
+            triples.clear();
+            triples.extend(chunk.iter().map(|&(u, pos)| {
+                let neg = loop {
+                    let cand = ItemId(rng.gen_range(0..n_items));
+                    if cand != pos && !ds.contains(u, cand) {
+                        break cand;
+                    }
+                };
+                (u, pos, neg)
+            }));
+            for (&(u, pos, neg), slot) in triples.iter().zip(&mut slots) {
+                loss_sum += model.pair_grad(u, pos, neg, slot) as f64;
+            }
+            for (&(u, pos, neg), slot) in triples.iter().zip(&slots) {
+                model.apply(u, pos, neg, slot, &mut opt.step(lr));
             }
         }
         epochs_run += 1;
@@ -237,8 +253,9 @@ mod tests {
         fn begin_epoch(&mut self) {
             self.begin_epochs += 1;
         }
-        fn pair_grad(&self, _u: UserId, _pos: ItemId, _neg: ItemId) -> (f32, f32) {
-            (1.0, self.theta.abs() + 0.5)
+        fn pair_grad(&self, _u: UserId, _pos: ItemId, _neg: ItemId, g: &mut f32) -> f32 {
+            *g = 1.0;
+            self.theta.abs() + 0.5
         }
         fn apply(&mut self, _u: UserId, _p: ItemId, _n: ItemId, g: &f32, step: &mut Step<'_>) {
             step.ascend(0, std::slice::from_mut(&mut self.theta), std::slice::from_ref(g));

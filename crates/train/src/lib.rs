@@ -8,12 +8,15 @@
 //! own near-identical epoch loop. `ca-train` owns that loop once:
 //!
 //! - [`PairwiseModel`] is the contract a model implements to be trainable:
-//!   a per-pair gradient against the **frozen batch-start model** plus a
-//!   fixed-order apply, with optional per-epoch setup (stale-cache refresh)
-//!   and an optional post-update validation score;
+//!   a per-pair gradient against the **frozen batch-start model**, written
+//!   into a driver-owned slot, plus a fixed-order apply, with optional
+//!   per-epoch setup (stale-cache refresh) and an optional post-update
+//!   validation score;
 //! - [`fit`] is the epoch driver: in-order negative sampling on the single
 //!   trainer RNG, minibatching, an early-stopping rule shared by every
-//!   model, and a learning-rate schedule;
+//!   model, and a learning-rate schedule. It allocates its minibatch
+//!   buffers and gradient slots once per run, so a training step allocates
+//!   nothing once the slots have grown;
 //! - [`TrainConfig`] unifies the hyper-parameters that used to drift across
 //!   the per-crate configs (`epochs` vs `max_epochs`, early stopping only
 //!   in some crates);
@@ -30,7 +33,8 @@
 //! 1. shuffling and negative sampling draw from one trainer RNG, in pair
 //!    order; the random stream never depends on the minibatch size;
 //! 2. per-pair gradients are pure functions of the frozen batch-start
-//!    model, computed in pair order;
+//!    model, computed in pair order into one driver-owned slot per
+//!    minibatch position (a slot's old contents never reach a gradient);
 //! 3. gradients are applied in pair order through the configured
 //!    [`Optimizer`] ([`optim`]): plain SGD is bitwise-identical to the
 //!    historical hand-rolled update loops, and momentum and Adam keep their
@@ -38,7 +42,7 @@
 //!    reproducible.
 //!
 //! Telemetry is computed *outside* that loop (loss folds over the returned
-//! gradient vector in pair order), so observing a run never perturbs it.
+//! losses in pair order), so observing a run never perturbs it.
 //!
 //! # Stop criterion
 //!

@@ -18,10 +18,11 @@
 //! - [`Optimizer::Adam`] keeps first/second moment buffers and a step
 //!   counter per block key and applies the bias-corrected update
 //!   `param[i] += ±lr · m̂ / (√v̂ + ε)` — elementwise bitwise identical to
-//!   [`ca_nn::optim::Adam::step`] on the same block, with the per-block
-//!   counter playing the per-tensor `t` (each block is its own Adam
-//!   instance, so sparsely-touched embedding rows bias-correct by how
-//!   often *they* were updated, not by global pair count).
+//!   a textbook per-tensor Adam on the same block (the reference kept in
+//!   this module's tests), with the per-block counter playing the
+//!   per-tensor `t` (each block is its own Adam instance, so
+//!   sparsely-touched embedding rows bias-correct by how often *they* were
+//!   updated, not by global pair count).
 //!
 //! Determinism: all state lives in [`OptState`], owned by the driver and
 //! mutated only from the serial in-pair-order apply phase. Block keys are a
@@ -57,8 +58,8 @@ pub enum Optimizer {
 }
 
 impl Optimizer {
-    /// Adam with the standard (0.9, 0.999, 1e-8) hyper-parameters —
-    /// the same defaults as [`ca_nn::optim::Adam::new`].
+    /// Adam with the standard (0.9, 0.999, 1e-8) hyper-parameters of
+    /// Kingma & Ba.
     pub fn adam() -> Self {
         Optimizer::Adam { beta1: 0.9, beta2: 0.999, eps: 1e-8 }
     }
@@ -192,9 +193,10 @@ impl Step<'_> {
                 s.t += 1;
                 let b1t = 1.0 - beta1.powi(s.t);
                 let b2t = 1.0 - beta2.powi(s.t);
-                // Same expression shape (and so the same rounding) as
-                // `ca_nn::optim::Adam::step`; `rate = -lr` reproduces its
-                // descent bit for bit because IEEE negation is exact.
+                // Same expression shape (and so the same rounding) as the
+                // reference `Adam::step` in the tests; `rate = -lr`
+                // reproduces its descent bit for bit because IEEE negation
+                // is exact.
                 for i in 0..param.len() {
                     let g = grad[i];
                     s.m[i] = beta1 * s.m[i] + (1.0 - beta1) * g;
@@ -211,6 +213,90 @@ impl Step<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Reference Adam for one flat parameter tensor, written the textbook
+    /// way: `OptState`'s Adam blocks must match it bit for bit.
+    struct Adam {
+        m: Vec<f32>,
+        v: Vec<f32>,
+        t: u32,
+        beta1: f32,
+        beta2: f32,
+        eps: f32,
+    }
+
+    impl Adam {
+        /// Adam with the standard (0.9, 0.999, 1e-8) hyper-parameters.
+        fn new(param_len: usize) -> Self {
+            Self {
+                m: vec![0.0; param_len],
+                v: vec![0.0; param_len],
+                t: 0,
+                beta1: 0.9,
+                beta2: 0.999,
+                eps: 1e-8,
+            }
+        }
+
+        /// One update: `param -= lr * m̂ / (sqrt(v̂) + eps)`.
+        fn step(&mut self, param: &mut [f32], grad: &[f32], lr: f32) {
+            assert_eq!(param.len(), self.m.len(), "Adam param length mismatch");
+            assert_eq!(grad.len(), self.m.len(), "Adam grad length mismatch");
+            self.t += 1;
+            let b1t = 1.0 - self.beta1.powi(self.t as i32);
+            let b2t = 1.0 - self.beta2.powi(self.t as i32);
+            for i in 0..param.len() {
+                let g = grad[i];
+                self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g;
+                self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * g * g;
+                let mhat = self.m[i] / b1t;
+                let vhat = self.v[i] / b2t;
+                param[i] -= lr * mhat / (vhat.sqrt() + self.eps);
+            }
+        }
+    }
+
+    #[test]
+    fn adam_minimizes_quadratic() {
+        // f(x) = (x - 3)², gradient 2(x - 3).
+        let mut x = vec![0.0f32];
+        let mut adam = Adam::new(1);
+        for _ in 0..500 {
+            let g = vec![2.0 * (x[0] - 3.0)];
+            adam.step(&mut x, &g, 0.05);
+        }
+        assert!((x[0] - 3.0).abs() < 1e-2, "converged to {}", x[0]);
+    }
+
+    #[test]
+    fn adam_beats_sgd_on_ill_conditioned_quadratic() {
+        // f(x, y) = 100 x² + y²; SGD with a stable lr crawls on y.
+        let grad = |p: &[f32]| vec![200.0 * p[0], 2.0 * p[1]];
+        let f = |p: &[f32]| 100.0 * p[0] * p[0] + p[1] * p[1];
+
+        let mut sgd = vec![1.0f32, 1.0];
+        for _ in 0..100 {
+            let g = grad(&sgd);
+            for (p, gi) in sgd.iter_mut().zip(g.iter()) {
+                *p -= 0.004 * gi; // ~ largest stable lr for the x curvature
+            }
+        }
+        let mut ad = vec![1.0f32, 1.0];
+        let mut adam = Adam::new(2);
+        for _ in 0..100 {
+            let g = grad(&ad);
+            adam.step(&mut ad, &g, 0.05);
+        }
+        assert!(f(&ad) < f(&sgd), "adam {} vs sgd {}", f(&ad), f(&sgd));
+    }
+
+    #[test]
+    #[should_panic(expected = "length mismatch")]
+    fn adam_rejects_shape_mismatch() {
+        let mut adam = Adam::new(2);
+        let mut p = vec![0.0; 3];
+        adam.step(&mut p, &[0.0, 0.0, 0.0], 0.1);
+    }
 
     #[test]
     fn sgd_descend_is_bitwise_the_historical_loop() {
@@ -273,7 +359,7 @@ mod tests {
 
     #[test]
     fn adam_descent_is_bitwise_the_nn_reference() {
-        // One OptState block must behave exactly like one ca_nn Adam
+        // One OptState block must behave exactly like one reference Adam
         // instance: same moments, same bias correction, same rounding.
         let grads = [
             [0.123_f32, -7.5e-3, 1.0e-20, -3.0],
@@ -285,7 +371,7 @@ mod tests {
         let mut reference = via_step;
 
         let mut state = OptState::new(Optimizer::adam());
-        let mut nn = ca_nn::optim::Adam::new(reference.len());
+        let mut nn = Adam::new(reference.len());
         for g in &grads {
             state.step(lr).descend(2, &mut via_step, g);
             nn.step(&mut reference, g, lr);

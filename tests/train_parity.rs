@@ -169,8 +169,8 @@ struct Scripted {
 impl PairwiseModel for Scripted {
     type Grad = ();
 
-    fn pair_grad(&self, _u: UserId, _pos: ItemId, _neg: ItemId) -> ((), f32) {
-        ((), 0.0)
+    fn pair_grad(&self, _u: UserId, _pos: ItemId, _neg: ItemId, _g: &mut ()) -> f32 {
+        0.0
     }
 
     fn apply(&mut self, _u: UserId, _pos: ItemId, _neg: ItemId, _g: &(), _step: &mut Step<'_>) {}

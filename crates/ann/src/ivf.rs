@@ -1,6 +1,6 @@
 //! The IVF index: seeded build, CSR posting layout, and probed search.
 
-use ca_recsys::{auto_batch_top_k, select_top_k, EmbeddingEngine, ItemId, RetrievalMode, UserId};
+use ca_recsys::{batch_top_k, select_top_k, EmbeddingEngine, ItemId, RetrievalMode, UserId};
 use ca_tensor::{ops, Matrix, Scratch};
 use rand::prelude::*;
 use std::cell::RefCell;
@@ -49,8 +49,8 @@ impl IvfConfig {
 
 /// Parallelize batched search only past this many users…
 const PAR_MIN_USERS: usize = 8;
-/// …and this many *estimated probed* score cells — the IVF analogue of the
-/// exact engine's score-matrix gate, so small batches skip thread spawn.
+/// …and this many *estimated probed* score cells, so small batches skip
+/// thread spawn.
 const PAR_MIN_CELLS: usize = 1 << 18;
 
 thread_local! {
@@ -264,11 +264,12 @@ impl IvfIndex {
         self.rank_cells(&q, nprobe, &mut cand);
 
         items.clear();
+        let seen = engine.seen(user);
         for &(_, cell) in cand.iter() {
             let c = cell as usize;
             let (a, b) = (self.cell_offsets[c] as usize, self.cell_offsets[c + 1] as usize);
             for &v in &self.cell_items[a..b] {
-                if !engine.is_seen(user, ItemId(v)) {
+                if seen.binary_search(&ItemId(v)).is_err() {
                     items.push(ItemId(v));
                 }
             }
@@ -334,7 +335,7 @@ impl IvfIndex {
 
 /// The retrieval dispatch every embedding-backed recommender routes
 /// through: `Exact` (or a missing index) falls back to the exact engine's
-/// [`auto_batch_top_k`]; `Ivf` probes the index with the mode's `nprobe`.
+/// [`batch_top_k`]; `Ivf` probes the index with the mode's `nprobe`.
 // ca-audit: allow(nested-vec) — k-sized per-query batch result, not dataset-scale state
 pub fn retrieve_batch_top_k<E: EmbeddingEngine + Sync + ?Sized>(
     engine: &E,
@@ -345,20 +346,21 @@ pub fn retrieve_batch_top_k<E: EmbeddingEngine + Sync + ?Sized>(
 ) -> Vec<Vec<ItemId>> {
     match (mode, index) {
         (RetrievalMode::Ivf { nprobe, .. }, Some(idx)) => idx.batch_top_k(engine, users, k, nprobe),
-        _ => auto_batch_top_k(engine, users, k),
+        _ => batch_top_k(engine, users, k),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ca_recsys::ScoringEngine;
+    use ca_recsys::{Dataset, DatasetBuilder, ScoringEngine};
 
     /// Deterministic toy embedding engine: `score(u, v) = dot(p_u, q_v)`
     /// with hash-derived embeddings; user `u` has seen `v ≡ u (mod 11)`.
     pub(crate) struct ToyEmb {
         pub users: Matrix,
         pub items: Matrix,
+        seen: Dataset,
     }
 
     impl ToyEmb {
@@ -367,9 +369,16 @@ mod tests {
                 let h = ca_par::split_seed(seed ^ salt, (r * 131 + c) as u64);
                 ((h % 2000) as f32 / 1000.0) - 1.0
             };
+            let mut seen = DatasetBuilder::new(n_items);
+            for u in 0..n_users as u32 {
+                let run: Vec<ItemId> =
+                    (0..n_items as u32).filter(|v| v % 11 == u % 11).map(ItemId).collect();
+                seen.user(&run);
+            }
             ToyEmb {
                 users: Matrix::from_fn(n_users, dim, |r, c| gen(r, c, 0xA)),
                 items: Matrix::from_fn(n_items, dim, |r, c| gen(r, c, 0xB)),
+                seen: seen.build(),
             }
         }
     }
@@ -385,8 +394,8 @@ mod tests {
                 }
             }
         }
-        fn is_seen(&self, user: UserId, item: ItemId) -> bool {
-            item.0 % 11 == user.0 % 11
+        fn seen(&self, user: UserId) -> &[ItemId] {
+            self.seen.sorted_profile(user)
         }
     }
 
@@ -454,7 +463,7 @@ mod tests {
         let engine = ToyEmb::new(13, 400, 8, 11);
         let idx = toy_index(&engine, 12);
         let users: Vec<UserId> = (0..13u32).map(UserId).collect();
-        let exact = auto_batch_top_k(&engine, &users, 20);
+        let exact = batch_top_k(&engine, &users, 20);
         // Probing every cell leaves pruning no room: identical output.
         assert_eq!(idx.batch_top_k(&engine, &users, 20, 12), exact);
         // And the dispatch helper agrees in both modes.
@@ -477,7 +486,7 @@ mod tests {
             let top = idx.top_k(&engine, UserId(u), 10, 4);
             assert_eq!(top.len(), 10);
             for &v in &top {
-                assert!(!engine.is_seen(UserId(u), v), "seen item {v:?} recommended");
+                assert!(!engine.seen(UserId(u)).contains(&v), "seen item {v:?} recommended");
                 assert!(probed.contains(&(idx.cell_of(v) as u32)), "item outside probed cells");
             }
         }

@@ -242,9 +242,9 @@ impl Rule {
                  may keep the nested shape behind a reasoned pragma"
             }
             Rule::ExactScan => {
-                "rank through the engine entry points (single_top_k/batch_top_k/\
-                 auto_batch_top_k or ca_ann::IvfIndex) so callers inherit the sublinear \
-                 path; parity tests pinning the dense kernel may suppress with a reason"
+                "rank through the engine entry points (single_top_k/batch_top_k or \
+                 ca_ann::IvfIndex) so callers inherit the sublinear path; parity tests \
+                 pinning the dense kernel may suppress with a reason"
             }
             Rule::SeedDiscipline => {
                 "derive the seed from the run's root seed via ca_par::split_seed (or a \

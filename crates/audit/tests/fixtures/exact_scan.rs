@@ -25,7 +25,7 @@ trait Scoring {
 
 fn ranked_properly(engine: &Engine, users: &[UserId]) -> Vec<Vec<ItemId>> {
     // The blessed entry point: must stay silent.
-    auto_batch_top_k(engine, users, 20)
+    batch_top_k(engine, users, 20)
 }
 
 fn mentioned_in_prose() {

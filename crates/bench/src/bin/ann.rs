@@ -91,8 +91,8 @@ impl ScoringEngine for SynthEngine {
         }
     }
 
-    fn is_seen(&self, _user: UserId, _item: ItemId) -> bool {
-        false
+    fn seen(&self, _user: UserId) -> &[ItemId] {
+        &[]
     }
 }
 

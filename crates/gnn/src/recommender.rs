@@ -137,8 +137,8 @@ impl ScoringEngine for PinSageRecommender {
         self.data.n_items()
     }
 
-    fn is_seen(&self, user: UserId, item: ItemId) -> bool {
-        self.data.contains(user, item)
+    fn seen(&self, user: UserId) -> &[ItemId] {
+        self.data.sorted_profile(user)
     }
 
     fn score_batch(&self, users: &[UserId], out: &mut Matrix) {
@@ -184,7 +184,7 @@ impl BlackBoxRecommender for PinSageRecommender {
     }
 
     fn top_k_batch(&self, users: &[UserId], k: usize) -> Vec<Vec<ItemId>> {
-        engine::auto_batch_top_k(self, users, k)
+        engine::batch_top_k(self, users, k)
     }
 
     /// Registers a new account with `profile` and folds it in inductively:

@@ -54,8 +54,8 @@ impl ScoringEngine for MfRecommender {
         self.model.n_items()
     }
 
-    fn is_seen(&self, user: UserId, item: ItemId) -> bool {
-        self.data.contains(user, item)
+    fn seen(&self, user: UserId) -> &[ItemId] {
+        self.data.sorted_profile(user)
     }
 
     fn score_batch(&self, users: &[UserId], out: &mut Matrix) {
@@ -109,7 +109,7 @@ impl BlackBoxRecommender for MfRecommender {
     }
 
     fn top_k_batch(&self, users: &[UserId], k: usize) -> Vec<Vec<ItemId>> {
-        engine::auto_batch_top_k(self, users, k)
+        engine::batch_top_k(self, users, k)
     }
 
     fn inject_user(&mut self, profile: &[ItemId]) -> UserId {

@@ -8,16 +8,20 @@
 //!
 //! - [`ScoringEngine`] — the model-specific part: fill a `users × items`
 //!   score matrix (typically one GEMM against a representation table) and
-//!   answer which items a user has already seen;
-//! - [`top_k_from_scores`] — the model-independent part: seen-item masking
-//!   and partial Top-k selection (`select_nth_unstable`, `O(n + k log k)`)
-//!   with a deterministic tie-break (score descending, then item id
-//!   ascending), so batched and sequential paths agree element-for-element.
+//!   hand out each user's seen items as one ascending run;
+//! - [`top_k_from_scores`] — the model-independent part: one pass over the
+//!   unseen runs between consecutive seen ids that keeps only the cells
+//!   beating the running k-th best, then a partial select of the survivors,
+//!   under one deterministic order (score descending by `total_cmp`, then
+//!   item id ascending), so batched and sequential paths agree
+//!   element-for-element.
 //!
-//! [`batch_top_k`] runs the engine sequentially over a thread-local
-//! [`Scratch`] pool (steady-state scoring allocates nothing);
-//! [`par_batch_top_k`] splits the user batch across `std::thread::scope`
-//! workers; [`auto_batch_top_k`] picks between them by problem size.
+//! [`batch_top_k`] runs the engine over a thread-local [`Scratch`] pool:
+//! the score matrix and the candidate buffer are reused from round to
+//! round. What a model's `score_batch` allocates itself is not pooled (MF
+//! and the GNN gather the batch's user rows into a fresh matrix, NCF builds
+//! a fresh `Scratch` for its fusion inputs), nor are the k-sized result
+//! lists.
 //!
 //! None of this changes attacker-visible semantics: ranking order (modulo
 //! previously unspecified tie order), seen-item exclusion, and query
@@ -40,9 +44,11 @@ pub trait ScoringEngine {
     /// Fills `out[(i, v)]` with the score of `users[i]` for item `v`.
     fn score_batch(&self, users: &[UserId], out: &mut Matrix);
 
-    /// Whether `user` already interacted with `item` (such items are
-    /// excluded from rankings, as a deployed system would).
-    fn is_seen(&self, user: UserId, item: ItemId) -> bool;
+    /// The items `user` already interacted with, strictly ascending by id
+    /// and all inside the catalog (such items are excluded from rankings,
+    /// as a deployed system would). Dataset-backed engines return
+    /// [`Dataset::sorted_profile`](crate::Dataset::sorted_profile).
+    fn seen(&self, user: UserId) -> &[ItemId];
 }
 
 /// Engines whose items live in a vector space: the contract approximate
@@ -118,36 +124,62 @@ pub fn select_top_k(cand: &mut Vec<(f32, u32)>, k: usize) {
     cand.sort_unstable_by(rank_cmp);
 }
 
+/// Candidates the one-pass ranker keeps before cutting back to the best
+/// `k` (or `2k`, when `k` is larger than half of it).
+const CAND_CAP: usize = 256;
+
 /// [`top_k_from_scores`] with a caller-provided candidate buffer, so
 /// steady-state ranking performs no allocation (the buffer comes from the
 /// [`Scratch`] pair pool in the batched paths). The buffer is cleared on
 /// entry and holds the ranked survivors on return.
+///
+/// One pass walks the unseen runs between consecutive `seen` ids in
+/// ascending item order. Once the buffer has been cut back to `k`, a cell
+/// is kept only if it ranks before the k-th best kept candidate: a later
+/// cell with an equal score has a larger id, so it ranks after and is
+/// skipped. The cut-backs only drop cells that at least `k` kept ones
+/// beat, so the result is exactly the best `k` unseen cells.
 pub fn top_k_from_scores_into(
     scores: &[f32],
     k: usize,
-    mut is_seen: impl FnMut(ItemId) -> bool,
+    seen: &[ItemId],
     cand: &mut Vec<(f32, u32)>,
 ) -> Vec<ItemId> {
+    debug_assert!(seen.windows(2).all(|w| w[0] < w[1]), "seen run must be strictly ascending");
+    debug_assert!(seen.last().is_none_or(|v| v.idx() < scores.len()), "seen id outside the row");
     cand.clear();
-    for (v, &s) in scores.iter().enumerate() {
-        if !is_seen(ItemId(v as u32)) {
-            cand.push((s, v as u32));
+    if k == 0 {
+        return Vec::new();
+    }
+    let cap = CAND_CAP.max(2 * k);
+    // The k-th best candidate kept so far, set at the first cut-back.
+    let mut bar: Option<(f32, u32)> = None;
+    let mut start = 0;
+    for end in seen.iter().map(|v| v.idx()).chain([scores.len()]) {
+        for (s, v) in scores[start..end].iter().zip(start as u32..) {
+            let c = (*s, v);
+            if bar.is_some_and(|b| rank_cmp(&c, &b).is_ge()) {
+                continue;
+            }
+            cand.push(c);
+            if cand.len() == cap {
+                cand.select_nth_unstable_by(k - 1, rank_cmp);
+                cand.truncate(k);
+                bar = Some(cand[k - 1]);
+            }
         }
+        start = end + 1;
     }
     select_top_k(cand, k);
     cand.iter().map(|&(_, v)| ItemId(v)).collect()
 }
 
-/// The best `k` items of one score row, excluding items for which
-/// `is_seen` returns true. Ties break deterministically by ascending item
-/// id. Allocating convenience wrapper over [`top_k_from_scores_into`].
-pub fn top_k_from_scores(
-    scores: &[f32],
-    k: usize,
-    is_seen: impl FnMut(ItemId) -> bool,
-) -> Vec<ItemId> {
-    let mut cand = Vec::with_capacity(scores.len());
-    top_k_from_scores_into(scores, k, is_seen, &mut cand)
+/// The best `k` items of one score row, excluding the `seen` items
+/// (strictly ascending ids, all inside the row). Ties break
+/// deterministically by ascending item id. Allocating convenience wrapper
+/// over [`top_k_from_scores_into`].
+pub fn top_k_from_scores(scores: &[f32], k: usize, seen: &[ItemId]) -> Vec<ItemId> {
+    top_k_from_scores_into(scores, k, seen, &mut Vec::new())
 }
 
 thread_local! {
@@ -156,10 +188,9 @@ thread_local! {
     static ENGINE_SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::new());
 }
 
-/// Sequential batched Top-k: one `score_batch` call, then shared ranking
-/// per row. Score matrices *and* the per-row candidate buffer come from an
-/// explicit [`Scratch`] pool, so steady-state ranking allocates nothing
-/// beyond the k-sized result lists.
+/// Batched Top-k: one `score_batch` call, then the shared ranking per
+/// row. The score matrix *and* the per-row candidate buffer come from an
+/// explicit [`Scratch`] pool.
 pub fn batch_top_k_with<E: ScoringEngine + ?Sized>(
     engine: &E,
     users: &[UserId],
@@ -173,16 +204,15 @@ pub fn batch_top_k_with<E: ScoringEngine + ?Sized>(
     let lists = users
         .iter()
         .enumerate()
-        .map(|(i, &u)| {
-            top_k_from_scores_into(scores.row(i), k, |v| engine.is_seen(u, v), &mut cand)
-        })
+        .map(|(i, &u)| top_k_from_scores_into(scores.row(i), k, engine.seen(u), &mut cand))
         .collect();
     scratch.put_pairs(cand);
     scratch.recycle(scores);
     lists
 }
 
-/// Sequential batched Top-k over the calling thread's scratch pool.
+/// Batched Top-k over the calling thread's scratch pool. This is what
+/// recommenders route `top_k_batch` through.
 pub fn batch_top_k<E: ScoringEngine + ?Sized>(
     engine: &E,
     users: &[UserId],
@@ -197,77 +227,27 @@ pub fn single_top_k<E: ScoringEngine + ?Sized>(engine: &E, user: UserId, k: usiz
     batch_top_k(engine, &[user], k).pop().expect("one list per user")
 }
 
-/// The user-batch chunk grid: `ca_par::even_chunks`, so the thread knob
-/// and the actual fan-out agree (`min(threads, users)` chunks, sizes
-/// within one — the old `⌈n/t⌉` split could produce *fewer* chunks than
-/// threads, e.g. 9 users at 4 threads → 3 chunks).
-fn user_chunks(users: &[UserId], threads: usize) -> Vec<&[UserId]> {
-    ca_par::even_chunks(users.len(), threads).into_iter().map(|r| &users[r]).collect()
-}
-
-/// Data-parallel batched Top-k: the user batch is split into `threads`
-/// contiguous chunks on `ca_par`'s fixed even grid, each scored through
-/// the deterministic `ca_par` runtime (ordered output, no raw thread
-/// handling here). Result order matches `users`, and every list equals the
-/// sequential path exactly — the split is over users, whose scores are
-/// independent.
-pub fn par_batch_top_k<E: ScoringEngine + Sync + ?Sized>(
-    engine: &E,
-    users: &[UserId],
-    k: usize,
-    threads: usize,
-    // ca-audit: allow(nested-vec) — k-sized per-query batch result, not dataset-scale state
-) -> Vec<Vec<ItemId>> {
-    let threads = threads.max(1).min(users.len().max(1));
-    if threads <= 1 {
-        return batch_top_k(engine, users, k);
-    }
-    let chunks = user_chunks(users, threads);
-    ca_par::map(&chunks, |_, chunk_users| batch_top_k(engine, chunk_users, k))
-        .into_iter()
-        .flatten()
-        .collect()
-}
-
-/// Parallelize only past this many users…
-const PAR_MIN_USERS: usize = 8;
-/// …and this many score cells (`users × items`): below that, thread spawn
-/// overhead beats the win.
-const PAR_MIN_CELLS: usize = 1 << 18;
-
-/// Batched Top-k with an automatic sequential/parallel decision based on
-/// the score-matrix size. This is what recommenders route `top_k_batch`
-/// through.
-pub fn auto_batch_top_k<E: ScoringEngine + Sync + ?Sized>(
-    engine: &E,
-    users: &[UserId],
-    k: usize,
-    // ca-audit: allow(nested-vec) — k-sized per-query batch result, not dataset-scale state
-) -> Vec<Vec<ItemId>> {
-    let cells = users.len().saturating_mul(engine.catalog_len());
-    if users.len() >= PAR_MIN_USERS && cells >= PAR_MIN_CELLS {
-        // One process-wide knob (`CA_THREADS`, see `ca-par`) governs every
-        // parallel stage of the pipeline, this one included.
-        let threads = ca_par::threads().min(users.len());
-        par_batch_top_k(engine, users, k, threads)
-    } else {
-        batch_top_k(engine, users, k)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Dataset, DatasetBuilder};
 
-    /// Toy engine: `score(u, v) = base[v] - |u - v mod 7|`, user `u` has
-    /// seen items `v ≡ u (mod 5)`.
+    /// Toy engine over `TOY_USERS` users: `score(u, v) = base[v] - |u - v
+    /// mod 7|`, user `u` has seen items `v ≡ u (mod 5)`.
     struct Toy {
         base: Vec<f32>,
+        data: Dataset,
     }
+
+    const TOY_USERS: u32 = 32;
 
     impl Toy {
         fn new(n: usize) -> Self {
-            Self { base: (0..n).map(|v| ((v * 37) % 19) as f32).collect() }
+            let mut b = DatasetBuilder::new(n);
+            for u in 0..TOY_USERS {
+                b.user(&(0..n as u32).filter(|v| v % 5 == u % 5).map(ItemId).collect::<Vec<_>>());
+            }
+            Self { base: (0..n).map(|v| ((v * 37) % 19) as f32).collect(), data: b.build() }
         }
         fn score(&self, u: UserId, v: usize) -> f32 {
             self.base[v] - ((u.0 as i64 - (v % 7) as i64).abs() as f32) * 0.25
@@ -285,15 +265,26 @@ mod tests {
                 }
             }
         }
-        fn is_seen(&self, user: UserId, item: ItemId) -> bool {
-            item.0 % 5 == user.0 % 5
+        fn seen(&self, user: UserId) -> &[ItemId] {
+            self.data.sorted_profile(user)
         }
+    }
+
+    /// The ranking path before the one-pass kernel: push every unseen
+    /// cell, then select. Kept as the oracle the kernel must reproduce.
+    fn push_every_unseen(scores: &[f32], k: usize, seen: &[ItemId]) -> Vec<ItemId> {
+        let mut cand: Vec<(f32, u32)> = (0..scores.len() as u32)
+            .filter(|&v| seen.binary_search(&ItemId(v)).is_err())
+            .map(|v| (scores[v as usize], v))
+            .collect();
+        select_top_k(&mut cand, k);
+        cand.iter().map(|&(_, v)| ItemId(v)).collect()
     }
 
     #[test]
     fn top_k_from_scores_masks_and_sorts() {
         let scores = [1.0, 5.0, 3.0, 5.0, 2.0];
-        let top = top_k_from_scores(&scores, 3, |v| v == ItemId(1));
+        let top = top_k_from_scores(&scores, 3, &[ItemId(1)]);
         // Item 1 masked; 3 (5.0) beats 2 (3.0) beats 4 (2.0).
         assert_eq!(top, vec![ItemId(3), ItemId(2), ItemId(4)]);
     }
@@ -301,16 +292,16 @@ mod tests {
     #[test]
     fn ties_break_by_ascending_item_id() {
         let scores = [2.0; 6];
-        let top = top_k_from_scores(&scores, 4, |_| false);
+        let top = top_k_from_scores(&scores, 4, &[]);
         assert_eq!(top, vec![ItemId(0), ItemId(1), ItemId(2), ItemId(3)]);
     }
 
     #[test]
     fn k_larger_than_unseen_catalog_is_clamped() {
         let scores = [1.0, 2.0, 3.0];
-        let top = top_k_from_scores(&scores, 10, |v| v == ItemId(2));
+        let top = top_k_from_scores(&scores, 10, &[ItemId(2)]);
         assert_eq!(top, vec![ItemId(1), ItemId(0)]);
-        assert!(top_k_from_scores(&scores, 0, |_| false).is_empty());
+        assert!(top_k_from_scores(&scores, 0, &[]).is_empty());
     }
 
     #[test]
@@ -324,21 +315,9 @@ mod tests {
     }
 
     #[test]
-    fn parallel_matches_sequential_in_order() {
-        let engine = Toy::new(103);
-        let users: Vec<UserId> = (0..23u32).map(UserId).collect();
-        let seq = batch_top_k(&engine, &users, 6);
-        for threads in [1, 2, 3, 8, 64] {
-            assert_eq!(par_batch_top_k(&engine, &users, 6, threads), seq, "threads={threads}");
-        }
-        assert_eq!(auto_batch_top_k(&engine, &users, 6), seq);
-    }
-
-    #[test]
     fn empty_batch_yields_no_lists() {
         let engine = Toy::new(10);
         assert!(batch_top_k(&engine, &[], 3).is_empty());
-        assert!(par_batch_top_k(&engine, &[], 3, 4).is_empty());
     }
 
     #[test]
@@ -356,35 +335,24 @@ mod tests {
     }
 
     #[test]
-    fn buffered_ranking_matches_the_allocating_path() {
-        let engine = Toy::new(91);
-        let users: Vec<UserId> = (0..9u32).map(UserId).collect();
+    fn one_pass_matches_pushing_every_unseen_cell() {
+        // 1,500 items fill the candidate buffer several times over; the
+        // Toy scores take few distinct values, so every cut-back meets
+        // ties. One reused buffer must not leak state between calls.
+        let engine = Toy::new(1_500);
+        let users: Vec<UserId> = (0..TOY_USERS).map(UserId).collect();
         let mut scores = Matrix::zeros(users.len(), engine.catalog_len());
         engine.score_batch(&users, &mut scores);
         let mut cand = Vec::new();
         for (i, &u) in users.iter().enumerate() {
-            let is_seen = |v: ItemId| engine.is_seen(u, v);
-            let buffered = top_k_from_scores_into(scores.row(i), 7, is_seen, &mut cand);
-            let fresh = top_k_from_scores(scores.row(i), 7, is_seen);
-            assert_eq!(buffered, fresh, "user {u}");
+            for k in [1, 7, 20, 127, 128, 129, 700, 1_500] {
+                let (row, seen) = (scores.row(i), engine.seen(u));
+                assert_eq!(
+                    top_k_from_scores_into(row, k, seen, &mut cand),
+                    push_every_unseen(row, k, seen),
+                    "user {u} k={k}"
+                );
+            }
         }
-    }
-
-    #[test]
-    fn chunk_grid_matches_thread_request() {
-        // Regression: ⌈9/4⌉ = 3 chunking used to fan out to only 3 of the
-        // 4 requested workers; the even grid must give exactly 4 chunks.
-        let users: Vec<UserId> = (0..9u32).map(UserId).collect();
-        let chunks = user_chunks(&users, 4);
-        assert_eq!(chunks.len(), 4);
-        let sizes: Vec<usize> = chunks.iter().map(|c| c.len()).collect();
-        assert_eq!(sizes.iter().sum::<usize>(), 9);
-        assert!(sizes.iter().all(|&s| (2..=3).contains(&s)), "unbalanced {sizes:?}");
-        // More threads than users: one chunk per user, no empties.
-        assert_eq!(user_chunks(&users, 64).len(), 9);
-        // And the parallel path still matches sequential on that shape.
-        let engine = Toy::new(57);
-        let seq = batch_top_k(&engine, &users, 5);
-        assert_eq!(par_batch_top_k(&engine, &users, 5, 4), seq);
     }
 }

@@ -108,8 +108,8 @@ impl ScoringEngine for ItemKnnRecommender {
         self.n_items
     }
 
-    fn is_seen(&self, user: UserId, item: ItemId) -> bool {
-        self.data.contains(user, item)
+    fn seen(&self, user: UserId) -> &[ItemId] {
+        self.data.sorted_profile(user)
     }
 
     fn score_batch(&self, users: &[UserId], out: &mut Matrix) {
@@ -138,7 +138,7 @@ impl BlackBoxRecommender for ItemKnnRecommender {
 
     // ca-audit: allow(nested-vec) — k-sized per-query batch result, not dataset-scale state
     fn top_k_batch(&self, users: &[UserId], k: usize) -> Vec<Vec<ItemId>> {
-        engine::auto_batch_top_k(self, users, k)
+        engine::batch_top_k(self, users, k)
     }
 
     fn inject_user(&mut self, profile: &[ItemId]) -> UserId {

@@ -13,9 +13,12 @@
 //! - [`blackbox::BlackBoxRecommender`] — the *only* interface the attacker
 //!   is allowed to touch: inject a profile, query Top-k lists (one at a
 //!   time or batched);
-//! - [`engine`] — the shared batched scoring engine
-//!   ([`engine::ScoringEngine`] + [`engine::top_k_from_scores`]): the one
-//!   ranking implementation every target model routes through;
+//! - [`engine`] — the shared batched scoring engine, the one ranking
+//!   implementation every target model routes through:
+//!   [`engine::ScoringEngine`] scores a batch of users and hands out each
+//!   user's seen items as one ascending run, and
+//!   [`engine::top_k_from_scores`] ranks a score row in one pass over the
+//!   unseen runs between them;
 //! - [`blackbox::FallibleBlackBox`] / [`faults`] — the same surface on an
 //!   *unreliable* platform: typed errors ([`RecError`]), plus a
 //!   deterministic fault injector ([`FaultyRecommender`]) for chaos testing
@@ -38,8 +41,8 @@ pub mod split;
 pub use blackbox::{BlackBoxRecommender, FallibleBlackBox, MeteredFallible, MeteredRecommender};
 pub use dataset::{Dataset, DatasetBuilder};
 pub use engine::{
-    auto_batch_top_k, batch_top_k, batch_top_k_with, par_batch_top_k, select_top_k, single_top_k,
-    top_k_from_scores, top_k_from_scores_into, EmbeddingEngine, RetrievalMode, ScoringEngine,
+    batch_top_k, batch_top_k_with, select_top_k, single_top_k, top_k_from_scores,
+    top_k_from_scores_into, EmbeddingEngine, RetrievalMode, ScoringEngine,
 };
 pub use eval::{RankingEval, Scorer};
 pub use faults::{FaultConfig, FaultStats, FaultyRecommender, RateLimit, RecError, SplitMix64};

@@ -85,8 +85,8 @@ impl ScoringEngine for SketchedKnn<'_> {
         self.knn.score_batch(users, out);
     }
 
-    fn is_seen(&self, user: UserId, item: ItemId) -> bool {
-        self.knn.is_seen(user, item)
+    fn seen(&self, user: UserId) -> &[ItemId] {
+        self.knn.seen(user)
     }
 }
 
@@ -285,6 +285,18 @@ mod tests {
             assert_eq!(full.top_k(uid, 10), exact.top_k(uid, 10), "uid {uid}");
         }
         assert!(ivf.top_k(1, 5).is_none(), "unknown users stay unknown");
+    }
+
+    #[test]
+    fn sketched_knn_hands_out_the_snapshot_seen_runs() {
+        let m = snapshot();
+        let sketch = build_sketch(m.knn.data());
+        let engine = SketchedKnn { knn: &m.knn, sketch: &sketch };
+        let data = m.knn.data();
+        for u in data.users() {
+            let expected: Vec<ItemId> = data.items().filter(|&v| data.contains(u, v)).collect();
+            assert_eq!(engine.seen(u), &expected[..], "seen run of {u}");
+        }
     }
 
     #[test]

@@ -7,8 +7,8 @@
 use ca_ann::{retrieve_batch_top_k, IvfConfig, IvfIndex, IvfRecommender};
 use ca_mf::{MfModel, MfRecommender};
 use ca_recsys::{
-    auto_batch_top_k, BlackBoxRecommender, DatasetBuilder, EmbeddingEngine, ItemId, RetrievalMode,
-    ScoringEngine, UserId,
+    batch_top_k, BlackBoxRecommender, Dataset, DatasetBuilder, EmbeddingEngine, ItemId,
+    RetrievalMode, ScoringEngine, UserId,
 };
 use ca_tensor::{ops, Matrix};
 use proptest::prelude::*;
@@ -17,10 +17,12 @@ use rand::{Rng, SeedableRng};
 
 /// Planted-mixture engine: items and queries scatter around shared topic
 /// centroids, so the catalog is genuinely clusterable and the recall
-/// floor is a property of the index, not of luck.
+/// floor is a property of the index, not of luck. User `u` has seen the
+/// items `v ≡ u (mod 13)`.
 struct PlantedEngine {
     users: Matrix,
     items: Matrix,
+    seen: Dataset,
 }
 
 impl PlantedEngine {
@@ -33,7 +35,13 @@ impl PlantedEngine {
         };
         let items = draw(n_items, &mut rng);
         let users = draw(n_users, &mut rng);
-        PlantedEngine { users, items }
+        let mut seen = DatasetBuilder::new(n_items);
+        for u in 0..n_users as u32 {
+            let run: Vec<ItemId> =
+                (0..n_items as u32).filter(|v| v % 13 == u % 13).map(ItemId).collect();
+            seen.user(&run);
+        }
+        PlantedEngine { users, items, seen: seen.build() }
     }
 }
 
@@ -50,8 +58,8 @@ impl ScoringEngine for PlantedEngine {
         }
     }
 
-    fn is_seen(&self, user: UserId, item: ItemId) -> bool {
-        item.0 % 13 == user.0 % 13
+    fn seen(&self, user: UserId) -> &[ItemId] {
+        self.seen.sorted_profile(user)
     }
 }
 
@@ -106,7 +114,7 @@ proptest! {
         let rec = mf_recommender(40, 12, seed);
         let index = IvfIndex::build(&rec, &IvfConfig::new(nlist, nlist));
         let users: Vec<UserId> = (0..12u32).map(UserId).collect();
-        let exact = auto_batch_top_k(&rec, &users, k);
+        let exact = batch_top_k(&rec, &users, k);
         let probed = index.batch_top_k(&rec, &users, k, nlist);
         prop_assert_eq!(&exact, &probed);
     }
@@ -121,7 +129,7 @@ proptest! {
         let rec = mf_recommender(30, 10, seed);
         let index = IvfIndex::build(&rec, &IvfConfig::new(4, 2));
         let users: Vec<UserId> = (0..10u32).map(UserId).collect();
-        let oracle = auto_batch_top_k(&rec, &users, k);
+        let oracle = batch_top_k(&rec, &users, k);
         let exact_mode =
             retrieve_batch_top_k(&rec, Some(&index), &users, k, RetrievalMode::Exact);
         let no_index = retrieve_batch_top_k(
@@ -169,7 +177,7 @@ proptest! {
         prop_assert_eq!(&wrapped.top_k_batch(&users, k), &direct);
         for &u in &users {
             for v in wrapped.top_k(u, k) {
-                prop_assert!(!rec.is_seen(u, v), "seen item {v} served to {u}");
+                prop_assert!(!rec.data().contains(u, v), "seen item {v} served to {u}");
             }
         }
     }

@@ -2,15 +2,17 @@
 //! `top_k_batch` must equal per-user `top_k` element-for-element — same
 //! items, same order — including tie-heavy score distributions, so the
 //! batched reward rounds in the attack loop are observationally identical
-//! to sequential querying.
+//! to sequential querying. The ranking kernel itself is checked against
+//! an independent oracle (a full sort of the unseen cells), and every
+//! engine's seen run against the dataset it serves.
 
 use ca_gnn::{GnnConfig, PinSageModel, PinSageRecommender};
 use ca_mf::{MfModel, MfRecommender};
 use ca_ncf::{NcfConfig, NcfModel, NcfRecommender};
 use ca_recsys::knn::ItemKnnRecommender;
 use ca_recsys::{
-    BlackBoxRecommender, DatasetBuilder, FallibleBlackBox, FaultConfig, FaultyRecommender, ItemId,
-    PopularityRecommender, RateLimit, UserId,
+    top_k_from_scores, BlackBoxRecommender, Dataset, DatasetBuilder, FallibleBlackBox, FaultConfig,
+    FaultyRecommender, ItemId, PopularityRecommender, RateLimit, ScoringEngine, UserId,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -18,7 +20,7 @@ use rand::SeedableRng;
 
 /// Builds a dataset over `n_items` from raw profiles (ids taken mod the
 /// catalog; `DatasetBuilder` dedups).
-fn dataset(n_items: usize, profiles: &[Vec<u32>]) -> ca_recsys::Dataset {
+fn dataset(n_items: usize, profiles: &[Vec<u32>]) -> Dataset {
     let mut b = DatasetBuilder::new(n_items);
     for p in profiles {
         let items: Vec<ItemId> = p.iter().map(|&v| ItemId(v % n_items as u32)).collect();
@@ -42,6 +44,103 @@ fn assert_batch_parity<R: BlackBoxRecommender>(rec: &R, n_users: usize, k: usize
 /// users → heavy score ties in every model.
 fn tie_heavy_profiles() -> impl Strategy<Value = Vec<Vec<u32>>> {
     prop::collection::vec(prop::collection::vec(0u32..4, 1..4), 2..10)
+}
+
+/// The handful of scores the kernel oracle draws from: both zeros (equal
+/// as raw `f32`, ordered by `total_cmp`), both infinities, and a few
+/// finite values, so most cells tie with many others.
+const PALETTE: [f32; 8] = [f32::NEG_INFINITY, -2.5, -1.0, -0.0, 0.0, 1.0, 3.0, f32::INFINITY];
+
+/// The kernel's specification, computed independently: every unseen cell
+/// sorted by score (descending, `total_cmp`), then id (ascending), cut to
+/// the first `k`.
+fn full_sort_top_k(scores: &[f32], seen: &[bool], k: usize) -> Vec<ItemId> {
+    let mut unseen: Vec<(f32, u32)> =
+        (0..scores.len()).filter(|&v| !seen[v]).map(|v| (scores[v], v as u32)).collect();
+    unseen.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
+    unseen.into_iter().take(k).map(|(_, v)| ItemId(v)).collect()
+}
+
+/// Asserts every user's `seen` run is strictly ascending and holds exactly
+/// the items the dataset says the user interacted with.
+fn assert_seen_runs<R: ScoringEngine>(rec: &R, data: &Dataset) {
+    for u in data.users() {
+        let seen = rec.seen(u);
+        assert!(seen.windows(2).all(|w| w[0] < w[1]), "seen run of {u} is not ascending");
+        let expected: Vec<ItemId> = data.items().filter(|&v| data.contains(u, v)).collect();
+        assert_eq!(seen, &expected[..], "seen run of {u}");
+    }
+}
+
+/// Injects profiles with duplicates, unsorted ids and the whole catalog,
+/// then checks the seen runs of base and injected users alike.
+fn assert_seen_runs_after_injection<R: BlackBoxRecommender + ScoringEngine>(
+    mut rec: R,
+    data: fn(&R) -> &Dataset,
+) {
+    let n = rec.catalog_len() as u32;
+    assert_seen_runs(&rec, data(&rec));
+    let base_users = data(&rec).n_users();
+    rec.inject_user(&[ItemId(n - 1), ItemId(2), ItemId(n - 1), ItemId(0)]);
+    rec.inject_user(&(0..n).rev().map(ItemId).collect::<Vec<_>>());
+    assert_eq!(data(&rec).n_users(), base_users + 2);
+    assert_seen_runs(&rec, data(&rec));
+}
+
+#[test]
+fn every_engine_hands_out_the_datasets_seen_runs() {
+    let profiles = vec![vec![3, 1, 3], vec![0, 7, 2, 9], vec![11], vec![5, 4, 6, 5]];
+    let data = dataset(12, &profiles);
+    let mut rng = StdRng::seed_from_u64(3);
+    let mf = MfModel::new(&mut rng, data.n_users(), data.n_items(), 4);
+    assert_seen_runs_after_injection(MfRecommender::deploy(mf, data.clone()), MfRecommender::data);
+    let ncf = NcfModel::new(data.n_users(), data.n_items(), NcfConfig::default());
+    assert_seen_runs_after_injection(
+        NcfRecommender::deploy(ncf, data.clone(), 100, 1),
+        NcfRecommender::data,
+    );
+    let gnn = PinSageModel::with_random_features(12, GnnConfig::default());
+    assert_seen_runs_after_injection(
+        PinSageRecommender::deploy(gnn, data.clone()),
+        PinSageRecommender::data,
+    );
+    assert_seen_runs_after_injection(
+        ItemKnnRecommender::deploy(data.clone()),
+        ItemKnnRecommender::data,
+    );
+    assert_seen_runs_after_injection(
+        PopularityRecommender::deploy(data),
+        PopularityRecommender::data,
+    );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The ranking kernel against the full-sort oracle. Rows reach about
+    /// 2,000 cells, several times the kernel's candidate buffer, so the
+    /// running-bar filter and the buffer cut-backs both run on tie-heavy
+    /// rows; a cell is seen when its draw falls below `density`, so seen
+    /// runs range from empty (0) to the whole row (8).
+    #[test]
+    fn kernel_matches_a_full_sort_of_the_unseen_cells(
+        cells in prop::collection::vec((0usize..PALETTE.len(), 0u32..8), 1..2_000),
+        density in 0u32..9,
+        k in 1usize..64,
+    ) {
+        let scores: Vec<f32> = cells.iter().map(|&(p, _)| PALETTE[p]).collect();
+        let mask: Vec<bool> = cells.iter().map(|&(_, d)| d < density).collect();
+        let seen: Vec<ItemId> =
+            (0..cells.len() as u32).filter(|&v| mask[v as usize]).map(ItemId).collect();
+        let unseen = cells.len() - seen.len();
+        for k in [0, 1, k, 16 * k, unseen, unseen + 1] {
+            prop_assert_eq!(
+                top_k_from_scores(&scores, k, &seen),
+                full_sort_top_k(&scores, &mask, k),
+                "k={} over {} cells, {} seen", k, cells.len(), seen.len()
+            );
+        }
+    }
 }
 
 proptest! {

@@ -98,9 +98,9 @@ pub enum Rule {
     IterationOrder,
     /// A raw `.top_k(`/`.top_k_batch(` ranking call in a function the
     /// attack side can reach without crossing the metered surface
-    /// (`MeteredRecommender`/`FaultyRecommender`/recommender-trait impls/
-    /// engine internals): it spends platform queries the black-box budget
-    /// never sees (call-graph reachability checked).
+    /// (`FaultyRecommender`/recommender-trait impls/engine internals): it
+    /// spends platform queries the black-box budget never sees (call-graph
+    /// reachability checked).
     UnmeteredQuery,
     /// A `ca-audit: allow` pragma with no reason after the rule list.
     PragmaMissingReason,
@@ -216,8 +216,8 @@ impl Rule {
             }
             Rule::AdHocRng => "thread a seeded StdRng (or derive one via ca_par::split_seed)",
             Rule::RawThread => {
-                "route through ca_par::{map, map_mut} so the CA_THREADS knob governs every \
-                 parallel stage"
+                "route through ca_par::map so the CA_THREADS knob governs every parallel \
+                 stage"
             }
             Rule::EnvInjection => {
                 "inject through AttackEnvironment::inject/try_inject so every crafted \
@@ -940,7 +940,7 @@ const SURFACE_TRAITS: [&str; 4] =
     ["BlackBoxRecommender", "FallibleBlackBox", "ScoringEngine", "EmbeddingEngine"];
 
 /// Types whose inherent methods are the metered surface.
-const SURFACE_TYPES: [&str; 2] = ["MeteredRecommender", "FaultyRecommender"];
+const SURFACE_TYPES: [&str; 1] = ["FaultyRecommender"];
 
 /// Path prefixes that are platform/engine internals (they implement
 /// ranking; the budget meters *access to* them, not their insides).

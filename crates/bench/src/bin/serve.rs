@@ -10,9 +10,9 @@
 //!
 //! Before timing, the qps stage asserts the crash-free shard-count
 //! invariance contract: every shard count must replay to the same digest
-//! and serve the same lists. As with the offline bench, speedups are
-//! reported as measured — on a single-core container the wide column
-//! shows ~1.0×, which is the honest number for that machine.
+//! and serve the same lists. Speedups are reported as measured — on a
+//! single-core container the wide column shows ~1.0×, which is the honest
+//! number for that machine.
 //!
 //! Emits `results/BENCH_serve.json`.
 

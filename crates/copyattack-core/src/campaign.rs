@@ -169,35 +169,10 @@ impl Campaign {
         }
     }
 
-    /// Trains for `cfg.episodes` episodes, rotating through the target set
-    /// round-robin. `make_env` receives the *source-domain* target id of
-    /// the episode and must produce an environment attacking that item.
-    /// Returns the learning curve (final reward per episode).
-    ///
-    /// This is the reliable-platform entry point: it always starts from
-    /// episode 0 and runs to completion. Use
-    /// [`Campaign::train_resilient`] against a platform that can fail.
-    pub fn train<R: FallibleBlackBox>(
-        &mut self,
-        src: &SourceDomain<'_>,
-        mut make_env: impl FnMut(ItemId) -> AttackEnvironment<R>,
-    ) -> Vec<f32> {
-        let episodes = self.agent.config().episodes;
-        let mut curve = Vec::with_capacity(episodes);
-        for e in 0..episodes {
-            let t = self.targets[e % self.targets.len()];
-            self.agent.retarget(src, t);
-            let mut env = make_env(t);
-            let outcome = self.agent.train_one_episode(src, &mut env);
-            curve.push(outcome.final_reward);
-        }
-        self.completed_episodes = episodes;
-        self.curve = curve.clone();
-        curve
-    }
-
     /// Trains the remaining episodes (from [`Campaign::episodes_completed`]
-    /// up to `cfg.episodes`) against a possibly-failing platform.
+    /// up to `cfg.episodes`), rotating through the target set round-robin.
+    /// `make_env` receives the *source-domain* target id of the episode and
+    /// must produce an environment attacking that item.
     ///
     /// Per-call faults are absorbed inside each episode (retries, partial
     /// rewards, account re-establishment — see
@@ -326,7 +301,11 @@ mod tests {
         let src = SourceDomain { data: &ds, mf: &mf, to_target: &map };
         let targets = vec![ItemId(3), ItemId(5)];
         let mut campaign = Campaign::new(cfg(), CopyAttackVariant::no_crafting(), &src, targets);
-        let curve = campaign.train(&src, |t| bandit_env(&map, t));
+        let CampaignRun::Completed { curve } =
+            campaign.train_resilient(&src, |t| bandit_env(&map, t))
+        else {
+            panic!("reliable platform cannot interrupt");
+        };
         assert_eq!(curve.len(), 30);
         // Every executed selection must respect the *current* target's mask.
         for &t in &[ItemId(3), ItemId(5)] {
@@ -350,7 +329,10 @@ mod tests {
             &src,
             vec![ItemId(3), ItemId(5)],
         );
-        campaign.train(&src, |t| bandit_env(&map, t));
+        let CampaignRun::Completed { .. } = campaign.train_resilient(&src, |t| bandit_env(&map, t))
+        else {
+            panic!("reliable platform cannot interrupt");
+        };
         let unseen = ItemId(7);
         let mut env = bandit_env(&map, unseen);
         let o = campaign.execute_on(&src, unseen, &mut env);

@@ -461,23 +461,6 @@ pub fn establish_pretend_users<R: ca_recsys::BlackBoxRecommender>(
         .collect()
 }
 
-/// Fallible pretend-user establishment against an unreliable platform:
-/// each account creation is retried per `resilience`; an account that
-/// still cannot be created fails the whole establishment (the attack
-/// cannot start without its observation posts).
-pub fn try_establish_pretend_users<B: FallibleBlackBox>(
-    rec: &mut B,
-    profiles: &[Vec<ItemId>],
-    resilience: &ResilienceConfig,
-    rng: &mut SplitMix64,
-) -> Result<Vec<UserId>, RecError> {
-    let mut ids = Vec::with_capacity(profiles.len());
-    for p in profiles {
-        ids.push(resilience.retry.run(rec, rng, |r| r.try_inject_user(p))?);
-    }
-    Ok(ids)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

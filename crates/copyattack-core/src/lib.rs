@@ -36,7 +36,6 @@ pub mod campaign;
 pub mod config;
 pub mod crafting;
 pub mod env;
-pub mod parallel;
 pub mod reinforce;
 pub mod retry;
 pub mod selection;
@@ -47,6 +46,5 @@ pub use attack::{AttackOutcome, CopyAttackAgent, CopyAttackVariant};
 pub use campaign::{Campaign, CampaignCheckpoint, CampaignRun};
 pub use config::{AttackConfig, AttackGoal};
 pub use env::{AttackEnvironment, RewardSample};
-pub use parallel::{ParallelCampaign, ParallelCampaignCheckpoint, ParallelCampaignRun};
 pub use retry::{ResilienceConfig, RetryPolicy};
 pub use source::SourceDomain;

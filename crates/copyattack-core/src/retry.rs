@@ -107,24 +107,9 @@ impl RetryPolicy {
         rng: &mut SplitMix64,
         mut call: impl FnMut(&mut B) -> Result<T, RecError>,
     ) -> Result<T, RecError> {
-        let mut attempt = 0u32;
-        let mut waited = 0u64;
-        loop {
-            match call(platform) {
-                Ok(v) => return Ok(v),
-                Err(e) if e.is_retryable() && attempt < self.max_retries => {
-                    let delay = self.delay_for(attempt, &e, rng);
-                    match waited.checked_add(delay).filter(|&w| w <= self.max_total_wait) {
-                        // Budget exhausted: degrade to the typed failure
-                        // instead of waiting out a dead shard.
-                        None => return Err(e),
-                        Some(w) => waited = w,
-                    }
-                    platform.wait(delay);
-                    attempt += 1;
-                }
-                Err(e) => return Err(e),
-            }
+        match call(platform) {
+            Ok(v) => Ok(v),
+            Err(e) => self.run_after(e, platform, rng, call),
         }
     }
 
@@ -132,8 +117,9 @@ impl RetryPolicy {
     /// happened elsewhere and failed with `err` — the batched-query case,
     /// where the initial attempt for every user went out in one
     /// `try_top_k_batch` and only the failed entries fall back to per-user
-    /// retries. Waits, calls, and metered attempts are identical to
-    /// [`RetryPolicy::run`] observing the same first failure.
+    /// retries. [`RetryPolicy::run`] makes its first attempt and hands any
+    /// failure here, so both spend the same waits, calls, and metered
+    /// attempts after the same first failure.
     pub fn run_after<B: FallibleBlackBox, T>(
         &self,
         first_err: RecError,
@@ -150,6 +136,8 @@ impl RetryPolicy {
             }
             let delay = self.delay_for(attempt, &err, rng);
             match waited.checked_add(delay).filter(|&w| w <= self.max_total_wait) {
+                // Budget exhausted: degrade to the typed failure instead
+                // of waiting out a dead shard.
                 None => return Err(err),
                 Some(w) => waited = w,
             }

@@ -5,8 +5,8 @@
 //! identical at any thread count**. That holds because nothing here lets
 //! scheduling order leak into results:
 //!
-//! - [`map`] / [`map_mut`] return outputs in input order — each slot is the
-//!   pure function of its input, so which worker computed it is invisible;
+//! - [`map`] returns outputs in input order — each slot is the pure
+//!   function of its input, so which worker computed it is invisible;
 //!   a caller that reduces the outputs folds them serially, in that order;
 //! - [`SeedSplit`] derives statistically independent RNG seeds from a
 //!   parent seed and a *stable task index* (SplitMix64-style mixing), so a
@@ -109,7 +109,7 @@ pub fn split_seed(parent: u64, index: u64) -> u64 {
 /// at most one, covering `0..n` in order.
 ///
 /// This is the blessed grid for callers that hand one chunk to each worker
-/// (e.g. the scoring engine's user-batch split): a naive
+/// (e.g. IVF's user-batch split in `batch_top_k`): a naive
 /// `chunks(n.div_ceil(parts))` split can produce *fewer* chunks than
 /// requested (9 users at 4 threads → ⌈9/4⌉ = 3 chunks of 3), silently
 /// idling workers. Because the grid depends only on `n` and `parts` —
@@ -158,38 +158,6 @@ pub fn map<T: Sync, R: Send>(items: &[T], f: impl Fn(usize, &T) -> R + Sync) -> 
     parts.sort_unstable_by_key(|&(start, _)| start);
     debug_assert_eq!(parts.iter().map(|(_, p)| p.len()).sum::<usize>(), n);
     parts.into_iter().flat_map(|(_, p)| p).collect()
-}
-
-/// Deterministic parallel map over mutable slots: `out[i] = f(i, &mut
-/// items[i])`. Each item is visited exactly once by exactly one worker
-/// (contiguous chunk split), so `f` may mutate its item freely; outputs
-/// come back in input order.
-pub fn map_mut<T: Send, R: Send>(items: &mut [T], f: impl Fn(usize, &mut T) -> R + Sync) -> Vec<R> {
-    let n = items.len();
-    let t = threads().min(n);
-    if t <= 1 {
-        return items.iter_mut().enumerate().map(|(i, x)| f(i, x)).collect();
-    }
-    let chunk = n.div_ceil(t);
-    let mut out: Vec<Vec<R>> = Vec::with_capacity(t);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = items
-            .chunks_mut(chunk)
-            .enumerate()
-            .map(|(c, slice)| {
-                let f = &f;
-                scope.spawn(move || {
-                    slice
-                        .iter_mut()
-                        .enumerate()
-                        .map(|(j, x)| f(c * chunk + j, x))
-                        .collect::<Vec<R>>()
-                })
-            })
-            .collect();
-        out.extend(handles.into_iter().map(|h| h.join().expect("ca-par map_mut worker panicked")));
-    });
-    out.into_iter().flatten().collect()
 }
 
 #[cfg(test)]
@@ -250,20 +218,6 @@ mod tests {
         let empty: Vec<u32> = Vec::new();
         assert!(map(&empty, |_, &x| x).is_empty());
         assert_eq!(map(&[7u32], |i, &x| x + i as u32), vec![7]);
-    }
-
-    #[test]
-    fn map_mut_touches_every_slot_once() {
-        let out = at_thread_counts(|| {
-            let mut items: Vec<u32> = (0..100).collect();
-            let r = map_mut(&mut items, |i, x| {
-                *x += 1;
-                *x as usize + i
-            });
-            (items, r)
-        });
-        assert_eq!(out.0, (1..=100).collect::<Vec<u32>>());
-        assert!(out.1.iter().enumerate().all(|(i, &v)| v == 2 * i + 1));
     }
 
     #[test]

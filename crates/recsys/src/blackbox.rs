@@ -24,7 +24,6 @@
 
 use crate::faults::RecError;
 use crate::ids::{ItemId, UserId};
-use std::cell::Cell;
 
 /// Query-and-inject interface to a deployed recommender.
 pub trait BlackBoxRecommender {
@@ -122,86 +121,15 @@ impl<T: BlackBoxRecommender> FallibleBlackBox for T {
     }
 }
 
-/// Counts queries and injections so experiments can report attacker cost.
+/// Attempt-level metering for the attack surface.
 ///
-/// Wrap any recommender to enforce/observe the paper's limited-resource
-/// setting ("limited number of queries (or interactions) allowed to the
-/// target recommender system").
-pub struct MeteredRecommender<R> {
-    inner: R,
-    // `top_k` takes `&self`, so the query counter lives in a `Cell`:
-    // every path through the trait is metered, including read-only ones.
-    queries: Cell<u64>,
-    injections: u64,
-}
-
-impl<R> MeteredRecommender<R> {
-    /// Wraps `inner` with zeroed counters.
-    pub fn new(inner: R) -> Self {
-        Self { inner, queries: Cell::new(0), injections: 0 }
-    }
-
-    /// Top-k queries issued so far.
-    pub fn queries(&self) -> u64 {
-        self.queries.get()
-    }
-
-    /// Profiles injected so far.
-    pub fn injections(&self) -> u64 {
-        self.injections
-    }
-
-    /// Unwraps the inner recommender.
-    pub fn into_inner(self) -> R {
-        self.inner
-    }
-
-    /// Shared reference to the inner recommender (for owner-side evaluation
-    /// after the attack, not part of the attacker surface).
-    pub fn inner(&self) -> &R {
-        &self.inner
-    }
-}
-
-impl<R: BlackBoxRecommender> BlackBoxRecommender for MeteredRecommender<R> {
-    fn top_k(&self, user: UserId, k: usize) -> Vec<ItemId> {
-        self.queries.set(self.queries.get() + 1);
-        self.inner.top_k(user, k)
-    }
-
-    // ca-audit: allow(nested-vec) — k-sized per-query batch result, not dataset-scale state
-    fn top_k_batch(&self, users: &[UserId], k: usize) -> Vec<Vec<ItemId>> {
-        // A batch is users.len() queries, not one: batching is an execution
-        // detail and must not discount attacker cost.
-        self.queries.set(self.queries.get() + users.len() as u64);
-        self.inner.top_k_batch(users, k)
-    }
-
-    fn inject_user(&mut self, profile: &[ItemId]) -> UserId {
-        self.injections += 1;
-        self.inner.inject_user(profile)
-    }
-
-    fn catalog_size(&self) -> usize {
-        self.inner.catalog_size()
-    }
-}
-
-impl<R: BlackBoxRecommender> MeteredRecommender<R> {
-    /// Top-k query through `&mut self`. Kept for callers predating the
-    /// interior-mutability counter; identical to [`BlackBoxRecommender::top_k`],
-    /// which now meters every path.
-    pub fn top_k_counted(&mut self, user: UserId, k: usize) -> Vec<ItemId> {
-        BlackBoxRecommender::top_k(self, user, k)
-    }
-}
-
-/// Attempt-level metering for the fallible surface.
-///
-/// Unlike [`MeteredRecommender`], this wrapper counts *attempts*: a query
-/// that fails and is retried three times costs four metered queries — the
-/// honest accounting of attacker cost against a flaky platform, where every
-/// network call spends budget whether or not it succeeds.
+/// Counts queries and injections so experiments can report attacker cost
+/// (the paper's "limited number of queries (or interactions)"). It counts
+/// *attempts*: a query that fails and is retried three times costs four
+/// metered queries — the honest accounting of attacker cost against a
+/// flaky platform, where every network call spends budget whether or not
+/// it succeeds. A batch costs one query per user. Infallible recommenders
+/// are metered through the blanket [`FallibleBlackBox`] impl.
 pub struct MeteredFallible<R> {
     inner: R,
     query_attempts: u64,
@@ -323,55 +251,6 @@ mod tests {
     }
 
     #[test]
-    fn metered_counts_injections_and_queries() {
-        let mut m = MeteredRecommender::new(Newest { n_items: 10, n_users: 0 });
-        assert_eq!(m.queries(), 0);
-        let _ = m.top_k_counted(UserId(0), 3);
-        let _ = m.top_k_counted(UserId(0), 3);
-        let _ = m.inject_user(&[ItemId(1)]);
-        assert_eq!(m.queries(), 2);
-        assert_eq!(m.injections(), 1);
-        assert_eq!(BlackBoxRecommender::catalog_size(&m), 10);
-    }
-
-    /// Regression test: the `&self` trait passthrough used to skip the
-    /// query counter, silently underreporting attacker cost.
-    #[test]
-    fn shared_reference_top_k_is_metered() {
-        let m = MeteredRecommender::new(Newest { n_items: 10, n_users: 0 });
-        let _ = m.top_k(UserId(0), 3);
-        let _ = m.top_k(UserId(1), 5);
-        assert_eq!(m.queries(), 2, "read-only top_k path must be metered");
-
-        // And generic code that only knows the trait is metered too.
-        fn query_thrice<R: BlackBoxRecommender>(r: &R) {
-            for _ in 0..3 {
-                let _ = r.top_k(UserId(0), 1);
-            }
-        }
-        query_thrice(&m);
-        assert_eq!(m.queries(), 5);
-    }
-
-    /// Regression test: `top_k_batch` must cost one query per user in the
-    /// batch, not one per call — otherwise the batched reward path would
-    /// silently discount attacker cost 50×.
-    #[test]
-    fn batched_top_k_is_metered_per_user() {
-        let m = MeteredRecommender::new(Newest { n_items: 10, n_users: 0 });
-        let lists = m.top_k_batch(&[UserId(0), UserId(1), UserId(2)], 4);
-        assert_eq!(lists.len(), 3);
-        assert_eq!(m.queries(), 3, "a 3-user batch is 3 queries");
-        let _ = m.top_k(UserId(0), 4);
-        let _ = m.top_k_batch(&[], 4);
-        assert_eq!(m.queries(), 4, "an empty batch costs nothing");
-        // The batch answers exactly what per-user queries would.
-        for (i, list) in lists.iter().enumerate() {
-            assert_eq!(*list, m.top_k(UserId(i as u32), 4));
-        }
-    }
-
-    #[test]
     fn fallible_batch_is_metered_per_user_with_failures() {
         /// Fails queries for odd user ids.
         struct OddDown;
@@ -412,13 +291,6 @@ mod tests {
         for (i, r) in fallible.into_iter().enumerate() {
             assert_eq!(r.expect("blanket impl never fails"), batch[i]);
         }
-    }
-
-    #[test]
-    fn top_k_respects_k() {
-        let m = MeteredRecommender::new(Newest { n_items: 10, n_users: 0 });
-        assert_eq!(m.top_k(UserId(0), 4).len(), 4);
-        assert_eq!(m.top_k(UserId(0), 4)[0], ItemId(9));
     }
 
     #[test]

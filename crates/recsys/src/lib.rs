@@ -38,7 +38,7 @@ pub mod metrics;
 pub mod popularity;
 pub mod split;
 
-pub use blackbox::{BlackBoxRecommender, FallibleBlackBox, MeteredFallible, MeteredRecommender};
+pub use blackbox::{BlackBoxRecommender, FallibleBlackBox, MeteredFallible};
 pub use dataset::{Dataset, DatasetBuilder};
 pub use engine::{
     batch_top_k, batch_top_k_with, select_top_k, single_top_k, top_k_from_scores,

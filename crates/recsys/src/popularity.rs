@@ -143,40 +143,6 @@ impl PopularityGroups {
     }
 }
 
-/// Samples `n` *unpopular* target items with fewer than `max_interactions`
-/// interactions — the paper's target-item selection ("randomly sample 50
-/// target items with less than 10 interactions", §5.1.3).
-///
-/// Returns fewer than `n` if the catalog does not contain enough such items.
-pub fn sample_cold_items(
-    ds: &Dataset,
-    n: usize,
-    max_interactions: usize,
-    rng: &mut impl Rng,
-) -> Vec<ItemId> {
-    let mut cold: Vec<ItemId> =
-        ds.items().filter(|&v| ds.item_popularity(v) < max_interactions).collect();
-    cold.shuffle(rng);
-    cold.truncate(n);
-    cold
-}
-
-/// Samples `n` *cold items that also appear in `overlap`* — CopyAttack can
-/// only attack items that exist in both domains (`v* ∈ V^A ∩ V^B`, §3).
-pub fn sample_cold_overlap_items(
-    ds: &Dataset,
-    overlap: &[ItemId],
-    n: usize,
-    max_interactions: usize,
-    rng: &mut impl Rng,
-) -> Vec<ItemId> {
-    let mut cold: Vec<ItemId> =
-        overlap.iter().copied().filter(|&v| ds.item_popularity(v) < max_interactions).collect();
-    cold.shuffle(rng);
-    cold.truncate(n);
-    cold
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -257,32 +223,6 @@ mod tests {
         for v in s {
             assert!(g.group(1).contains(&v));
         }
-    }
-
-    #[test]
-    fn cold_items_respect_threshold() {
-        let ds = graded();
-        let mut rng = StdRng::seed_from_u64(2);
-        let cold = sample_cold_items(&ds, 100, 3, &mut rng);
-        for v in &cold {
-            assert!(ds.item_popularity(*v) < 3);
-        }
-        // Items with popularity 0, 1, 2 → ids 9 (pop 1)? Actually pop of
-        // item v is v users: item 1 has 1, item 2 has 2. Items 0,1,2 qualify.
-        assert_eq!(cold.len(), 3);
-    }
-
-    #[test]
-    fn cold_overlap_restricts_to_overlap_set() {
-        let ds = graded();
-        let overlap = vec![ItemId(1), ItemId(5), ItemId(2)];
-        let mut rng = StdRng::seed_from_u64(3);
-        let cold = sample_cold_overlap_items(&ds, &overlap, 10, 3, &mut rng);
-        for v in &cold {
-            assert!(overlap.contains(v));
-            assert!(ds.item_popularity(*v) < 3);
-        }
-        assert_eq!(cold.len(), 2); // items 1 and 2
     }
 
     #[test]

@@ -98,9 +98,9 @@ pub enum Rule {
     IterationOrder,
     /// A raw `.top_k(`/`.top_k_batch(` ranking call in a function the
     /// attack side can reach without crossing the metered surface
-    /// (`FaultyRecommender`/recommender-trait impls/engine internals): it
-    /// spends platform queries the black-box budget never sees (call-graph
-    /// reachability checked).
+    /// (recommender-trait impls and the platform/engine crates `ca-recsys`,
+    /// `ca-ann` and `ca-serve`): it spends platform queries the black-box
+    /// budget never sees (call-graph reachability checked).
     UnmeteredQuery,
     /// A `ca-audit: allow` pragma with no reason after the rule list.
     PragmaMissingReason,
@@ -474,7 +474,7 @@ fn local_rules(rel_path: &str, toks: &[Tok], pragmas: &[Pragma]) -> Vec<Finding>
                 "thread" if in_service && path2(toks, i, &["thread"], &["sleep"]) => {
                     findings.push(Finding::new(rel_path, t.line, Rule::ServiceSleep));
                 }
-                "par" | "ca_par" if path2(toks, i, &[name], &["map", "map_min", "map_mut"]) => {
+                "par" | "ca_par" if path2(toks, i, &[name], &["map"]) => {
                     window_has_par_map = true;
                 }
                 // `Vec < Vec <` — a nested dataset-scale allocation.
@@ -939,9 +939,6 @@ fn skip_balanced_parens(file: &ParsedFile, open: usize, hi: usize) -> usize {
 const SURFACE_TRAITS: [&str; 4] =
     ["BlackBoxRecommender", "FallibleBlackBox", "ScoringEngine", "EmbeddingEngine"];
 
-/// Types whose inherent methods are the metered surface.
-const SURFACE_TYPES: [&str; 1] = ["FaultyRecommender"];
-
 /// Path prefixes that are platform/engine internals (they implement
 /// ranking; the budget meters *access to* them, not their insides).
 const SURFACE_PATHS: [&str; 3] = ["crates/recsys/src/", "crates/ann/src/", "crates/serve/src/"];
@@ -953,9 +950,6 @@ const ATTACK_PATHS: [&str; 2] = ["crates/copyattack-core/src/", "src/"];
 fn is_surface_fn(ws: &Workspace, r: FnRef) -> bool {
     let item = ws.item(r);
     if item.trait_name.as_deref().is_some_and(|t| SURFACE_TRAITS.contains(&t)) {
-        return true;
-    }
-    if item.self_type.as_deref().is_some_and(|t| SURFACE_TYPES.contains(&t)) {
         return true;
     }
     let path = &ws.file(r).path;

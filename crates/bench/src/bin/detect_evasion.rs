@@ -9,7 +9,7 @@
 //! cargo run --release -p copyattack-bench --bin detect_evasion -- --preset=small --items=5
 //! ```
 
-use copyattack::core::{CopyAttackAgent, CopyAttackVariant};
+use copyattack::core::AttackConfig;
 use copyattack::detect::features::PopularityIndex;
 use copyattack::detect::{detection_auc, extract_features, naive_fake_profiles, ZScoreDetector};
 use copyattack::pipeline::{Pipeline, PipelineConfig};
@@ -27,7 +27,6 @@ fn main() {
 
     eprintln!("building pipeline for preset {preset_name} ...");
     let pipe = Pipeline::build(&cfg);
-    let src = pipe.source_domain();
     let clean = &pipe.split.train;
 
     let pop = PopularityIndex::build(clean);
@@ -45,27 +44,17 @@ fn main() {
     let mut rows = Vec::new();
     let n_items = items.min(pipe.target_items.len());
     for &target in pipe.target_items.iter().take(n_items) {
-        let target_src = pipe.world.source_item(target).expect("overlap");
         let mut rng = StdRng::seed_from_u64(seed ^ target.0 as u64);
 
         let naive = naive_fake_profiles(clean, target, cfg.attack.config.budget, 20, &mut rng);
         let naive_scores: Vec<f32> =
             naive.iter().map(|p| detector.score(&extract_features(p, &pop, item_emb))).collect();
 
-        let run_variant = |variant: CopyAttackVariant| {
-            let mut agent = CopyAttackAgent::new(
-                copyattack::core::AttackConfig {
-                    seed: seed ^ target.0 as u64,
-                    ..cfg.attack.config.clone()
-                },
-                variant,
-                &src,
-                target_src,
-            );
-            agent.train(&src, || pipe.make_env(target));
-            let mut env = pipe.make_env(target);
-            let outcome = agent.execute(&src, &mut env);
-            let polluted = env.into_recommender();
+        let attack_cfg = AttackConfig { seed: seed ^ target.0 as u64, ..cfg.attack.config.clone() };
+        let run_variant = |key: &str| {
+            let (polluted, outcome) = pipe
+                .attack_with(key, target, &attack_cfg, &pipe.recommender, &pipe.pretend)
+                .expect("target items are attackable");
             let n_total = polluted.data().n_users();
             (n_total - outcome.injections..n_total)
                 .map(|u| {
@@ -77,8 +66,8 @@ fn main() {
                 })
                 .collect::<Vec<f32>>()
         };
-        let crafted_scores = run_variant(CopyAttackVariant::full());
-        let raw_scores = run_variant(CopyAttackVariant::no_crafting());
+        let crafted_scores = run_variant("CopyAttack");
+        let raw_scores = run_variant("CopyAttack-Length");
 
         let auc_naive = detection_auc(&genuine_scores, &naive_scores);
         let auc_crafted = detection_auc(&genuine_scores, &crafted_scores);

@@ -11,7 +11,7 @@
 //! | `RandomAttack`       | uniformly random source profiles ([`crate::baselines`]) |
 //! | `TargetAttack{40,70,100}` | carrier profiles clipped to 40/70/100%   |
 //! | `PolicyNetwork`      | flat policy gradient over all source users    |
-//! | `CopyAttack`         | [`crate::attack::CopyAttackAgent`]'s policy, full framework |
+//! | `CopyAttack`         | hierarchical selection + crafting ([`crate::attack`]), full framework |
 //! | `CopyAttack-Masking` | ablation without masking (or crafting)        |
 //! | `CopyAttack-Length`  | ablation without crafting                     |
 //! | `FakeProfile`        | synthesized profiles (Huang et al., arXiv:2101.02644) |

@@ -1,19 +1,21 @@
-//! The CopyAttack agent: selection + crafting with REINFORCE training (§4),
-//! including the CopyAttack−Masking and CopyAttack−Length ablations. The
+//! CopyAttack's decisions: selection + crafting with REINFORCE training
+//! (§4), including the CopyAttack−Masking and CopyAttack−Length ablations.
+//! The registry serves them under the keys `CopyAttack`,
+//! `CopyAttack-Masking` and `CopyAttack-Length` ([`crate::arena`]), and
+//! [`crate::campaign`] trains them across several targets. The
 //! injection/query loop is `env::run_episode`'s.
 
 use crate::arena::AttackError;
-use crate::config::AttackConfig;
+use crate::config::{AttackConfig, AttackGoal};
 use crate::crafting::{clip_around_target, CraftingPolicy, CraftingSample};
-use crate::env::{run_episode, AttackEnvironment, Proposal, Proposer, Step};
+use crate::env::{Proposal, Proposer, Step};
 use crate::reinforce::Baseline;
 use crate::selection::{HierarchicalPolicy, SelectionSample};
 use crate::source::SourceDomain;
 use ca_cluster::{ClusterTree, TreeMask};
 use ca_nn::GradClip;
-use ca_recsys::{FallibleBlackBox, ItemId, RecError, UserId};
+use ca_recsys::{ItemId, RecError, UserId};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 /// Which CopyAttack components are enabled (for the paper's ablations).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -81,19 +83,15 @@ pub struct AttackOutcome {
 /// target.
 fn build_mask(
     variant: CopyAttackVariant,
-    goal: crate::config::AttackGoal,
+    goal: AttackGoal,
     tree: &ClusterTree,
     src: &SourceDomain<'_>,
     target_src: ItemId,
 ) -> Result<TreeMask, AttackError> {
     let mask = if variant.masking {
         match goal {
-            crate::config::AttackGoal::Promote => {
-                TreeMask::for_predicate(tree, |u| src.has_item(u, target_src))
-            }
-            crate::config::AttackGoal::Demote => {
-                TreeMask::for_predicate(tree, |u| !src.has_item(u, target_src))
-            }
+            AttackGoal::Promote => TreeMask::for_predicate(tree, |u| src.has_item(u, target_src)),
+            AttackGoal::Demote => TreeMask::for_predicate(tree, |u| !src.has_item(u, target_src)),
         }
     } else {
         TreeMask::allow_all(tree)
@@ -104,23 +102,9 @@ fn build_mask(
     Ok(mask)
 }
 
-/// The CopyAttack agent for one target item.
-///
-/// `Clone` snapshots the complete mutable state — policy networks, RNN,
-/// crafting policy, baseline, mask, and RNG — which is what campaign
-/// checkpointing is built on: a cloned agent resumed later produces the
-/// exact same trajectory as the original would have.
-#[derive(Clone)]
-pub struct CopyAttackAgent {
-    cfg: AttackConfig,
-    proposer: CopyProposer,
-    rng: StdRng,
-    episode_rewards: Vec<f32>,
-}
-
 /// CopyAttack's decisions (§4.3–§4.4): hierarchical selection under the
 /// mask, then crafting around the target item. The episode itself is
-/// [`run_episode`]'s.
+/// `env::run_episode`'s.
 #[derive(Clone)]
 pub(crate) struct CopyProposer {
     variant: CopyAttackVariant,
@@ -149,6 +133,25 @@ impl CopyProposer {
         let mask = build_mask(variant, cfg.goal, policy.tree(), src, target_src)?;
         let baseline = Baseline::new(cfg.budget);
         Ok(Self { variant, policy, crafting, baseline, mask, target_src })
+    }
+
+    /// Switches to a new target item, rebuilding the mask while *keeping*
+    /// the trained policy networks, RNN, crafting policy, and baseline.
+    /// Because the state contains the target item's embedding `q_{v*}`, a
+    /// policy trained on several targets can generalize to items it never
+    /// attacked — see [`crate::campaign`].
+    ///
+    /// Fails (leaving the proposer on its previous target) when the new
+    /// target has no selectable user under the mask.
+    pub(crate) fn retarget(
+        &mut self,
+        goal: AttackGoal,
+        src: &SourceDomain<'_>,
+        target_src: ItemId,
+    ) -> Result<(), AttackError> {
+        self.mask = build_mask(self.variant, goal, self.policy.tree(), src, target_src)?;
+        self.target_src = target_src;
+        Ok(())
     }
 }
 
@@ -203,139 +206,25 @@ impl Proposer for CopyProposer {
     }
 }
 
-impl CopyAttackAgent {
-    /// Builds the agent: clustering tree over source-user MF embeddings,
-    /// per-node policy networks, crafting policy, and the target-item mask.
-    ///
-    /// Fails on an invalid config or when masking leaves no selectable
-    /// user (the target item must exist in the source domain).
-    pub fn try_new(
-        cfg: AttackConfig,
-        variant: CopyAttackVariant,
-        src: &SourceDomain<'_>,
-        target_src: ItemId,
-    ) -> Result<Self, AttackError> {
-        cfg.validate().map_err(AttackError::InvalidConfig)?;
-        let mut rng = StdRng::seed_from_u64(cfg.seed);
-        let proposer = CopyProposer::new(&cfg, variant, src, target_src, &mut rng)?;
-        Ok(Self { cfg, proposer, rng, episode_rewards: Vec::new() })
-    }
-
-    /// Panicking wrapper over [`CopyAttackAgent::try_new`] for contexts
-    /// where an invalid setup is a programming error.
-    ///
-    /// # Panics
-    /// Panics on an invalid config or when masking leaves no selectable
-    /// user (the target item must exist in the source domain).
-    pub fn new(
-        cfg: AttackConfig,
-        variant: CopyAttackVariant,
-        src: &SourceDomain<'_>,
-        target_src: ItemId,
-    ) -> Self {
-        Self::try_new(cfg, variant, src, target_src).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// The clustering tree (for inspection).
-    pub fn tree(&self) -> &ClusterTree {
-        self.proposer.policy.tree()
-    }
-
-    /// The source-domain id of the item currently under attack.
-    pub fn target(&self) -> ItemId {
-        self.proposer.target_src
-    }
-
-    /// Switches the agent to a new target item, rebuilding the mask while
-    /// *keeping* the trained policy networks, RNN, crafting policy, and
-    /// baseline. Because the state contains the target item's embedding
-    /// `q_{v*}`, a policy trained on several targets can generalize to
-    /// items it never attacked — see [`crate::campaign`].
-    ///
-    /// Fails (leaving the agent on its previous target) when the new
-    /// target has no selectable user under the mask.
-    pub fn try_retarget(
-        &mut self,
-        src: &SourceDomain<'_>,
-        target_src: ItemId,
-    ) -> Result<(), AttackError> {
-        let p = &mut self.proposer;
-        p.mask = build_mask(p.variant, self.cfg.goal, p.policy.tree(), src, target_src)?;
-        p.target_src = target_src;
-        Ok(())
-    }
-
-    /// Panicking wrapper over [`CopyAttackAgent::try_retarget`].
-    ///
-    /// # Panics
-    /// Panics when the new target has no selectable user under the mask.
-    pub fn retarget(&mut self, src: &SourceDomain<'_>, target_src: ItemId) {
-        self.try_retarget(src, target_src).unwrap_or_else(|e| panic!("{e}"));
-    }
-
-    /// Final rewards of every training episode so far.
-    pub fn episode_rewards(&self) -> &[f32] {
-        &self.episode_rewards
-    }
-
-    /// The agent's configuration.
-    pub fn config(&self) -> &AttackConfig {
-        &self.cfg
-    }
-
-    /// Runs a single *learning* episode against `env` (used by
-    /// [`crate::campaign::Campaign`] to interleave targets).
-    pub fn train_one_episode<R: FallibleBlackBox>(
-        &mut self,
-        src: &SourceDomain<'_>,
-        env: &mut AttackEnvironment<R>,
-    ) -> AttackOutcome {
-        let outcome = run_episode(env, src, &self.cfg, &mut self.proposer, &mut self.rng, true);
-        self.episode_rewards.push(outcome.final_reward);
-        outcome
-    }
-
-    /// Trains for `cfg.episodes` episodes, each against a fresh environment
-    /// produced by `make_env` (a clone of the clean target system). Returns
-    /// the per-episode final rewards (the learning curve).
-    pub fn train<R: FallibleBlackBox>(
-        &mut self,
-        src: &SourceDomain<'_>,
-        mut make_env: impl FnMut() -> AttackEnvironment<R>,
-    ) -> Vec<f32> {
-        (0..self.cfg.episodes)
-            .map(|_| self.train_one_episode(src, &mut make_env()).final_reward)
-            .collect()
-    }
-
-    /// Runs one attack episode with the current policy, updating nothing.
-    /// Use after [`CopyAttackAgent::train`] for the evaluation run whose
-    /// polluted system is measured.
-    pub fn execute<R: FallibleBlackBox>(
-        &mut self,
-        src: &SourceDomain<'_>,
-        env: &mut AttackEnvironment<R>,
-    ) -> AttackOutcome {
-        run_episode(env, src, &self.cfg, &mut self.proposer, &mut self.rng, false)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arena::AttackRegistry;
+    use crate::campaign::{Campaign, CampaignRun};
+    use crate::env::AttackEnvironment;
     use ca_mf::BprConfig;
     use ca_recsys::{BlackBoxRecommender, Dataset, DatasetBuilder};
+    use rand::SeedableRng;
 
     /// A contrived target platform where the reward is fully determined by
     /// *which* users are copied: the item enters the pretend users' Top-k
-    /// once at least 3 injected profiles came from "good" source users
-    /// (ids 0..10). This isolates the RL loop from the recommender.
+    /// once at least `threshold` injected profiles came from "good" source
+    /// users (ids 0..10). This isolates the RL loop from the recommender.
     struct CountingRec {
         good_injections: usize,
         n_users: usize,
         target: ItemId,
         threshold: usize,
-        goodness: Vec<bool>, // per injected profile, decided by its length marker
     }
 
     impl BlackBoxRecommender for CountingRec {
@@ -351,7 +240,6 @@ mod tests {
             if profile.contains(&ItemId(777)) {
                 self.good_injections += 1;
             }
-            self.goodness.push(profile.contains(&ItemId(777)));
             let id = UserId(self.n_users as u32);
             self.n_users += 1;
             id
@@ -359,6 +247,33 @@ mod tests {
         fn catalog_size(&self) -> usize {
             10_000
         }
+    }
+
+    /// A fresh bandit episode: one pretend user, target item 57 (source
+    /// item 5), reward at k = 5, budget 6.
+    fn bandit_env(threshold: usize) -> AttackEnvironment<CountingRec> {
+        AttackEnvironment::new(
+            CountingRec { good_injections: 0, n_users: 0, target: ItemId(57), threshold },
+            vec![UserId(0)],
+            ItemId(57),
+            5,
+            6,
+        )
+    }
+
+    /// One untrained evaluation episode of the registry key `name` against
+    /// source item 5 on a fresh bandit.
+    fn execute(
+        name: &str,
+        cfg: &AttackConfig,
+        src: &SourceDomain<'_>,
+        threshold: usize,
+    ) -> AttackOutcome {
+        let registry = AttackRegistry::<CountingRec>::with_builtins();
+        let mut attack = registry.build(name, cfg, src, ItemId(5)).unwrap();
+        // A learned attack draws from its own stream, never this one.
+        let mut unused = StdRng::seed_from_u64(0);
+        attack.run(&mut bandit_env(threshold), src, ItemId(5), &mut unused)
     }
 
     /// Source domain: 30 users; users 0..10 ("good") have profiles
@@ -398,22 +313,7 @@ mod tests {
         let (ds, map) = source_world();
         let mf = ca_mf::train(&ds, &BprConfig { max_epochs: 3, ..Default::default() });
         let src = SourceDomain { data: &ds, mf: &mf, to_target: &map };
-        let mut agent =
-            CopyAttackAgent::new(quick_cfg(), CopyAttackVariant::full(), &src, ItemId(5));
-        let mut env = AttackEnvironment::new(
-            CountingRec {
-                good_injections: 0,
-                n_users: 0,
-                target: ItemId(57),
-                threshold: 3,
-                goodness: vec![],
-            },
-            vec![UserId(0)],
-            ItemId(57),
-            5,
-            6,
-        );
-        let outcome = agent.execute(&src, &mut env);
+        let outcome = execute("CopyAttack", &quick_cfg(), &src, 3);
         // The masking property: every selected user's profile contains the
         // target item. (Note u15 also carries item 5 through its filler
         // item `(15·7) mod 20`, so "good" marker users are a strict subset
@@ -428,17 +328,7 @@ mod tests {
         let (ds, map) = source_world();
         let mf = ca_mf::train(&ds, &BprConfig { max_epochs: 3, ..Default::default() });
         let src = SourceDomain { data: &ds, mf: &mf, to_target: &map };
-        let mut agent =
-            CopyAttackAgent::new(quick_cfg(), CopyAttackVariant::no_masking(), &src, ItemId(5));
-        let rec = CountingRec {
-            good_injections: 0,
-            n_users: 0,
-            target: ItemId(57),
-            threshold: 3,
-            goodness: vec![],
-        };
-        let mut env = AttackEnvironment::new(rec, vec![UserId(0)], ItemId(57), 5, 6);
-        let outcome = agent.execute(&src, &mut env);
+        let outcome = execute("CopyAttack-Masking", &quick_cfg(), &src, 3);
         assert_eq!(outcome.injections, outcome.selected_users.len());
     }
 
@@ -449,27 +339,12 @@ mod tests {
         let src = SourceDomain { data: &ds, mf: &mf, to_target: &map };
         // Without masking the agent must *learn* to pick good users.
         let cfg = AttackConfig { episodes: 300, lr: 0.1, ..quick_cfg() };
-        let mut agent = CopyAttackAgent::new(
-            cfg,
-            CopyAttackVariant { masking: false, crafting: false },
-            &src,
-            ItemId(5),
-        );
-        let curve = agent.train(&src, || {
-            AttackEnvironment::new(
-                CountingRec {
-                    good_injections: 0,
-                    n_users: 0,
-                    target: ItemId(57),
-                    threshold: 3,
-                    goodness: vec![],
-                },
-                vec![UserId(0)],
-                ItemId(57),
-                5,
-                6,
-            )
-        });
+        let mut campaign =
+            Campaign::new(cfg, CopyAttackVariant::no_masking(), &src, vec![ItemId(5)]);
+        let CampaignRun::Completed { curve } = campaign.train_resilient(&src, |_| bandit_env(3))
+        else {
+            panic!("reliable platform cannot interrupt");
+        };
         let early: f32 = curve[..50].iter().sum::<f32>() / 50.0;
         let late: f32 = curve[curve.len() - 50..].iter().sum::<f32>() / 50.0;
         assert!(
@@ -485,22 +360,7 @@ mod tests {
         let (ds, map) = source_world();
         let mf = ca_mf::train(&ds, &BprConfig { max_epochs: 3, ..Default::default() });
         let src = SourceDomain { data: &ds, mf: &mf, to_target: &map };
-        let mut agent =
-            CopyAttackAgent::new(quick_cfg(), CopyAttackVariant::no_crafting(), &src, ItemId(5));
-        let mut env = AttackEnvironment::new(
-            CountingRec {
-                good_injections: 0,
-                n_users: 0,
-                target: ItemId(57),
-                threshold: 3,
-                goodness: vec![],
-            },
-            vec![UserId(0)],
-            ItemId(57),
-            5,
-            6,
-        );
-        let outcome = agent.execute(&src, &mut env);
+        let outcome = execute("CopyAttack-Length", &quick_cfg(), &src, 3);
         assert_eq!(outcome.final_reward, 1.0);
         // Early termination: 3 good injections, queries every 2 → stops at 4.
         assert!(outcome.injections <= 4, "no early stop: {}", outcome.injections);
@@ -511,36 +371,13 @@ mod tests {
         let (ds, map) = source_world();
         let mf = ca_mf::train(&ds, &BprConfig { max_epochs: 3, ..Default::default() });
         let src = SourceDomain { data: &ds, mf: &mf, to_target: &map };
-        let run = |variant: CopyAttackVariant, seed: u64| {
+        let run = |name: &str, seed: u64| {
             let cfg = AttackConfig { seed, ..quick_cfg() };
-            let mut agent = CopyAttackAgent::new(cfg, variant, &src, ItemId(5));
-            let mut env = AttackEnvironment::new(
-                CountingRec {
-                    good_injections: 0,
-                    n_users: 0,
-                    target: ItemId(57),
-                    threshold: 999,
-                    goodness: vec![],
-                },
-                vec![UserId(0)],
-                ItemId(57),
-                5,
-                6,
-            );
-            agent.execute(&src, &mut env).avg_items_per_profile
+            execute(name, &cfg, &src, 999).avg_items_per_profile
         };
         // Average over seeds to avoid one-off sampling flukes.
-        let crafted: f32 = (0..5).map(|s| run(CopyAttackVariant::full(), s)).sum::<f32>() / 5.0;
-        let raw: f32 = (0..5).map(|s| run(CopyAttackVariant::no_crafting(), s)).sum::<f32>() / 5.0;
+        let crafted: f32 = (0..5).map(|s| run("CopyAttack", s)).sum::<f32>() / 5.0;
+        let raw: f32 = (0..5).map(|s| run("CopyAttack-Length", s)).sum::<f32>() / 5.0;
         assert!(crafted < raw, "crafted {crafted} !< raw {raw}");
-    }
-
-    #[test]
-    #[should_panic(expected = "no selectable source user")]
-    fn rejects_target_absent_from_source() {
-        let (ds, map) = source_world();
-        let mf = ca_mf::train(&ds, &BprConfig { max_epochs: 2, ..Default::default() });
-        let src = SourceDomain { data: &ds, mf: &mf, to_target: &map };
-        let _ = CopyAttackAgent::new(quick_cfg(), CopyAttackVariant::full(), &src, ItemId(99));
     }
 }

@@ -10,13 +10,18 @@
 //! A campaign trains round-robin over its target set, sharing the
 //! clustering tree, the per-node policies, the RNN, the crafting policy,
 //! and the REINFORCE baseline; per-item masks are rebuilt on each switch.
+//! A one-target campaign trains exactly as the registry key of its variant
+//! (`CopyAttack`, `CopyAttack-Masking` or `CopyAttack-Length`) does in
+//! [`Attack::prepare`](crate::Attack::prepare), and also keeps the learning
+//! curve.
 //!
 //! Against an *unreliable* platform, [`Campaign::train_resilient`] rides
 //! through per-call faults (the environment retries and computes partial
-//! rewards) and, when the platform defeats an entire episode, stops with a
-//! [`CampaignCheckpoint`] — a structural snapshot of the full agent state
-//! from which [`Campaign::resume`] continues the campaign later as if it
-//! had never been interrupted.
+//! rewards) and, when the platform defeats an entire episode, stops with
+//! [`CampaignRun::Interrupted`]. Its checkpoint is the campaign itself as
+//! it stood before the failed episode — policy networks, RNG position,
+//! targets and curve — and calling [`Campaign::train_resilient`] on it
+//! later continues the campaign as if it had never been interrupted.
 //!
 //! Every reward round a campaign triggers — through
 //! [`AttackEnvironment::try_query_reward`] — issues its first attempts as
@@ -25,50 +30,28 @@
 //! one query per user, so campaign-level query budgets are unaffected.
 
 use crate::arena::AttackError;
-use crate::attack::{AttackOutcome, CopyAttackAgent, CopyAttackVariant};
+use crate::attack::{AttackOutcome, CopyAttackVariant, CopyProposer};
 use crate::config::AttackConfig;
-use crate::env::AttackEnvironment;
+use crate::env::{run_episode, AttackEnvironment};
 use crate::source::SourceDomain;
 use ca_recsys::{FallibleBlackBox, ItemId, RecError};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
-/// A multi-target attack campaign sharing one agent across items.
+/// A multi-target attack campaign sharing one CopyAttack policy across
+/// items.
+///
+/// `Clone` snapshots the complete mutable state — policy networks, RNN,
+/// crafting policy, baseline, mask, RNG position, and the learning curve —
+/// so a cloned campaign trained later takes the exact trajectory the
+/// original would have.
 #[derive(Clone)]
 pub struct Campaign {
-    agent: CopyAttackAgent,
+    cfg: AttackConfig,
+    proposer: CopyProposer,
+    rng: StdRng,
     targets: Vec<ItemId>,
-    completed_episodes: usize,
     curve: Vec<f32>,
-}
-
-/// A snapshot of a campaign mid-training: the complete agent state (policy
-/// networks, RNN, crafting policy, baseline, RNG position), the target
-/// set, and the learning-curve prefix. Resuming from a checkpoint on a
-/// healthy platform reproduces the exact trajectory an uninterrupted run
-/// would have taken, because every source of randomness is part of the
-/// snapshot.
-#[derive(Clone)]
-pub struct CampaignCheckpoint {
-    agent: CopyAttackAgent,
-    targets: Vec<ItemId>,
-    completed_episodes: usize,
-    curve: Vec<f32>,
-}
-
-impl CampaignCheckpoint {
-    /// Training episodes completed before the snapshot.
-    pub fn episodes_completed(&self) -> usize {
-        self.completed_episodes
-    }
-
-    /// Final rewards of the completed episodes.
-    pub fn curve(&self) -> &[f32] {
-        &self.curve
-    }
-
-    /// The campaign's target set.
-    pub fn targets(&self) -> &[ItemId] {
-        &self.targets
-    }
 }
 
 /// How a resilient training run ended.
@@ -80,21 +63,23 @@ pub enum CampaignRun {
     },
     /// The platform defeated an entire episode (no injection landed).
     /// The checkpoint was taken *before* the failed episode, so resuming
-    /// retries it from a clean agent state.
+    /// retries it from a clean state.
     Interrupted {
-        /// Snapshot to hand to [`Campaign::resume`] later (boxed — it
-        /// carries a full agent clone).
-        checkpoint: Box<CampaignCheckpoint>,
+        /// The campaign as it stood before the failed episode; call
+        /// [`Campaign::train_resilient`] on it to resume (boxed — it
+        /// carries the full policy state).
+        checkpoint: Box<Campaign>,
         /// The platform error that ended the last attempted episode.
         cause: RecError,
     },
 }
 
 impl Campaign {
-    /// Builds the shared agent over `targets` (source-domain ids), failing
-    /// if `targets` is empty or any target has no source carrier. Every
-    /// target's mask is validated up front — a broken target should fail
-    /// construction, not episode 37.
+    /// Builds the shared policy over `targets` (source-domain ids), seeding
+    /// its RNG from `cfg.seed`. Fails if `targets` is empty, the config is
+    /// invalid, or any target has no source carrier. Every target's mask
+    /// is validated up front — a broken target should fail construction,
+    /// not episode 37.
     pub fn try_new(
         cfg: AttackConfig,
         variant: CopyAttackVariant,
@@ -104,20 +89,20 @@ impl Campaign {
         if targets.is_empty() {
             return Err(AttackError::EmptyTargets);
         }
-        let agent = CopyAttackAgent::try_new(cfg, variant, src, targets[0])?;
-        let mut campaign = Self { agent, targets, completed_episodes: 0, curve: Vec::new() };
-        let all = campaign.targets.clone();
-        for &t in &all {
-            campaign.agent.try_retarget(src, t)?;
+        cfg.validate().map_err(AttackError::InvalidConfig)?;
+        let mut rng = StdRng::seed_from_u64(cfg.seed);
+        let mut proposer = CopyProposer::new(&cfg, variant, src, targets[0], &mut rng)?;
+        for &t in &targets[1..] {
+            proposer.retarget(cfg.goal, src, t)?;
         }
-        campaign.agent.try_retarget(src, all[0])?;
-        Ok(campaign)
+        Ok(Self { cfg, proposer, rng, targets, curve: Vec::new() })
     }
 
     /// Panicking wrapper over [`Campaign::try_new`].
     ///
     /// # Panics
-    /// Panics if `targets` is empty or any target has no source carrier.
+    /// Panics if `targets` is empty, the config is invalid, or any target
+    /// has no source carrier.
     pub fn new(
         cfg: AttackConfig,
         variant: CopyAttackVariant,
@@ -132,14 +117,9 @@ impl Campaign {
         &self.targets
     }
 
-    /// Read access to the shared agent.
-    pub fn agent(&self) -> &CopyAttackAgent {
-        &self.agent
-    }
-
     /// Training episodes completed so far (across resumptions).
     pub fn episodes_completed(&self) -> usize {
-        self.completed_episodes
+        self.curve.len()
     }
 
     /// Final rewards of the completed episodes (across resumptions).
@@ -147,75 +127,62 @@ impl Campaign {
         &self.curve
     }
 
-    /// Snapshots the campaign for later [`Campaign::resume`].
-    pub fn checkpoint(&self) -> CampaignCheckpoint {
-        CampaignCheckpoint {
-            agent: self.agent.clone(),
-            targets: self.targets.clone(),
-            completed_episodes: self.completed_episodes,
-            curve: self.curve.clone(),
-        }
-    }
-
-    /// Reconstructs a campaign from a checkpoint. Continue with
-    /// [`Campaign::train_resilient`]; remaining episodes pick up exactly
-    /// where the snapshot left off.
-    pub fn resume(checkpoint: CampaignCheckpoint) -> Self {
-        Self {
-            agent: checkpoint.agent,
-            targets: checkpoint.targets,
-            completed_episodes: checkpoint.completed_episodes,
-            curve: checkpoint.curve,
-        }
+    /// Points the policy at `target_src`.
+    ///
+    /// # Panics
+    /// Panics when the target has no selectable user under the mask.
+    fn retarget(&mut self, src: &SourceDomain<'_>, target_src: ItemId) {
+        self.proposer.retarget(self.cfg.goal, src, target_src).unwrap_or_else(|e| panic!("{e}"));
     }
 
     /// Trains the remaining episodes (from [`Campaign::episodes_completed`]
     /// up to `cfg.episodes`), rotating through the target set round-robin.
     /// `make_env` receives the *source-domain* target id of the episode and
-    /// must produce an environment attacking that item.
+    /// must produce a fresh environment attacking that item.
     ///
     /// Per-call faults are absorbed inside each episode (retries, partial
     /// rewards, account re-establishment — see
     /// [`AttackEnvironment`]). When an *entire* episode fails — not one
     /// injection landed — the campaign rolls the aborted episode back and
-    /// returns [`CampaignRun::Interrupted`] with a checkpoint taken before
-    /// it, so a later [`Campaign::resume`] retries that episode with clean
-    /// state.
+    /// returns [`CampaignRun::Interrupted`] with a copy of itself taken
+    /// before it, so training that copy later retries the episode with
+    /// clean state.
     pub fn train_resilient<R: FallibleBlackBox>(
         &mut self,
         src: &SourceDomain<'_>,
         mut make_env: impl FnMut(ItemId) -> AttackEnvironment<R>,
     ) -> CampaignRun {
-        let episodes = self.agent.config().episodes;
-        while self.completed_episodes < episodes {
-            let e = self.completed_episodes;
-            let t = self.targets[e % self.targets.len()];
-            self.agent.retarget(src, t);
-            let pre = self.checkpoint();
+        while self.curve.len() < self.cfg.episodes {
+            let t = self.targets[self.curve.len() % self.targets.len()];
+            self.retarget(src, t);
+            let pre = self.clone();
             let mut env = make_env(t);
-            let outcome = self.agent.train_one_episode(src, &mut env);
+            let outcome =
+                run_episode(&mut env, src, &self.cfg, &mut self.proposer, &mut self.rng, true);
             if let Some(cause) = outcome.aborted {
                 // Undo the aborted episode's policy update: the rewards it
                 // saw were all platform noise, not signal.
-                *self = Campaign::resume(pre.clone());
+                *self = pre.clone();
                 return CampaignRun::Interrupted { checkpoint: Box::new(pre), cause };
             }
             self.curve.push(outcome.final_reward);
-            self.completed_episodes += 1;
         }
         CampaignRun::Completed { curve: self.curve.clone() }
     }
 
-    /// Executes one attack on `target` — which may be an item the campaign
-    /// never trained on (zero-shot transfer) — without learning.
+    /// Executes one attack on `target_src` — which may be an item the
+    /// campaign never trained on (zero-shot transfer) — without learning.
+    ///
+    /// # Panics
+    /// Panics when `target_src` has no selectable user under the mask.
     pub fn execute_on<R: FallibleBlackBox>(
         &mut self,
         src: &SourceDomain<'_>,
         target_src: ItemId,
         env: &mut AttackEnvironment<R>,
     ) -> AttackOutcome {
-        self.agent.retarget(src, target_src);
-        self.agent.execute(src, env)
+        self.retarget(src, target_src);
+        run_episode(env, src, &self.cfg, &mut self.proposer, &mut self.rng, false)
     }
 }
 
@@ -417,7 +384,7 @@ mod tests {
         // Later: resume from the snapshot on a healthy platform. The
         // aborted episode was rolled back, so the resumed run replays it
         // cleanly and the combined curve is bit-identical to the reference.
-        let mut resumed = Campaign::resume(*checkpoint);
+        let mut resumed = *checkpoint;
         let CampaignRun::Completed { curve: resumed_curve } =
             resumed.train_resilient(&src, |t| bandit_env(&map, t))
         else {
@@ -484,7 +451,7 @@ mod tests {
         assert_eq!(checkpoint.episodes_completed(), 0);
 
         // Later, the platform is back: resume and finish all episodes.
-        let mut resumed = Campaign::resume(*checkpoint);
+        let mut resumed = *checkpoint;
         let run = resumed.train_resilient(&src, |t| {
             AttackEnvironment::new(
                 DownThenUp {

@@ -83,8 +83,8 @@ pub struct AttackEnvironment<R: FallibleBlackBox> {
 
 impl<R: FallibleBlackBox> AttackEnvironment<R> {
     /// Wraps a recommender for an attack on `target`. `pretend` are the
-    /// attacker-controlled accounts established beforehand (see
-    /// [`establish_pretend_users`]).
+    /// attacker-controlled accounts established beforehand (their profiles
+    /// come from [`plan_pretend_profiles`]).
     pub fn new(
         rec: R,
         pretend: Vec<UserId>,
@@ -443,24 +443,6 @@ pub fn plan_pretend_profiles(
     profiles
 }
 
-/// Creates `n` pretend users on the platform before the attack starts.
-///
-/// The paper assumes "a set of pretend users that the attacker had already
-/// established in the target domain". Profiles come from
-/// [`plan_pretend_profiles`]. Returns their account ids.
-pub fn establish_pretend_users<R: ca_recsys::BlackBoxRecommender>(
-    rec: &mut R,
-    visible_popularity: &Dataset,
-    n: usize,
-    profile_len: usize,
-    rng: &mut impl Rng,
-) -> Vec<UserId> {
-    plan_pretend_profiles(visible_popularity, n, profile_len, rng)
-        .iter()
-        .map(|p| rec.inject_user(p))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -542,14 +524,16 @@ mod tests {
             b.user(&[ItemId(u % 3)]); // items 0..3 popular
         }
         let visible = b.build();
-        let mut rec = PopRec::new(20);
         let mut rng = rand::rngs::mock::StepRng::new(42, 0x9E3779B97F4A7C15);
-        let ids = establish_pretend_users(&mut rec, &visible, 5, 4, &mut rng);
-        assert_eq!(ids.len(), 5);
-        assert_eq!(rec.n_users, 5);
-        // Each pretend user contributed 4 interactions.
-        let total: usize = rec.counts.iter().sum();
-        assert_eq!(total, 20);
+        let profiles = plan_pretend_profiles(&visible, 5, 4, &mut rng);
+        assert_eq!(profiles.len(), 5);
+        // Each pretend user gets 4 distinct items.
+        for p in &profiles {
+            let mut items = p.clone();
+            items.sort_unstable();
+            items.dedup();
+            assert_eq!((p.len(), items.len()), (4, 4), "{p:?}");
+        }
     }
 
     #[test]

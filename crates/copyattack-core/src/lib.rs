@@ -14,12 +14,12 @@
 //!    through the black-box interface; the reward is the target item's hit
 //!    ratio in the Top-k lists of the attacker's pretend users (Eq. 1).
 //!
-//! [`attack::CopyAttackAgent`] ties the pieces together with REINFORCE
-//! training ([`reinforce`]); [`baselines`] provides the paper's comparison
-//! methods (RandomAttack, TargetAttack-40/70/100, the flat PolicyNetwork),
-//! and [`arena`] serves them, the CopyAttack−Masking / CopyAttack−Length
-//! ablations, and two rival attacks by name. Every attack proposes
-//! profiles, and every episode runs in one loop, `env::run_episode`.
+//! [`arena`] serves every attack by name: CopyAttack (the pieces above,
+//! trained with REINFORCE, [`reinforce`]) and its CopyAttack−Masking /
+//! CopyAttack−Length ablations, the paper's comparison methods from
+//! [`baselines`] (RandomAttack, TargetAttack-40/70/100, the flat
+//! PolicyNetwork), and two rival attacks. Every attack proposes profiles,
+//! and every episode runs in one loop, `env::run_episode`.
 
 #![forbid(unsafe_code)]
 
@@ -27,7 +27,8 @@
 //! Deployed platforms are not reliable: [`retry`] adds capped-backoff retry
 //! policies in logical time, [`mod@env`] computes partial (quorum-gated)
 //! rewards and re-establishes suspended pretend users, and [`campaign`]
-//! checkpoints/resumes training across platform outages.
+//! trains one CopyAttack policy across several targets, checkpointed across
+//! platform outages.
 
 pub mod arena;
 pub mod attack;
@@ -42,8 +43,8 @@ pub mod selection;
 pub mod source;
 
 pub use arena::{Attack, AttackError, AttackRegistry, ItemKnowledge};
-pub use attack::{AttackOutcome, CopyAttackAgent, CopyAttackVariant};
-pub use campaign::{Campaign, CampaignCheckpoint, CampaignRun};
+pub use attack::{AttackOutcome, CopyAttackVariant};
+pub use campaign::{Campaign, CampaignRun};
 pub use config::{AttackConfig, AttackGoal};
 pub use env::{AttackEnvironment, RewardSample};
 pub use retry::{ResilienceConfig, RetryPolicy};

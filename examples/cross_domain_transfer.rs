@@ -10,7 +10,6 @@
 //!
 //! Run with: `cargo run --release --example cross_domain_transfer`
 
-use copyattack::core::{CopyAttackAgent, CopyAttackVariant};
 use copyattack::par::split_seed;
 use copyattack::pipeline::{Pipeline, PipelineConfig};
 use copyattack::recsys::eval::RankingEval;
@@ -23,21 +22,12 @@ fn main() {
     println!("== cross-model transferability of copied profiles ==");
     let cfg = PipelineConfig::tiny(21);
     let pipe = Pipeline::build(&cfg);
-    let src = pipe.source_domain();
     let target = pipe.target_items[0];
-    let target_src = pipe.world.source_item(target).expect("overlap");
 
     // Train CopyAttack against the GNN black box.
-    let mut agent = CopyAttackAgent::new(
-        cfg.attack.config.clone(),
-        CopyAttackVariant::full(),
-        &src,
-        target_src,
-    );
-    agent.train(&src, || pipe.make_env(target));
-    let mut env = pipe.make_env(target);
-    let outcome = agent.execute(&src, &mut env);
-    let polluted_gnn = env.into_recommender();
+    let (polluted_gnn, outcome) = pipe
+        .attack_with("CopyAttack", target, &cfg.attack.config, &pipe.recommender, &pipe.pretend)
+        .expect("target items are attackable");
 
     // Reconstruct the injected profiles (the newest accounts).
     let n_total = polluted_gnn.data().n_users();

@@ -9,7 +9,6 @@
 //!
 //! Run with: `cargo run --release --example detection_evasion`
 
-use copyattack::core::{CopyAttackAgent, CopyAttackVariant};
 use copyattack::detect::features::PopularityIndex;
 use copyattack::detect::{
     detection_auc, extract_features, naive_fake_profiles, precision_at_n, ZScoreDetector,
@@ -24,9 +23,7 @@ fn main() {
     println!("== detection evasion: generated vs copied profiles ==");
     let cfg = PipelineConfig::tiny(13);
     let pipe = Pipeline::build(&cfg);
-    let src = pipe.source_domain();
     let target = pipe.target_items[0];
-    let target_src = pipe.world.source_item(target).expect("overlap");
 
     // Detector fitted on the genuine target-domain population, with MF item
     // embeddings (trained on clean data) providing the coherence geometry.
@@ -48,16 +45,9 @@ fn main() {
         naive.iter().map(|p| detector.score(&extract_features(p, &pop, item_emb))).collect();
 
     // (b) CopyAttack's injected profiles.
-    let mut agent = CopyAttackAgent::new(
-        cfg.attack.config.clone(),
-        CopyAttackVariant::full(),
-        &src,
-        target_src,
-    );
-    agent.train(&src, || pipe.make_env(target));
-    let mut env = pipe.make_env(target);
-    let outcome = agent.execute(&src, &mut env);
-    let polluted = env.into_recommender();
+    let (polluted, outcome) = pipe
+        .attack_with("CopyAttack", target, &cfg.attack.config, &pipe.recommender, &pipe.pretend)
+        .expect("target items are attackable");
     // The injected accounts are the newest ones.
     let n_total = polluted.data().n_users();
     let copied_scores: Vec<f32> = (n_total - outcome.injections..n_total)

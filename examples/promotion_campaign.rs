@@ -11,9 +11,7 @@
 //!
 //! Run with: `cargo run --release --example promotion_campaign`
 
-use copyattack::core::{
-    AttackEnvironment, CopyAttackAgent, CopyAttackVariant, ResilienceConfig, RetryPolicy,
-};
+use copyattack::core::{AttackEnvironment, ResilienceConfig, RetryPolicy};
 use copyattack::gnn::PinSageRecommender;
 use copyattack::par::split_seed;
 use copyattack::pipeline::{Pipeline, PipelineConfig};
@@ -57,26 +55,10 @@ fn main() {
         let hr_ta = pipe.evaluate_promotion(&env.into_recommender(), target, eval_seed).hr(20);
 
         // CopyAttack at this budget.
-        let mut agent =
-            CopyAttackAgent::new(attack_cfg.clone(), CopyAttackVariant::full(), &src, target_src);
-        agent.train(&src, || {
-            AttackEnvironment::new(
-                pipe.recommender.clone(),
-                pipe.pretend.clone(),
-                target,
-                attack_cfg.reward_k,
-                budget,
-            )
-        });
-        let mut env = AttackEnvironment::new(
-            pipe.recommender.clone(),
-            pipe.pretend.clone(),
-            target,
-            attack_cfg.reward_k,
-            budget,
-        );
-        agent.execute(&src, &mut env);
-        let hr_ca = pipe.evaluate_promotion(&env.into_recommender(), target, eval_seed).hr(20);
+        let (polluted, _) = pipe
+            .attack_with("CopyAttack", target, &attack_cfg, &pipe.recommender, &pipe.pretend)
+            .expect("carriers");
+        let hr_ca = pipe.evaluate_promotion(&polluted, target, eval_seed).hr(20);
 
         println!("{budget:>8} {hr_ta:>16.4} {hr_ca:>16.4}");
     }
@@ -99,14 +81,14 @@ fn main() {
         },
         ..ResilienceConfig::default()
     };
-    let mut agent = CopyAttackAgent::new(
-        cfg.attack.config.clone(),
-        CopyAttackVariant::full(),
-        &src,
-        target_src,
-    );
+    let mut attack = pipe
+        .registry()
+        .build("CopyAttack", &cfg.attack.config, &src, target_src)
+        .expect("carriers");
     let mut env = pipe.make_faulty_env(target, FaultConfig::chaos(7), resilience);
-    let outcome = agent.execute(&src, &mut env);
+    // The untrained policy draws from its own stream, never this one.
+    let mut unused = StdRng::seed_from_u64(split_seed(cfg.seed, 0));
+    let outcome = attack.run(&mut env, &src, target_src, &mut unused);
     println!(
         "reward {:.3} | {} profiles landed, {} injection attempts failed",
         outcome.final_reward, outcome.injections, outcome.failed_injections

@@ -64,7 +64,7 @@ fn main() {
 
     // Phase 2: the platform heals (back to ordinary chaos); resume from
     // the checkpoint and run the campaign to completion.
-    let mut campaign = Campaign::resume(*checkpoint);
+    let mut campaign = *checkpoint;
     let mut episode_no = 0usize;
     let run = campaign.train_resilient(&src, |_t| {
         episode_no += 1;

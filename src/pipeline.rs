@@ -21,7 +21,9 @@ use ca_gnn::{train_with_features_observed, GnnConfig, PinSageRecommender, TrainR
 use ca_mf::{BprConfig, MfModel};
 use ca_recsys::eval::RankingEval;
 use ca_recsys::metrics::MetricAccumulator;
-use ca_recsys::{split_dataset, BlackBoxRecommender, ItemId, RetrievalMode, Split, UserId};
+use ca_recsys::{
+    split_dataset, BlackBoxRecommender, FallibleBlackBox, ItemId, RetrievalMode, Split, UserId,
+};
 use ca_recsys::{FaultConfig, FaultyRecommender};
 use ca_train::{History, StderrProgress, Tee, TrainObserver};
 use copyattack_core::env::plan_pretend_profiles;
@@ -397,10 +399,10 @@ impl Pipeline {
         (metrics, outcome.avg_items_per_profile)
     }
 
-    /// The pipeline's attack registry over platform type `R`: every
-    /// built-in attacker plus `KgAttack` over this world's ground-truth
-    /// item knowledge.
-    pub fn registry<R: BlackBoxRecommender + Clone + 'static>(&self) -> AttackRegistry<R> {
+    /// The pipeline's attack registry over any platform type `R`,
+    /// fault-wrapped ones included: every built-in attacker plus
+    /// `KgAttack` over this world's ground-truth item knowledge.
+    pub fn registry<R: FallibleBlackBox + 'static>(&self) -> AttackRegistry<R> {
         let mut reg = AttackRegistry::with_builtins();
         reg.register_kg_attack(self.knowledge.clone());
         reg

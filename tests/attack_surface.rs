@@ -1,9 +1,11 @@
 //! Tests of the black-box boundary: the attacker's observable costs
 //! (queries, injections) and the trait-level containment of its access.
 
-use copyattack::core::{AttackEnvironment, CopyAttackAgent, CopyAttackVariant};
+use copyattack::core::{AttackEnvironment, Campaign, CampaignRun, CopyAttackVariant};
 use copyattack::pipeline::{Pipeline, PipelineConfig};
 use copyattack::recsys::{BlackBoxRecommender, ItemId, UserId};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 #[test]
 fn query_count_follows_the_cadence() {
@@ -13,14 +15,12 @@ fn query_count_follows_the_cadence() {
     let target = pipe.target_items[0];
     let target_src = pipe.world.source_item(target).unwrap();
 
-    let mut agent = CopyAttackAgent::new(
-        cfg.attack.config.clone(),
-        CopyAttackVariant::full(),
-        &src,
-        target_src,
-    );
+    let mut attack =
+        pipe.registry().build("CopyAttack", &cfg.attack.config, &src, target_src).unwrap();
     let mut env = pipe.make_env(target);
-    let outcome = agent.execute(&src, &mut env);
+    // A learned attack draws from its own stream, never this one.
+    let mut unused = StdRng::seed_from_u64(0);
+    let outcome = attack.run(&mut env, &src, target_src, &mut unused);
 
     // One reward query (over n_pretend users) per `query_every` injections,
     // plus the forced terminal query; each reward query costs n_pretend
@@ -71,14 +71,11 @@ fn attack_only_queries_attacker_controlled_accounts() {
         cfg.attack.config.reward_k,
         cfg.attack.config.budget,
     );
-    let mut agent = CopyAttackAgent::new(
-        cfg.attack.config.clone(),
-        CopyAttackVariant::full(),
-        &src,
-        target_src,
-    );
+    let mut attack =
+        pipe.registry().build("CopyAttack", &cfg.attack.config, &src, target_src).unwrap();
     // Must complete without tripping the guard.
-    let outcome = agent.execute(&src, &mut env);
+    let mut unused = StdRng::seed_from_u64(0);
+    let outcome = attack.run(&mut env, &src, target_src, &mut unused);
     assert!(outcome.injections > 0);
 }
 
@@ -89,14 +86,45 @@ fn learning_curve_is_recorded_per_episode() {
     let src = pipe.source_domain();
     let target = pipe.target_items[0];
     let target_src = pipe.world.source_item(target).unwrap();
-    let mut agent = CopyAttackAgent::new(
-        cfg.attack.config.clone(),
-        CopyAttackVariant::full(),
-        &src,
-        target_src,
-    );
-    let curve = agent.train(&src, || pipe.make_env(target));
+    let mut campaign =
+        Campaign::new(cfg.attack.config.clone(), CopyAttackVariant::full(), &src, vec![target_src]);
+    let CampaignRun::Completed { curve } =
+        campaign.train_resilient(&src, |_| pipe.make_env(target))
+    else {
+        panic!("reliable platform cannot interrupt");
+    };
     assert_eq!(curve.len(), cfg.attack.config.episodes);
-    assert_eq!(agent.episode_rewards(), &curve[..]);
+    assert_eq!(campaign.curve(), &curve[..]);
     assert!(curve.iter().all(|r| (0.0..=1.0).contains(r)));
+}
+
+/// The two CopyAttack drivers — the registry lifecycle behind
+/// `Pipeline::attack_with` and a one-target `Campaign` — seed, train and
+/// execute the same policy, so their evaluation episodes agree bit for bit.
+#[test]
+fn one_target_campaign_matches_the_registry_lifecycle() {
+    let cfg = PipelineConfig::tiny(42);
+    let pipe = Pipeline::build(&cfg);
+    let src = pipe.source_domain();
+    let target = pipe.target_items[0];
+    let target_src = pipe.world.source_item(target).unwrap();
+    let attack_cfg = &cfg.attack.config;
+
+    let (_, registry) = pipe
+        .attack_with("CopyAttack", target, attack_cfg, &pipe.recommender, &pipe.pretend)
+        .unwrap();
+
+    let mut campaign =
+        Campaign::new(attack_cfg.clone(), CopyAttackVariant::full(), &src, vec![target_src]);
+    let CampaignRun::Completed { .. } = campaign.train_resilient(&src, |_| pipe.make_env(target))
+    else {
+        panic!("reliable platform cannot interrupt");
+    };
+    let trained = campaign.execute_on(&src, target_src, &mut pipe.make_env(target));
+
+    assert_eq!(trained.selected_users, registry.selected_users);
+    assert_eq!(trained.injections, registry.injections);
+    assert_eq!(trained.queries, registry.queries);
+    assert_eq!(trained.final_reward.to_bits(), registry.final_reward.to_bits());
+    assert_eq!(trained.avg_items_per_profile.to_bits(), registry.avg_items_per_profile.to_bits());
 }

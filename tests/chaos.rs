@@ -14,8 +14,8 @@
 //! CopyAttack: they all run through the same episode loop.
 
 use copyattack::core::{
-    AttackConfig, AttackEnvironment, AttackOutcome, AttackRegistry, Campaign, CampaignRun,
-    CopyAttackAgent, CopyAttackVariant, ResilienceConfig, RetryPolicy,
+    AttackConfig, AttackEnvironment, AttackOutcome, Campaign, CampaignRun, CopyAttackVariant,
+    ResilienceConfig, RetryPolicy,
 };
 use copyattack::datagen::OrganicSampler;
 use copyattack::gnn::PinSageRecommender;
@@ -50,14 +50,12 @@ fn chaos_resilience() -> ResilienceConfig {
 fn chaos_run(pipe: &Pipeline, target: ItemId) -> (f32, usize, u64, u64, u64, FaultStats) {
     let src = pipe.source_domain();
     let target_src = pipe.world.source_item(target).unwrap();
-    let mut agent = CopyAttackAgent::new(
-        pipe.config.attack.config.clone(),
-        CopyAttackVariant::full(),
-        &src,
-        target_src,
-    );
+    let cfg = &pipe.config.attack.config;
+    let mut attack = pipe.registry().build("CopyAttack", cfg, &src, target_src).unwrap();
     let mut env = pipe.make_faulty_env(target, FaultConfig::chaos(FAULT_SEED), chaos_resilience());
-    let outcome = agent.execute(&src, &mut env);
+    // A learned attack draws from its own stream, never this one.
+    let mut unused = StdRng::seed_from_u64(0);
+    let outcome = attack.run(&mut env, &src, target_src, &mut unused);
 
     let queries = env.queries();
     let failed_queries = env.failed_queries();
@@ -96,14 +94,10 @@ fn full_attack_survives_twenty_percent_fault_rate() {
     );
 
     // Fault-free reference with the same agent seed.
-    let mut ref_agent = CopyAttackAgent::new(
-        pipe.config.attack.config.clone(),
-        CopyAttackVariant::full(),
-        &src,
-        target_src,
-    );
-    let mut ref_env = pipe.make_env(target);
-    let reference = ref_agent.execute(&src, &mut ref_env);
+    let mut ref_attack =
+        pipe.registry().build("CopyAttack", &cfg.attack.config, &src, target_src).unwrap();
+    let mut unused = StdRng::seed_from_u64(0);
+    let reference = ref_attack.run(&mut pipe.make_env(target), &src, target_src, &mut unused);
 
     // Chaos run (invariant 1: completing it is the no-panic assertion).
     let (reward, injections, queries, failed_queries, inject_attempts, stats) =
@@ -151,9 +145,7 @@ fn chaos_lifecycle(pipe: &Pipeline, name: &str, fault_seed: u64) -> (String, Att
     let target_src = pipe.world.source_item(target).unwrap();
     let src = pipe.source_domain();
     let cfg = &pipe.config.attack.config;
-    let mut registry = AttackRegistry::<FaultyRecommender<PinSageRecommender>>::with_builtins();
-    registry.register_kg_attack(pipe.knowledge.clone());
-    let mut attack = registry.build(name, cfg, &src, target_src).unwrap();
+    let mut attack = pipe.registry().build(name, cfg, &src, target_src).unwrap();
     let mut episode = 0;
     let mut make_env = || {
         episode += 1;
@@ -176,11 +168,12 @@ fn chaos_lifecycle(pipe: &Pipeline, name: &str, fault_seed: u64) -> (String, Att
 #[test]
 fn every_registered_attack_survives_chaos() {
     let pipe = Pipeline::build(&PipelineConfig::tiny(42));
-    let names: Vec<String> = {
-        let mut registry = AttackRegistry::<FaultyRecommender<PinSageRecommender>>::with_builtins();
-        registry.register_kg_attack(pipe.knowledge.clone());
-        registry.names().iter().map(|s| s.to_string()).collect()
-    };
+    let names: Vec<String> = pipe
+        .registry::<FaultyRecommender<PinSageRecommender>>()
+        .names()
+        .iter()
+        .map(|s| s.to_string())
+        .collect();
     assert_eq!(names.len(), 10);
     for fault_seed in [1u64, 2, 3] {
         for name in &names {
@@ -299,7 +292,7 @@ fn shard_crash_interrupts_the_campaign_and_resume_replays_the_curve() {
     // The shard comes back (fresh healthy clones): resuming from the
     // checkpoint replays the aborted episode cleanly and the combined
     // curve is bit-identical to the uninterrupted reference.
-    let mut resumed = Campaign::resume(*checkpoint);
+    let mut resumed = *checkpoint;
     let CampaignRun::Completed { curve } =
         resumed.train_resilient(&src, |_| make_episode(&healthy, &pretend))
     else {

@@ -2,7 +2,6 @@
 //! new accounts with the shilling detector — the setting the paper's
 //! motivation argues CopyAttack was built for.
 
-use copyattack::core::{AttackEnvironment, CopyAttackAgent, CopyAttackVariant};
 use copyattack::detect::features::PopularityIndex;
 use copyattack::detect::{
     extract_features, naive_fake_profiles, ScreenedRecommender, ZScoreDetector,
@@ -66,37 +65,14 @@ fn copyattack_survives_the_screen_better_than_generated_fakes() {
     let pipe = Pipeline::build(&cfg);
     let src = pipe.source_domain();
     let target = pipe.target_items[0];
-    let target_src = pipe.world.source_item(target).unwrap();
     let (det, pop, emb) = fit_defense(&pipe);
     let thr = threshold(&pipe, &det, &pop, &emb);
 
     // Run the attack against the *screened* platform. The agent is unaware
     // of the defense; rejected injections simply waste budget.
-    let mut agent = CopyAttackAgent::new(
-        cfg.attack.config.clone(),
-        CopyAttackVariant::full(),
-        &src,
-        target_src,
-    );
-    let make_env = || {
-        AttackEnvironment::new(
-            ScreenedRecommender::new(
-                pipe.recommender.clone(),
-                det.clone(),
-                pop.clone(),
-                emb.clone(),
-                thr,
-            ),
-            pipe.pretend.clone(),
-            target,
-            cfg.attack.config.reward_k,
-            cfg.attack.config.budget,
-        )
-    };
-    agent.train(&src, make_env);
-    let mut env = make_env();
-    let outcome = agent.execute(&src, &mut env);
-    let screened = env.into_recommender();
+    let base = ScreenedRecommender::new(pipe.recommender.clone(), det, pop, emb, thr);
+    let (screened, outcome) =
+        pipe.attack_with("CopyAttack", target, &cfg.attack.config, &base, &pipe.pretend).unwrap();
 
     // Anomaly-score comparison (robust to the threshold choice): the
     // profiles CopyAttack injects look less anomalous on average than

@@ -2,7 +2,7 @@
 //! framework with the Eq. 1 reward flipped pushes a *popular* item out of
 //! users' Top-k lists.
 
-use copyattack::core::{AttackConfig, AttackGoal, CopyAttackAgent, CopyAttackVariant};
+use copyattack::core::{AttackConfig, AttackGoal};
 use copyattack::pipeline::{Pipeline, PipelineConfig};
 use copyattack::recsys::popularity::PopularityGroups;
 use copyattack::recsys::ItemId;
@@ -54,11 +54,9 @@ fn demotion_lowers_target_item_exposure() {
     assert!(before > 0.05, "need a visible item to demote, exposure = {before}");
 
     let attack_cfg = AttackConfig { goal: AttackGoal::Demote, ..cfg.attack.config.clone() };
-    let mut agent = CopyAttackAgent::new(attack_cfg, CopyAttackVariant::full(), &src, target_src);
-    agent.train(&src, || pipe.make_env(target));
-    let mut env = pipe.make_env(target);
-    let outcome = agent.execute(&src, &mut env);
-    let polluted = env.into_recommender();
+    let (polluted, outcome) = pipe
+        .attack_with("CopyAttack", target, &attack_cfg, &pipe.recommender, &pipe.pretend)
+        .unwrap();
     let after = exposure(&polluted);
 
     // Demotion is structurally much harder than promotion: the attacker can

@@ -2,15 +2,13 @@
 //! purely over the `BlackBoxRecommender` trait, so the same agent that
 //! attacks the inductive GNN attacks a fine-tune-cycle platform unchanged.
 
-use copyattack::core::env::establish_pretend_users;
-use copyattack::core::{
-    AttackConfig, AttackEnvironment, AttackRegistry, CopyAttackAgent, CopyAttackVariant,
-};
+use copyattack::core::env::plan_pretend_profiles;
+use copyattack::core::{AttackConfig, AttackEnvironment, AttackRegistry};
 use copyattack::datagen::{generate, CrossDomainConfig};
 use copyattack::mf::BprConfig;
 use copyattack::ncf::{train, NcfConfig, NcfRecommender};
 use copyattack::recsys::eval::RankingEval;
-use copyattack::recsys::{split_dataset, UserId};
+use copyattack::recsys::{split_dataset, BlackBoxRecommender, UserId};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -35,7 +33,10 @@ fn build() -> NcfWorld {
     let mut recommender = NcfRecommender::deploy(model, split.train.clone(), 3, 2);
 
     let mut prng = StdRng::seed_from_u64(9);
-    let pretend = establish_pretend_users(&mut recommender, &split.train, 10, 8, &mut prng);
+    let pretend: Vec<UserId> = plan_pretend_profiles(&split.train, 10, 8, &mut prng)
+        .iter()
+        .map(|p| recommender.inject_user(p))
+        .collect();
     let mut eval_users: Vec<UserId> = (0..world.target.n_users() as u32).map(UserId).collect();
     eval_users.shuffle(&mut prng);
     eval_users.truncate(50);
@@ -97,18 +98,28 @@ fn copyattack_agent_runs_unchanged_against_ncf() {
         to_target: &w.world.source_to_target,
     };
 
-    let attack_cfg = copyattack::core::AttackConfig {
+    let cfg = AttackConfig {
         episodes: 8,
         tree_depth: 2,
         n_pretend: w.pretend.len(),
         ..Default::default()
     };
-    let mut agent = CopyAttackAgent::new(attack_cfg, CopyAttackVariant::full(), &src, target_src);
-    agent.train(&src, || {
-        AttackEnvironment::new(w.recommender.clone(), w.pretend.clone(), target, 20, 30)
-    });
-    let mut env = AttackEnvironment::new(w.recommender.clone(), w.pretend.clone(), target, 20, 30);
-    let outcome = agent.execute(&src, &mut env);
+    let registry = AttackRegistry::<NcfRecommender>::with_builtins();
+    let mut attack = registry.build("CopyAttack", &cfg, &src, target_src).unwrap();
+    let mut make_env = || {
+        AttackEnvironment::new(
+            w.recommender.clone(),
+            w.pretend.clone(),
+            target,
+            cfg.reward_k,
+            cfg.budget,
+        )
+    };
+    attack.prepare(&src, &mut make_env);
+    let mut env = make_env();
+    // A learned attack draws from its own stream, never this one.
+    let mut unused = StdRng::seed_from_u64(0);
+    let outcome = attack.run(&mut env, &src, target_src, &mut unused);
     assert!(outcome.injections > 0);
 
     let before = promotion_hr(&w, &w.recommender, target);

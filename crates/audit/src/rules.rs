@@ -70,10 +70,10 @@ pub enum Rule {
     /// same statement: a float reduction chained onto parallel output
     /// instead of a serial fold over `ca_par::map`'s input-ordered result.
     UnorderedReduce,
-    /// `thread::sleep` inside the service-path crates (`ca-serve`,
-    /// `ca-recsys`): those layers run on logical clocks only, and a
-    /// real-time block there both stalls the deterministic event loop and
-    /// smuggles wall-clock timing into the replay contract.
+    /// `thread::sleep` inside the service-path crate (`ca-recsys`): the
+    /// platform and its fault layer run on `FaultyRecommender`'s logical
+    /// clock only, and a real-time block there both stalls the attack loop
+    /// and smuggles wall-clock timing into the replay contract.
     ServiceSleep,
     /// `Vec<Vec<` in the data-plane crates (`ca-recsys`, `ca-datagen`):
     /// the compact CSR arena layout must not silently regress to
@@ -98,8 +98,8 @@ pub enum Rule {
     IterationOrder,
     /// A raw `.top_k(`/`.top_k_batch(` ranking call in a function the
     /// attack side can reach without crossing the metered surface
-    /// (recommender-trait impls and the platform/engine crates `ca-recsys`,
-    /// `ca-ann` and `ca-serve`): it spends platform queries the black-box
+    /// (recommender-trait impls and the platform/engine crates `ca-recsys`
+    /// and `ca-ann`): it spends platform queries the black-box
     /// budget never sees (call-graph reachability checked).
     UnmeteredQuery,
     /// A `ca-audit: allow` pragma with no reason after the rule list.
@@ -233,8 +233,9 @@ impl Rule {
                  order, and so the float rounding, is the same at any thread count"
             }
             Rule::ServiceSleep => {
-                "model every delay as logical ticks (FallibleBlackBox::wait, the ServeConfig \
-                 cadences); the service layer must never block real time"
+                "model every delay as logical ticks (FallibleBlackBox::wait on \
+                 FaultyRecommender's logical clock); the service layer must never block \
+                 real time"
             }
             Rule::NestedVec => {
                 "store dataset-scale state in flat CSR arenas (one buffer + offsets, see \
@@ -404,8 +405,7 @@ fn local_rules(rel_path: &str, toks: &[Tok], pragmas: &[Pragma]) -> Vec<Finding>
     // env.rs *is* the injection surface — its platform calls are the
     // implementation of the budgeted path, not a bypass of it.
     let in_attack_code = in_core && rel_path != "crates/copyattack-core/src/env.rs";
-    let in_service =
-        rel_path.starts_with("crates/serve/src/") || rel_path.starts_with("crates/recsys/src/");
+    let in_service = rel_path.starts_with("crates/recsys/src/");
     let in_dataplane =
         rel_path.starts_with("crates/recsys/src/") || rel_path.starts_with("crates/datagen/src/");
     // The engine module and the ANN crate *are* the retrieval path; a
@@ -941,7 +941,7 @@ const SURFACE_TRAITS: [&str; 4] =
 
 /// Path prefixes that are platform/engine internals (they implement
 /// ranking; the budget meters *access to* them, not their insides).
-const SURFACE_PATHS: [&str; 3] = ["crates/recsys/src/", "crates/ann/src/", "crates/serve/src/"];
+const SURFACE_PATHS: [&str; 2] = ["crates/recsys/src/", "crates/ann/src/"];
 
 /// Path prefixes that hold attack-side code (the reachability roots).
 const ATTACK_PATHS: [&str; 2] = ["crates/copyattack-core/src/", "src/"];

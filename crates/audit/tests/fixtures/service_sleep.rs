@@ -1,5 +1,5 @@
 //! Known-bad fixture: service-sleep must fire on real-time blocking in
-//! service-path code (ca-serve / ca-recsys sources only).
+//! service-path code (ca-recsys sources only).
 //! Decoy: thread::sleep in this comment must stay silent.
 
 fn qualified_backoff() {

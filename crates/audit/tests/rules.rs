@@ -69,8 +69,8 @@ fn fixture_path(rule: Rule) -> &'static str {
         Rule::EnvInjection => "crates/copyattack-core/src/baselines.rs",
         Rule::UnsafeAudit => "crates/x/src/lib.rs",
         Rule::UnorderedReduce => "crates/x/src/stats.rs",
-        Rule::ServiceSleep => "crates/serve/src/shard.rs",
-        Rule::NestedVec => "crates/datagen/src/organic.rs",
+        Rule::ServiceSleep => "crates/recsys/src/faults.rs",
+        Rule::NestedVec => "crates/datagen/src/generator.rs",
         Rule::ExactScan => "crates/mf/src/recommender.rs",
         Rule::SeedDiscipline => "crates/x/src/sampling.rs",
         Rule::IterationOrder => "crates/x/src/stats.rs",
@@ -177,7 +177,6 @@ fn unmetered_query_catches_the_planted_raw_top_k() {
     // The same source on the platform side of the fence is the metered
     // surface's own implementation: no attack-side root reaches it.
     assert!(strict("crates/recsys/src/blackbox.rs", src).is_empty());
-    assert!(strict("crates/serve/src/shard.rs", src).is_empty());
 }
 
 #[test]
@@ -198,7 +197,7 @@ fn env_injection_fires_in_attack_code_but_not_in_the_env_itself() {
     // implementation, not a bypass.
     assert!(strict("crates/copyattack-core/src/env.rs", src).is_empty());
     // Outside the attack crate, platform-side code injects freely.
-    assert!(strict("crates/serve/src/shard.rs", src).is_empty());
+    assert!(strict("crates/recsys/src/faults.rs", src).is_empty());
     assert!(strict("src/pipeline.rs", src).is_empty());
 }
 
@@ -209,9 +208,7 @@ fn service_sleep_fires_only_in_service_path_crates() {
         ("service-sleep", line_of(src, "MARK: qualified sleep fires")),
         ("service-sleep", line_of(src, "MARK: imported sleep fires")),
     ];
-    // Both service-path crates are in scope: the live platform and the
-    // fault/retry layer it is built on.
-    assert_eq!(fired(&strict("crates/serve/src/shard.rs", src)), expected);
+    // The service path is in scope: the platform and its fault layer.
     assert_eq!(fired(&strict("crates/recsys/src/faults.rs", src)), expected);
     // The same source elsewhere is not bound by the logical-clock contract.
     assert!(strict("crates/train/src/driver.rs", src).is_empty());

@@ -394,6 +394,18 @@ mod tests {
             resumed_curve, full_curve,
             "resumed run must reproduce the uninterrupted curve exactly"
         );
+
+        // The curve saturates at 1.0, so it cannot tell a rolled-back
+        // checkpoint from one that kept the aborted episode's policy update
+        // and RNG draws. The next executed attack depends on both.
+        let t = ItemId(3);
+        let executed =
+            |c: &mut Campaign| c.execute_on(&src, t, &mut bandit_env(&map, t)).selected_users;
+        assert_eq!(
+            executed(&mut resumed),
+            executed(&mut reference),
+            "resumed policy must select exactly as the uninterrupted one"
+        );
     }
 
     /// A platform that refuses every injection until `heal_after` accounts

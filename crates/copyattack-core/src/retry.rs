@@ -14,16 +14,15 @@ use ca_recsys::{FallibleBlackBox, RecError, SplitMix64};
 /// Attempt `i` (0-based) waits `min(base_delay · 2^i, max_delay)` logical
 /// ticks, stretched by up to `jitter` (a fraction, e.g. `0.25` = up to 25%
 /// extra) drawn from the caller's [`SplitMix64`]. A
-/// [`RecError::RateLimited`] (or [`RecError::Degraded`]) overrides the
-/// computed delay with the platform's own `retry_after` hint when that hint
-/// is longer.
+/// [`RecError::RateLimited`] overrides the computed delay with the
+/// platform's own `retry_after` hint when that hint is longer.
 ///
 /// On top of the per-attempt schedule, `max_total_wait` caps the
 /// *cumulative* logical ticks one [`RetryPolicy::run`] invocation may spend
-/// waiting. A dead or flapping shard that keeps handing out large
-/// `retry_after` hints would otherwise stall a campaign unboundedly; once
-/// the budget is exhausted the call degrades to the typed failure that
-/// triggered the final give-up.
+/// waiting. A rate limiter that keeps handing out large `retry_after`
+/// hints would otherwise stall a campaign unboundedly; once the budget is
+/// exhausted the call degrades to the typed failure that triggered the
+/// final give-up.
 #[derive(Clone, Copy, Debug)]
 pub struct RetryPolicy {
     /// Retries after the first attempt (0 = fail fast).
@@ -87,9 +86,7 @@ impl RetryPolicy {
         let base = self.backoff(attempt);
         let jittered = base + (base as f64 * self.jitter * rng.unit_f64()) as u64;
         match err {
-            RecError::RateLimited { retry_after } | RecError::Degraded { retry_after } => {
-                jittered.max(*retry_after)
-            }
+            RecError::RateLimited { retry_after } => jittered.max(*retry_after),
             _ => jittered,
         }
     }
@@ -137,7 +134,7 @@ impl RetryPolicy {
             let delay = self.delay_for(attempt, &err, rng);
             match waited.checked_add(delay).filter(|&w| w <= self.max_total_wait) {
                 // Budget exhausted: degrade to the typed failure instead
-                // of waiting out a dead shard.
+                // of waiting out a dead platform.
                 None => return Err(err),
                 Some(w) => waited = w,
             }
@@ -347,7 +344,7 @@ mod tests {
 
     #[test]
     fn cumulative_wait_budget_degrades_to_typed_failure() {
-        // A flapping shard keeps handing out a huge retry_after hint; the
+        // A rate limiter keeps handing out a huge retry_after hint; the
         // cumulative budget caps the stall and surfaces the typed error
         // well before max_retries is exhausted.
         let p = RetryPolicy {
@@ -357,12 +354,15 @@ mod tests {
             jitter: 0.0,
             max_total_wait: 100,
         };
-        let inner =
-            EventuallyUp { fail_first: 100, calls: 0, err: RecError::Degraded { retry_after: 60 } };
+        let inner = EventuallyUp {
+            fail_first: 100,
+            calls: 0,
+            err: RecError::RateLimited { retry_after: 60 },
+        };
         let mut platform = FaultyRecommender::new(inner, FaultConfig::default());
         let mut rng = SplitMix64::new(3);
         let r = p.run(&mut platform, &mut rng, |pf| pf.try_top_k(UserId(0), 3));
-        assert_eq!(r, Err(RecError::Degraded { retry_after: 60 }));
+        assert_eq!(r, Err(RecError::RateLimited { retry_after: 60 }));
         // One 60-tick wait fits the budget; the second (120 total) does
         // not, so the loop stops after two calls and one wait.
         assert_eq!(platform.clock(), 2 + 60);
@@ -377,10 +377,13 @@ mod tests {
             jitter: 0.0,
             max_total_wait: 50,
         };
-        let mut platform =
-            EventuallyUp { fail_first: 100, calls: 0, err: RecError::Degraded { retry_after: 60 } };
+        let mut platform = EventuallyUp {
+            fail_first: 100,
+            calls: 0,
+            err: RecError::RateLimited { retry_after: 60 },
+        };
         let mut rng = SplitMix64::new(3);
-        let first = RecError::Degraded { retry_after: 60 };
+        let first = RecError::RateLimited { retry_after: 60 };
         let r =
             p.run_after(first.clone(), &mut platform, &mut rng, |pf| pf.try_top_k(UserId(0), 3));
         assert_eq!(r, Err(first));

@@ -26,9 +26,7 @@
 pub mod config;
 pub mod generator;
 pub mod latent;
-pub mod organic;
 
 pub use config::{CrossDomainConfig, DomainConfig};
 pub use generator::{generate, generate_streaming, CrossDomainDataset, STREAM_CHUNK};
 pub use latent::LatentTruth;
-pub use organic::{OrganicEvent, OrganicSampler};

@@ -47,14 +47,6 @@ pub enum RecError {
     AccountSuspended,
     /// The platform is down; retry later.
     ServiceUnavailable,
-    /// The platform answered in degraded mode *instead of stalling*: the
-    /// shard responsible for this request is down, restarting, or stalled
-    /// and its supervisor shed the call. Retry after the given number of
-    /// logical ticks — the shard's estimated time back to healthy.
-    Degraded {
-        /// Ticks until the responsible shard is expected back.
-        retry_after: u64,
-    },
 }
 
 impl fmt::Display for RecError {
@@ -69,9 +61,6 @@ impl fmt::Display for RecError {
             }
             RecError::AccountSuspended => write!(f, "account suspended"),
             RecError::ServiceUnavailable => write!(f, "service unavailable"),
-            RecError::Degraded { retry_after } => {
-                write!(f, "degraded service (shard back in ~{retry_after} ticks)")
-            }
         }
     }
 }
@@ -85,10 +74,7 @@ impl RecError {
     pub fn is_retryable(&self) -> bool {
         matches!(
             self,
-            RecError::RateLimited { .. }
-                | RecError::Timeout
-                | RecError::ServiceUnavailable
-                | RecError::Degraded { .. }
+            RecError::RateLimited { .. } | RecError::Timeout | RecError::ServiceUnavailable
         )
     }
 }
@@ -719,13 +705,6 @@ mod tests {
         }
         assert_eq!(batched.clock(), looped.clock());
         assert_eq!(batched.stats(), looped.stats());
-    }
-
-    #[test]
-    fn degraded_is_retryable_and_displays() {
-        let e = RecError::Degraded { retry_after: 12 };
-        assert!(e.is_retryable());
-        assert!(format!("{e}").contains("12 ticks"));
     }
 
     #[test]

@@ -6,8 +6,9 @@
 //! controls accounts that can replay profiles crawled from platform B.
 //! This example sweeps the profile budget Δ and reports the promotion
 //! metrics per budget — a miniature of the Figure 5 experiment — and then
-//! replays the attack against a *flaky* platform (rate limits, timeouts,
-//! suspended accounts) to show the resilient loop riding through faults.
+//! trains and runs CopyAttack against a *flaky* platform (rate limits,
+//! timeouts, suspended accounts) to show the resilient loop riding through
+//! faults.
 //!
 //! Run with: `cargo run --release --example promotion_campaign`
 
@@ -85,13 +86,24 @@ fn main() {
         .registry()
         .build("CopyAttack", &cfg.attack.config, &src, target_src)
         .expect("carriers");
+    // Training is on flaky platforms too: each episode meets its own
+    // fault stream.
+    let mut episode = 0;
+    attack.prepare(&src, &mut || {
+        episode += 1;
+        let faults = FaultConfig::chaos(split_seed(cfg.seed, episode));
+        pipe.make_faulty_env(target, faults, resilience)
+    });
     let mut env = pipe.make_faulty_env(target, FaultConfig::chaos(7), resilience);
-    // The untrained policy draws from its own stream, never this one.
+    // The learned policy draws from its own stream, never this one.
     let mut unused = StdRng::seed_from_u64(split_seed(cfg.seed, 0));
     let outcome = attack.run(&mut env, &src, target_src, &mut unused);
     println!(
-        "reward {:.3} | {} profiles landed, {} injection attempts failed",
-        outcome.final_reward, outcome.injections, outcome.failed_injections
+        "reward {:.3} | {} profiles landed ({:.1} items each), {} injection attempts failed",
+        outcome.final_reward,
+        outcome.injections,
+        outcome.avg_items_per_profile,
+        outcome.failed_injections
     );
     let (queries, failed) = (env.queries(), env.failed_queries());
     let reestablished = env.reestablished();

@@ -22,7 +22,6 @@
 //! | [`ann`] | `ca-ann` | deterministic IVF approximate retrieval (sublinear Top-k) |
 //! | [`core`] | `copyattack-core` | the attack: selection, crafting, env, RL |
 //! | [`detect`] | `ca-detect` | shilling-attack detectors (profile realism) |
-//! | [`serve`] | `ca-serve` | supervised sharded live platform (degradation, drift) |
 //! | [`pipeline`] | this crate | end-to-end experiment pipeline |
 //!
 //! ## Quickstart
@@ -48,7 +47,6 @@ pub use ca_ncf as ncf;
 pub use ca_nn as nn;
 pub use ca_par as par;
 pub use ca_recsys as recsys;
-pub use ca_serve as serve;
 pub use ca_tensor as tensor;
 pub use ca_train as train;
 pub use copyattack_core as core;

@@ -14,16 +14,14 @@
 //! CopyAttack: they all run through the same episode loop.
 
 use copyattack::core::{
-    AttackConfig, AttackEnvironment, AttackOutcome, Campaign, CampaignRun, CopyAttackVariant,
-    ResilienceConfig, RetryPolicy,
+    AttackConfig, AttackOutcome, Campaign, CampaignRun, CopyAttackVariant, ResilienceConfig,
+    RetryPolicy,
 };
-use copyattack::datagen::OrganicSampler;
 use copyattack::gnn::PinSageRecommender;
 use copyattack::par::split_seed;
 use copyattack::pipeline::{Pipeline, PipelineConfig};
 use copyattack::recsys::{BlackBoxRecommender, FallibleBlackBox, RecError};
 use copyattack::recsys::{FaultConfig, FaultStats, FaultyRecommender, ItemId, UserId};
-use copyattack::serve::{LivePlatform, ServeConfig};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -188,164 +186,71 @@ fn every_registered_attack_survives_chaos() {
 }
 
 // ---------------------------------------------------------------------------
-// Shard-crash chaos: the campaign against the ca-serve live platform.
+// Outage chaos: a campaign interrupted by a dead platform, then resumed.
 // ---------------------------------------------------------------------------
 
-/// Deploys the pipeline's target world as a live platform (organic
-/// traffic, retrain drift) and establishes the pipeline's pretend
-/// accounts on it. Returned platforms are pristine per-episode templates:
-/// clone one for each episode so every run replays identically.
-fn live_service(pipe: &Pipeline, serve_cfg: ServeConfig) -> (LivePlatform, Vec<UserId>) {
-    let sampler = OrganicSampler::from_truth(&pipe.world.truth, pipe.config.world.affinity_beta);
-    let mut p = LivePlatform::launch(&pipe.world.target, sampler, serve_cfg).unwrap();
-    let pretend: Vec<UserId> = pipe
-        .pretend_profiles
-        .iter()
-        .map(|profile| p.try_inject_user(profile).expect("healthy launch accepts accounts"))
-        .collect();
-    (p, pretend)
-}
-
-fn healthy_serve_cfg() -> ServeConfig {
-    ServeConfig {
-        n_shards: 1,
-        organic_rate: 1.0,
-        retrain_every: 16,
-        retrain_ticks: 2,
-        checkpoint_every: 8,
-        ..Default::default()
-    }
-}
-
-/// Same platform, but a scripted shard crash on the first tick after the
-/// pretend accounts are established (establishment costs one tick per
-/// account), with a restart backoff far beyond any retry budget: the
-/// episode's first call finds the only shard down, and the whole episode
-/// degrades to typed failures.
-fn doomed_serve_cfg(n_pretend: u64) -> ServeConfig {
-    ServeConfig {
-        scripted_crashes: vec![(n_pretend + 1, 0)],
-        restart_base: 50_000,
-        restart_max: 50_000,
-        ..healthy_serve_cfg()
-    }
-}
-
 #[test]
-fn shard_crash_interrupts_the_campaign_and_resume_replays_the_curve() {
+fn outage_interrupts_the_campaign_and_resume_replays_the_curve() {
     let cfg = PipelineConfig::tiny(42);
     let pipe = Pipeline::build(&cfg);
     let target = pipe.target_items[0];
     let target_src = pipe.world.source_item(target).unwrap();
     let src = pipe.source_domain();
     let attack_cfg = AttackConfig { episodes: 8, ..pipe.config.attack.config.clone() };
+    let chaos_env =
+        || pipe.make_faulty_env(target, FaultConfig::chaos(FAULT_SEED), chaos_resilience());
 
-    let (healthy, pretend) = live_service(&pipe, healthy_serve_cfg());
-    let (doomed, doomed_pretend) =
-        live_service(&pipe, doomed_serve_cfg(pipe.pretend_profiles.len() as u64));
-    let make_episode = |template: &LivePlatform, accounts: &[UserId]| {
-        AttackEnvironment::new(
-            template.clone(),
-            accounts.to_vec(),
-            target,
-            attack_cfg.reward_k,
-            attack_cfg.budget,
-        )
-        .with_resilience(chaos_resilience())
-        .with_pretend_profiles(pipe.pretend_profiles.clone())
-    };
-
-    // Reference: every episode served by a healthy platform clone.
+    // Reference: every episode on the chaos preset.
     let mut reference =
         Campaign::new(attack_cfg.clone(), CopyAttackVariant::full(), &src, vec![target_src]);
     let CampaignRun::Completed { curve: full_curve } =
-        reference.train_resilient(&src, |_| make_episode(&healthy, &pretend))
+        reference.train_resilient(&src, |_| chaos_env())
     else {
-        panic!("a healthy platform cannot interrupt the campaign");
+        panic!("the chaos preset cannot defeat a whole episode here");
     };
     assert_eq!(full_curve.len(), 8);
 
-    // Interrupted run: episode 4 lands on a platform whose only shard
-    // crashes on the first tick and stays down past every retry budget.
+    // Interrupted run: episode 4 lands on a platform that answers every
+    // call with ServiceUnavailable, past every retry budget.
     let mut campaign =
         Campaign::new(attack_cfg.clone(), CopyAttackVariant::full(), &src, vec![target_src]);
     let mut episode_no = 0usize;
     let run = campaign.train_resilient(&src, |_| {
-        let doomed_now = episode_no == 4;
+        let down = episode_no == 4;
         episode_no += 1;
-        if doomed_now {
-            make_episode(&doomed, &doomed_pretend)
+        if down {
+            let outage = FaultConfig { unavailable_prob: 1.0, ..FaultConfig::default() };
+            pipe.make_faulty_env(target, outage, chaos_resilience())
         } else {
-            make_episode(&healthy, &pretend)
+            chaos_env()
         }
     });
     let CampaignRun::Interrupted { checkpoint, cause } = run else {
-        panic!("a dead shard must interrupt the campaign");
+        panic!("a total outage must interrupt the campaign");
     };
-    assert!(
-        matches!(cause, RecError::Degraded { retry_after } if retry_after > 0),
-        "the supervisor must fail typed, with a retry hint: got {cause}"
-    );
+    assert_eq!(cause, RecError::ServiceUnavailable);
     assert_eq!(checkpoint.episodes_completed(), 4);
-    assert_eq!(checkpoint.curve(), &full_curve[..4], "pre-crash prefix must match");
+    assert_eq!(checkpoint.curve(), &full_curve[..4], "pre-outage prefix must match");
 
-    // The shard comes back (fresh healthy clones): resuming from the
-    // checkpoint replays the aborted episode cleanly and the combined
-    // curve is bit-identical to the uninterrupted reference.
+    // The platform comes back: resuming from the checkpoint replays the
+    // aborted episode cleanly and the combined curve is bit-identical to
+    // the uninterrupted reference.
     let mut resumed = *checkpoint;
-    let CampaignRun::Completed { curve } =
-        resumed.train_resilient(&src, |_| make_episode(&healthy, &pretend))
-    else {
+    let CampaignRun::Completed { curve } = resumed.train_resilient(&src, |_| chaos_env()) else {
         panic!("recovered platform cannot interrupt");
     };
     assert_eq!(curve, full_curve, "resume must reproduce the uninterrupted curve exactly");
-}
 
-#[test]
-fn mid_campaign_shard_crash_with_recovery_still_completes() {
-    // Unlike the doomed config above, here the shard crash heals within
-    // the retry budget: the campaign rides through on retries and typed
-    // degradation without ever aborting, and the run stays reproducible.
-    let cfg = PipelineConfig::tiny(42);
-    let pipe = Pipeline::build(&cfg);
-    let target = pipe.target_items[0];
-    let target_src = pipe.world.source_item(target).unwrap();
-    let src = pipe.source_domain();
-    let attack_cfg = AttackConfig { episodes: 6, ..pipe.config.attack.config.clone() };
-
-    let crash_at = pipe.pretend_profiles.len() as u64 + 10;
-    let serve_cfg = ServeConfig {
-        scripted_crashes: vec![(crash_at, 0)],
-        restart_base: 12,
-        restart_max: 12,
-        ..healthy_serve_cfg()
-    };
-    let run = || {
-        let (template, pretend) = live_service(&pipe, serve_cfg.clone());
-        let mut campaign =
-            Campaign::new(attack_cfg.clone(), CopyAttackVariant::full(), &src, vec![target_src]);
-        let outcome = campaign.train_resilient(&src, |_| {
-            AttackEnvironment::new(
-                template.clone(),
-                pretend.clone(),
-                target,
-                attack_cfg.reward_k,
-                attack_cfg.budget,
-            )
-            .with_resilience(chaos_resilience())
-            .with_pretend_profiles(pipe.pretend_profiles.clone())
-        });
-        match outcome {
-            CampaignRun::Completed { curve } => curve,
-            CampaignRun::Interrupted { cause, .. } => {
-                panic!("a 12-tick outage must be absorbed by retries, got: {cause}")
-            }
-        }
-    };
-    let a = run();
-    let b = run();
-    assert_eq!(a.len(), 6);
-    assert_eq!(a, b, "recovered-crash campaign must replay bit for bit");
+    // The curve saturates at 1.0, so it cannot tell a rolled-back
+    // checkpoint from one that kept the aborted episode's policy update
+    // and RNG draws. The next executed attack depends on both.
+    let executed =
+        |c: &mut Campaign| c.execute_on(&src, target_src, &mut chaos_env()).selected_users;
+    assert_eq!(
+        executed(&mut resumed),
+        executed(&mut reference),
+        "resumed policy must select exactly as the uninterrupted one"
+    );
 }
 
 // ---------------------------------------------------------------------------

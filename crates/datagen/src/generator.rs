@@ -174,9 +174,9 @@ fn build_world(rng: &mut StdRng, cfg: &CrossDomainConfig) -> World {
     }
 }
 
-/// Draws one user: cluster, latent vector, and a profile over `catalog`
-/// (target-space indices). The temporal ordering is applied inside
-/// [`sample_profile`].
+/// Draws one user: a cluster, whose center the user's latent vector lies
+/// around, then a profile over `catalog` (target-space indices). The
+/// temporal ordering is applied inside [`sample_profile`].
 fn sample_user(
     rng: &mut StdRng,
     world: &World,
@@ -185,12 +185,12 @@ fn sample_user(
     n_clusters: usize,
     user_noise: f32,
     beta: f32,
-) -> (usize, Vec<f32>, Vec<usize>) {
+) -> (Vec<f32>, Vec<usize>) {
     let c = rng.gen_range(0..n_clusters);
     let uvec = around(rng, world.centers.row(c), user_noise);
     let len = sample_len(rng, dcfg);
     let profile = sample_profile(rng, &uvec, catalog, &world.item_pop, &world.item_vecs, beta, len);
-    (c, uvec, profile)
+    (uvec, profile)
 }
 
 /// Generates a cross-domain world from the configuration (serial path;
@@ -205,11 +205,10 @@ pub fn generate(cfg: &CrossDomainConfig) -> CrossDomainDataset {
 
     // --- Users and profiles -------------------------------------------------
     let mut target_user_vecs = Matrix::zeros(cfg.target.n_users, cfg.latent_dim);
-    let mut target_user_cluster = Vec::with_capacity(cfg.target.n_users);
     let mut target_b = DatasetBuilder::new(cfg.n_target_items);
     let mut ids: Vec<ItemId> = Vec::new();
     for u in 0..cfg.target.n_users {
-        let (c, uvec, profile) = sample_user(
+        let (uvec, profile) = sample_user(
             &mut rng,
             &world,
             &cfg.target,
@@ -221,17 +220,15 @@ pub fn generate(cfg: &CrossDomainConfig) -> CrossDomainDataset {
         ids.clear();
         ids.extend(profile.iter().map(|&i| ItemId(i as u32)));
         target_b.user(&ids);
-        target_user_cluster.push(c);
         target_user_vecs.row_mut(u).copy_from_slice(&uvec);
     }
 
     let mut source_user_vecs = Matrix::zeros(cfg.source.n_users, cfg.latent_dim);
-    let mut source_user_cluster = Vec::with_capacity(cfg.source.n_users);
     let mut source_b = DatasetBuilder::new(cfg.n_overlap);
     for u in 0..cfg.source.n_users {
         // Sample in *target* item space over the overlap catalog, then map
         // down to source ids.
-        let (c, uvec, profile) = sample_user(
+        let (uvec, profile) = sample_user(
             &mut rng,
             &world,
             &cfg.source,
@@ -247,20 +244,10 @@ pub fn generate(cfg: &CrossDomainConfig) -> CrossDomainDataset {
                 .map(|&t| world.target_to_source[t].expect("overlap catalog item must map back")),
         );
         source_b.user(&ids);
-        source_user_cluster.push(c);
         source_user_vecs.row_mut(u).copy_from_slice(&uvec);
     }
 
-    assemble(
-        cfg,
-        world,
-        target_b,
-        target_user_vecs,
-        target_user_cluster,
-        source_b,
-        source_user_vecs,
-        source_user_cluster,
-    )
+    assemble(cfg, world, target_b, target_user_vecs, source_b, source_user_vecs)
 }
 
 /// Fixed user-block size of [`generate_streaming`]. Part of the determinism
@@ -271,7 +258,6 @@ pub const STREAM_CHUNK: usize = 1024;
 
 /// One generated block of users, in flat arena form ready to append.
 struct ChunkOut {
-    clusters: Vec<usize>,
     /// `n_chunk_users × dim`, row-major.
     uvecs: Vec<f32>,
     /// Per-user profile runs, back to back.
@@ -296,7 +282,7 @@ pub fn generate_streaming(cfg: &CrossDomainConfig) -> CrossDomainDataset {
     let mut world_rng = StdRng::seed_from_u64(ca_par::split_seed(cfg.seed, 0));
     let world = build_world(&mut world_rng, cfg);
 
-    let (target_b, target_user_vecs, target_user_cluster) = stream_domain(
+    let (target_b, target_user_vecs) = stream_domain(
         cfg,
         &world,
         &cfg.target,
@@ -305,7 +291,7 @@ pub fn generate_streaming(cfg: &CrossDomainConfig) -> CrossDomainDataset {
         &world.full_catalog,
         |i| ItemId(i as u32),
     );
-    let (source_b, source_user_vecs, source_user_cluster) = stream_domain(
+    let (source_b, source_user_vecs) = stream_domain(
         cfg,
         &world,
         &cfg.source,
@@ -315,16 +301,7 @@ pub fn generate_streaming(cfg: &CrossDomainConfig) -> CrossDomainDataset {
         |t| world.target_to_source[t].expect("overlap catalog item must map back"),
     );
 
-    assemble(
-        cfg,
-        world,
-        target_b,
-        target_user_vecs,
-        target_user_cluster,
-        source_b,
-        source_user_vecs,
-        source_user_cluster,
-    )
+    assemble(cfg, world, target_b, target_user_vecs, source_b, source_user_vecs)
 }
 
 /// Streams one domain's users: chunks are generated in parallel waves and
@@ -339,26 +316,24 @@ fn stream_domain(
     n_items: usize,
     catalog: &[usize],
     to_domain_id: impl Fn(usize) -> ItemId + Sync,
-) -> (DatasetBuilder, Matrix, Vec<usize>) {
+) -> (DatasetBuilder, Matrix) {
     let n_users = dcfg.n_users;
     let n_chunks = n_users.div_ceil(STREAM_CHUNK);
     let mut builder = DatasetBuilder::new(n_items);
     builder.reserve(n_users * dcfg.profile_len_mean as usize);
     let mut user_vecs = Matrix::zeros(n_users, cfg.latent_dim);
-    let mut clusters = Vec::with_capacity(n_users);
 
     let gen_chunk = |ci: usize| -> ChunkOut {
         let lo = ci * STREAM_CHUNK;
         let hi = (lo + STREAM_CHUNK).min(n_users);
         let mut rng = StdRng::seed_from_u64(ca_par::split_seed(domain_seed, ci as u64));
         let mut out = ChunkOut {
-            clusters: Vec::with_capacity(hi - lo),
             uvecs: Vec::with_capacity((hi - lo) * cfg.latent_dim),
             items: Vec::new(),
             offsets: vec![0],
         };
         for _ in lo..hi {
-            let (c, uvec, profile) = sample_user(
+            let (uvec, profile) = sample_user(
                 &mut rng,
                 world,
                 dcfg,
@@ -367,7 +342,6 @@ fn stream_domain(
                 cfg.user_noise,
                 cfg.affinity_beta,
             );
-            out.clusters.push(c);
             out.uvecs.extend_from_slice(&uvec);
             out.items.extend(profile.iter().map(|&i| to_domain_id(i)));
             out.offsets.push(out.items.len() as u32);
@@ -381,28 +355,24 @@ fn stream_domain(
     let chunk_ids: Vec<usize> = (0..n_chunks).collect();
     for wave_ids in chunk_ids.chunks(wave) {
         for out in ca_par::map(wave_ids, |_, &ci| gen_chunk(ci)) {
+            let row0 = builder.n_users();
             for w in out.offsets.windows(2) {
                 builder.user(&out.items[w[0] as usize..w[1] as usize]);
             }
-            let row0 = clusters.len();
-            user_vecs.row_range_mut(row0, row0 + out.clusters.len()).copy_from_slice(&out.uvecs);
-            clusters.extend_from_slice(&out.clusters);
+            user_vecs.row_range_mut(row0, builder.n_users()).copy_from_slice(&out.uvecs);
         }
     }
-    (builder, user_vecs, clusters)
+    (builder, user_vecs)
 }
 
 /// Finalizes both domains into a [`CrossDomainDataset`].
-#[allow(clippy::too_many_arguments)]
 fn assemble(
     cfg: &CrossDomainConfig,
     world: World,
     target_b: DatasetBuilder,
     target_user_vecs: Matrix,
-    target_user_cluster: Vec<usize>,
     source_b: DatasetBuilder,
     source_user_vecs: Matrix,
-    source_user_cluster: Vec<usize>,
 ) -> CrossDomainDataset {
     let truth = LatentTruth {
         dim: cfg.latent_dim,
@@ -411,9 +381,7 @@ fn assemble(
         item_cluster: world.item_cluster,
         item_pop: world.item_pop,
         target_user_vecs,
-        target_user_cluster,
         source_user_vecs,
-        source_user_cluster,
     };
     let target = target_b.build();
     let source = source_b.build();
@@ -677,7 +645,6 @@ mod tests {
         assert!(s.target_interactions > 0);
         assert!(world.target.check_consistency().is_ok());
         assert!(world.source.check_consistency().is_ok());
-        assert_eq!(world.truth.target_user_cluster.len(), cfg.target.n_users);
         assert_eq!(world.truth.target_user_vecs.rows(), cfg.target.n_users);
     }
 
@@ -703,7 +670,6 @@ mod tests {
         for u in a.source.users() {
             assert_eq!(a.source.profile(u), b.source.profile(u));
         }
-        assert_eq!(a.truth.target_user_cluster, b.truth.target_user_cluster);
         assert_eq!(
             a.truth.target_user_vecs.as_slice(),
             b.truth.target_user_vecs.as_slice(),

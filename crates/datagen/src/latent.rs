@@ -29,12 +29,8 @@ pub struct LatentTruth {
     pub item_pop: Vec<f32>,
     /// Target-domain user vectors (unit rows).
     pub target_user_vecs: Matrix,
-    /// Target-domain user cluster assignment.
-    pub target_user_cluster: Vec<usize>,
     /// Source-domain user vectors (unit rows).
     pub source_user_vecs: Matrix,
-    /// Source-domain user cluster assignment.
-    pub source_user_cluster: Vec<usize>,
 }
 
 /// Normalizes `v` to unit length in place (no-op for the zero vector).
@@ -76,11 +72,6 @@ pub fn zipf_weights(ranks: &[usize], alpha: f32) -> Vec<f32> {
 }
 
 impl LatentTruth {
-    /// Cluster center `c`.
-    pub fn center(&self, c: usize) -> &[f32] {
-        self.centers.row(c)
-    }
-
     /// Latent vector of item `v` (target-domain id).
     pub fn item_vec(&self, v: usize) -> &[f32] {
         self.item_vecs.row(v)
@@ -94,11 +85,6 @@ impl LatentTruth {
     /// Latent vector of source-domain user `u`.
     pub fn source_user_vec(&self, u: usize) -> &[f32] {
         self.source_user_vecs.row(u)
-    }
-
-    /// Number of items in the world.
-    pub fn n_items(&self) -> usize {
-        self.item_vecs.rows()
     }
 
     /// Ground-truth affinity between a user vector and item `v`

@@ -8,6 +8,10 @@
 //! - [`map`] returns outputs in input order — each slot is the pure
 //!   function of its input, so which worker computed it is invisible;
 //!   a caller that reduces the outputs folds them serially, in that order;
+//! - [`join`] runs two independent closures of different result types
+//!   side by side and returns both results as a pair — each closure owns
+//!   its inputs and random streams, so neither can see which thread ran it
+//!   or when the other finished;
 //! - [`SeedSplit`] derives statistically independent RNG seeds from a
 //!   parent seed and a *stable task index* (SplitMix64-style mixing), so a
 //!   task's random stream is a function of its position in the work tree,
@@ -120,6 +124,29 @@ pub fn even_chunks(n: usize, parts: usize) -> Vec<std::ops::Range<usize>> {
     (0..parts).map(|p| (p * n / parts)..((p + 1) * n / parts)).collect()
 }
 
+/// Runs two independent closures and returns both results: `(a(), b())`.
+///
+/// At [`threads`] ≥ 2, `a` runs on one scoped worker while `b` runs on the
+/// calling thread; at one thread both run on the caller, `a` first. The
+/// closures share nothing mutable and each owns the random streams it
+/// draws from, so the pair is the same at any thread count — only wall
+/// time changes. A panic in `a` reaches the caller through
+/// [`std::panic::resume_unwind`] once `b` has returned.
+///
+/// Unlike [`map`], the two results may have different types; the fan-out
+/// is fixed at two, so a caller adds at most one thread.
+pub fn join<A: Send, B>(a: impl FnOnce() -> A + Send, b: impl FnOnce() -> B) -> (A, B) {
+    if threads() <= 1 {
+        return (a(), b());
+    }
+    std::thread::scope(|scope| {
+        let worker = scope.spawn(a);
+        let rb = b();
+        let ra = worker.join().unwrap_or_else(|payload| std::panic::resume_unwind(payload));
+        (ra, rb)
+    })
+}
+
 /// Deterministic parallel map: `out[i] = f(i, &items[i])`, in input order.
 ///
 /// Work is handed out as contiguous chunks through an atomic cursor (cheap
@@ -164,8 +191,17 @@ pub fn map<T: Sync, R: Send>(items: &[T], f: impl Fn(usize, &T) -> R + Sync) -> 
 mod tests {
     use super::*;
 
+    /// Held by every test that sets the thread override, so one test's
+    /// override cannot land in the middle of another's.
+    static OVERRIDE: Mutex<()> = Mutex::new(());
+
+    fn hold_override() -> std::sync::MutexGuard<'static, ()> {
+        OVERRIDE.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
     /// Runs `f` at several worker counts and asserts all results agree.
     fn at_thread_counts<R: PartialEq + std::fmt::Debug>(f: impl Fn() -> R) -> R {
+        let _held = hold_override();
         set_threads(Some(1));
         let base = f();
         for t in [2, 3, 8] {
@@ -178,6 +214,7 @@ mod tests {
 
     #[test]
     fn threads_is_at_least_one() {
+        let _held = hold_override();
         set_threads(None);
         assert!(threads() >= 1);
         set_threads(Some(6));
@@ -218,6 +255,56 @@ mod tests {
         let empty: Vec<u32> = Vec::new();
         assert!(map(&empty, |_, &x| x).is_empty());
         assert_eq!(map(&[7u32], |i, &x| x + i as u32), vec![7]);
+    }
+
+    #[test]
+    fn join_at_one_thread_runs_a_then_b_on_the_caller() {
+        let _held = hold_override();
+        set_threads(Some(1));
+        let caller = std::thread::current().id();
+        let log = Mutex::new(Vec::new());
+        let record = |name: &'static str| {
+            log.lock().unwrap().push((name, std::thread::current().id()));
+            name
+        };
+        assert_eq!(join(|| record("a"), || record("b")), ("a", "b"));
+        assert_eq!(log.into_inner().unwrap(), vec![("a", caller), ("b", caller)]);
+        set_threads(None);
+    }
+
+    #[test]
+    fn join_at_two_threads_runs_a_on_a_worker_and_b_on_the_caller() {
+        let _held = hold_override();
+        set_threads(Some(2));
+        let caller = std::thread::current().id();
+        let (a, b) = join(|| std::thread::current().id(), || std::thread::current().id());
+        assert_ne!(a, caller);
+        assert_eq!(b, caller);
+        set_threads(None);
+    }
+
+    #[test]
+    fn join_returns_the_one_thread_pair_at_any_thread_count() {
+        // Two results of different types, as the set-up chains return.
+        let items: Vec<u64> = (0..1000).collect();
+        at_thread_counts(|| {
+            join(
+                || items.iter().fold(0u64, |acc, &x| acc.wrapping_mul(31).wrapping_add(x)),
+                || items.iter().map(|&x| format!("{x:x}")).collect::<String>(),
+            )
+        });
+    }
+
+    #[test]
+    fn join_passes_a_panic_in_a_to_the_caller() {
+        let _held = hold_override();
+        for t in [1, 2] {
+            set_threads(Some(t));
+            let caught = std::panic::catch_unwind(|| join(|| panic!("a failed"), || 7));
+            let payload = caught.expect_err("the panic in `a` must reach the caller");
+            assert_eq!(payload.downcast_ref::<&str>(), Some(&"a failed"), "at {t} threads");
+        }
+        set_threads(None);
     }
 
     #[test]

@@ -101,10 +101,17 @@ pub struct TrainOutcome {
 /// pairs on `rng`, then for each minibatch sample one negative per pair
 /// *serially in pair order* on the same `rng` (the random stream is
 /// identical at every minibatch size), compute per-pair gradients against
-/// the frozen batch-start model, and apply them in pair order. After the epoch's updates, the post-update validation
-/// score (if any) drives the shared early-stopping rule: stop once
-/// `patience` consecutive epochs fail to beat the best score by more than
-/// `tolerance`.
+/// the frozen batch-start model, and apply them in pair order. After the
+/// epoch's updates, the post-update validation score (if any) drives the
+/// shared early-stopping rule: stop once `patience` consecutive epochs fail
+/// to beat the best score by more than `tolerance`.
+///
+/// A negative for the pair `(u, v⁺)` is drawn by rejection: uniform
+/// candidates from the catalog until one is not in `u`'s profile. Every
+/// membership test reads a dense per-user seen bitset built once per call
+/// (`⌈n_items / 64⌉` words per user, `n_users · ⌈n_items / 64⌉ · 8`
+/// bytes), in O(1). It answers exactly what [`Dataset::contains`] answers,
+/// so the draws are those of a binary search in the sorted profile.
 ///
 /// A user who has seen every item in the catalog has no negative to
 /// draw, so that user's pairs are dropped before the first shuffle. The
@@ -127,6 +134,7 @@ pub fn fit<M: PairwiseModel>(
     let mut pairs: Vec<(UserId, ItemId)> =
         ds.interactions().filter(|&(u, _)| ds.profile(u).len() < ds.n_items()).collect();
     let n_items = ds.n_items() as u32;
+    let seen = SeenBits::new(ds);
     let batch = cfg.minibatch.max(1);
     // Optimizer state (momentum velocities, Adam moments) lives with the
     // driver and is only touched from the in-order apply phase below.
@@ -154,9 +162,10 @@ pub fn fit<M: PairwiseModel>(
             // Negative sampling stays on the single trainer RNG.
             triples.clear();
             triples.extend(chunk.iter().map(|&(u, pos)| {
+                // `pos` is in `u`'s profile, so the seen test also rejects it.
                 let neg = loop {
                     let cand = ItemId(rng.gen_range(0..n_items));
-                    if cand != pos && !ds.contains(u, cand) {
+                    if !seen.contains(u, cand) {
                         break cand;
                     }
                 };
@@ -204,6 +213,34 @@ pub fn fit<M: PairwiseModel>(
     }
     obs.on_stop(&stop, epochs_run);
     TrainOutcome { epochs_run, stop, val_history, best_val: best, best_epoch }
+}
+
+/// Dense per-user membership bitset: bit `v % 64` of word
+/// `u · words + v / 64` is set iff user `u` has seen item `v`. One
+/// allocation per [`fit`] call.
+struct SeenBits {
+    words: usize,
+    bits: Vec<u64>,
+}
+
+impl SeenBits {
+    fn new(ds: &Dataset) -> Self {
+        let words = ds.n_items().div_ceil(64);
+        let mut bits = vec![0u64; ds.n_users() * words];
+        for u in ds.users() {
+            let row = &mut bits[u.idx() * words..(u.idx() + 1) * words];
+            for &v in ds.profile(u) {
+                row[v.idx() / 64] |= 1 << (v.idx() % 64);
+            }
+        }
+        Self { words, bits }
+    }
+
+    /// Whether `u` has seen `v`; the same answer as [`Dataset::contains`].
+    #[inline]
+    fn contains(&self, u: UserId, v: ItemId) -> bool {
+        self.bits[u.idx() * self.words + v.idx() / 64] & (1 << (v.idx() % 64)) != 0
+    }
 }
 
 /// [`fit`] with a fresh `StdRng` seeded from `cfg.seed`.
@@ -345,6 +382,83 @@ mod tests {
         assert!(h.epochs.iter().all(|e| e.pairs == ds.interactions().count()));
         assert!(h.epochs.iter().all(|e| e.loss > 0.0));
         assert_eq!(h.stop, Some(out.stop));
+    }
+
+    /// Records every trained `(u, pos, neg)` triple, in apply order.
+    #[derive(Default)]
+    struct Recorder {
+        triples: Vec<(UserId, ItemId, ItemId)>,
+    }
+
+    impl PairwiseModel for Recorder {
+        type Grad = ();
+        fn pair_grad(&self, _u: UserId, _pos: ItemId, _neg: ItemId, _g: &mut ()) -> f32 {
+            0.0
+        }
+        fn apply(&mut self, u: UserId, pos: ItemId, neg: ItemId, _g: &(), _step: &mut Step<'_>) {
+            self.triples.push((u, pos, neg));
+        }
+    }
+
+    /// The documented sampler, replayed with `Dataset::contains`: drop the
+    /// users who saw the whole catalog, then per epoch shuffle the pairs and
+    /// draw each pair's negative by rejection, in pair order.
+    fn replay(ds: &Dataset, epochs: usize, seed: u64) -> Vec<(UserId, ItemId, ItemId)> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut pairs: Vec<(UserId, ItemId)> =
+            ds.interactions().filter(|&(u, _)| ds.profile(u).len() < ds.n_items()).collect();
+        let mut out = Vec::new();
+        for _ in 0..epochs {
+            pairs.shuffle(&mut rng);
+            for &(u, pos) in &pairs {
+                let neg = loop {
+                    let cand = ItemId(rng.gen_range(0..ds.n_items() as u32));
+                    if cand != pos && !ds.contains(u, cand) {
+                        break cand;
+                    }
+                };
+                out.push((u, pos, neg));
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn seen_bitset_draws_what_contains_draws_at_word_boundaries() {
+        for n_items in [1usize, 63, 64, 65, 127, 128, 129, 200] {
+            let mut rng = StdRng::seed_from_u64(n_items as u64);
+            let catalog: Vec<ItemId> = (0..n_items as u32).map(ItemId).collect();
+            let mut b = DatasetBuilder::new(n_items);
+            for _ in 0..12 {
+                let mut profile = catalog.clone();
+                profile.shuffle(&mut rng);
+                profile.truncate(rng.gen_range(0..n_items));
+                b.user(&profile);
+            }
+            // Has seen the whole catalog: no negative to draw, so dropped.
+            let full = b.user(&catalog);
+            // Misses one item: that item is the only legal negative.
+            let missing = ItemId(rng.gen_range(0..n_items as u32));
+            let one_short: Vec<ItemId> =
+                catalog.iter().copied().filter(|&v| v != missing).collect();
+            let short = b.user(&one_short);
+            let ds = b.build();
+
+            let cfg = TrainConfig { max_epochs: 3, minibatch: 5, seed: 11, ..Default::default() };
+            let mut rec = Recorder::default();
+            fit_seeded(&mut rec, &ds, &cfg, &mut NullObserver);
+            for &(u, pos, neg) in &rec.triples {
+                assert!(neg != pos && !ds.contains(u, neg), "{n_items} items: {u} drew {neg}");
+                assert_ne!(u, full, "{n_items} items: the full-catalog user was trained");
+                if u == short {
+                    assert_eq!(neg, missing, "{n_items} items: one legal negative");
+                }
+            }
+            if n_items > 1 {
+                assert!(rec.triples.iter().any(|&(u, _, _)| u == short));
+            }
+            assert_eq!(rec.triples, replay(&ds, 3, 11), "{n_items} items");
+        }
     }
 
     #[test]

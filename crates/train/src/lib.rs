@@ -13,8 +13,9 @@
 //!   per-epoch setup (stale-cache refresh) and an optional post-update
 //!   validation score;
 //! - [`fit`] is the epoch driver: in-order negative sampling on the single
-//!   trainer RNG, minibatching, an early-stopping rule shared by every
-//!   model, and a learning-rate schedule. It allocates its minibatch
+//!   trainer RNG (O(1) seen lookups through a per-run bitset),
+//!   minibatching, an early-stopping rule shared by every model, and a
+//!   learning-rate schedule. It allocates its seen bitset, minibatch
 //!   buffers and gradient slots once per run, so a training step allocates
 //!   nothing once the slots have grown;
 //! - [`TrainConfig`] unifies the hyper-parameters that used to drift across

@@ -174,7 +174,9 @@ pub struct AttackRow {
 /// epoch-by-epoch loss, throughput, and validation curves for the three
 /// training runs (attacker-side MF, feature MF, target GNN). Set
 /// `CA_TRAIN_LOG=1` to additionally stream per-epoch progress to stderr
-/// while building.
+/// while building. At two or more threads the source MF trains beside the
+/// target chain, so its `source-mf` lines interleave with the `target-mf`
+/// and `gnn` lines; each history still records only its own run.
 #[derive(Clone, Debug, Default)]
 pub struct TrainTelemetry {
     /// Attacker-side MF on the source domain.
@@ -234,25 +236,36 @@ impl Pipeline {
         let mut rng = StdRng::seed_from_u64(cfg.seed.wrapping_add(101));
         let split = split_dataset(&world.target, 0.1, &mut rng);
 
-        // Attacker-side embeddings.
+        // Two independent training chains, side by side at two or more
+        // threads: the attacker's source MF reads only the source domain,
+        // and the target chain only the target split. Each chain owns its
+        // seeded RNG and its own telemetry history, so only wall time
+        // depends on the thread count.
         let mut telemetry = TrainTelemetry::default();
-        let (source_mf, _) = observed("source-mf", &mut telemetry.source_mf, |obs| {
-            ca_mf::train_observed(&world.source, &cfg.source_mf, obs)
-        });
-        // Frozen item features for the GNN: MF pretrained on the clean
-        // target training split.
-        let (target_mf, _) = observed("target-mf", &mut telemetry.target_mf, |obs| {
-            ca_mf::train_observed(&split.train, &cfg.target_mf, obs)
-        });
-        let (mut recommender, train_report) = observed("gnn", &mut telemetry.gnn, |obs| {
-            train_with_features_observed(
-                target_mf.item_emb.clone(),
-                &split.train,
-                &split.validation,
-                &cfg.gnn,
-                obs,
-            )
-        });
+        let ((source_mf, _), (mut recommender, train_report)) = ca_par::join(
+            // Attacker-side embeddings.
+            || {
+                observed("source-mf", &mut telemetry.source_mf, |obs| {
+                    ca_mf::train_observed(&world.source, &cfg.source_mf, obs)
+                })
+            },
+            || {
+                // Frozen item features for the GNN: MF pretrained on the
+                // clean target training split.
+                let (target_mf, _) = observed("target-mf", &mut telemetry.target_mf, |obs| {
+                    ca_mf::train_observed(&split.train, &cfg.target_mf, obs)
+                });
+                observed("gnn", &mut telemetry.gnn, |obs| {
+                    train_with_features_observed(
+                        target_mf.item_emb,
+                        &split.train,
+                        &split.validation,
+                        &cfg.gnn,
+                        obs,
+                    )
+                })
+            },
+        );
 
         // The attacker establishes pretend users before the attack (§4.2);
         // the profiles are kept so suspended accounts can be re-established

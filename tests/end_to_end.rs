@@ -3,6 +3,8 @@
 
 use copyattack::core::AttackConfig;
 use copyattack::pipeline::{Pipeline, PipelineConfig};
+use copyattack::recsys::Scorer;
+use copyattack::train::History;
 
 fn pipeline() -> Pipeline {
     Pipeline::build(&PipelineConfig::tiny(42))
@@ -126,5 +128,63 @@ fn budget_is_respected_across_methods() {
             .attack_with(name, target, cfg, &pipe.recommender, &pipe.pretend)
             .expect("registered attack builds");
         assert!(outcome.injections <= cfg.budget, "{name} exceeded budget: {}", outcome.injections);
+    }
+}
+
+fn bits(xs: &[f32]) -> Vec<u32> {
+    xs.iter().map(|x| x.to_bits()).collect()
+}
+
+/// Every `EpochStats` field except the wall-clock `seconds`, as bits.
+fn curve(h: &History) -> Vec<(usize, usize, u32, u32, Option<u32>)> {
+    h.epochs
+        .iter()
+        .map(|e| {
+            (e.epoch, e.pairs, e.loss.to_bits(), e.lr.to_bits(), e.val_score.map(f32::to_bits))
+        })
+        .collect()
+}
+
+/// `Pipeline::build` trains its source-MF chain beside its target chain at
+/// two or more threads; every built part must be bit-identical to the
+/// serial build.
+#[test]
+fn build_is_bitwise_the_same_at_one_and_two_threads() {
+    let build_at = |t: usize| {
+        copyattack::par::set_threads(Some(t));
+        let pipe = Pipeline::build(&PipelineConfig::tiny(7));
+        copyattack::par::set_threads(None);
+        pipe
+    };
+    let (serial, paired) = (build_at(1), build_at(2));
+
+    let (a, b) = (&serial.source_mf, &paired.source_mf);
+    assert!(bits(a.user_emb.as_slice()) == bits(b.user_emb.as_slice()), "source MF user_emb");
+    assert!(bits(a.item_emb.as_slice()) == bits(b.item_emb.as_slice()), "source MF item_emb");
+    assert!(bits(&a.item_bias) == bits(&b.item_bias), "source MF item_bias");
+
+    assert_eq!(serial.eval_users, paired.eval_users);
+    assert_eq!(serial.target_items, paired.target_items);
+    assert_eq!(serial.pretend, paired.pretend);
+    let scores = |p: &Pipeline| -> Vec<u32> {
+        let cells = p.eval_users.iter().flat_map(|&u| p.target_items.iter().map(move |&v| (u, v)));
+        cells.map(|(u, v)| p.recommender.score(u, v).to_bits()).collect()
+    };
+    assert!(scores(&serial) == scores(&paired), "deployed scores over eval users × targets");
+
+    let (r, q) = (&serial.train_report, &paired.train_report);
+    assert_eq!(r.epochs_run, q.epochs_run);
+    assert_eq!(bits(&r.val_hr10_history), bits(&q.val_hr10_history));
+    assert_eq!(r.best_val_hr10.to_bits(), q.best_val_hr10.to_bits());
+
+    let (s, p) = (&serial.telemetry, &paired.telemetry);
+    for (name, x, y) in [
+        ("source-mf", &s.source_mf, &p.source_mf),
+        ("target-mf", &s.target_mf, &p.target_mf),
+        ("gnn", &s.gnn, &p.gnn),
+    ] {
+        assert!(!x.epochs.is_empty(), "{name} recorded no epochs");
+        assert_eq!(curve(x), curve(y), "{name} telemetry");
+        assert_eq!(x.stop, y.stop, "{name} stop reason");
     }
 }

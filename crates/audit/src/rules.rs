@@ -81,9 +81,9 @@ pub enum Rule {
     /// dataset-scale state.
     NestedVec,
     /// Direct `.score_batch(` call outside the shared retrieval path
-    /// (`recsys::engine` and `ca-ann`): a full-catalog scan that bypasses
-    /// the Top-k entry points, and with them the IVF sublinear path and
-    /// the scratch-buffer reuse discipline.
+    /// (`recsys::engine`): a full-catalog scan that bypasses the Top-k
+    /// entry points, which own seen-item exclusion, the deterministic
+    /// tie-break and the pooled scratch buffers.
     ExactScan,
     /// An RNG constructed from a seed that does not derive from the
     /// `split_seed`/config-seed discipline: a literal (`seed_from_u64(42)`)
@@ -98,9 +98,9 @@ pub enum Rule {
     IterationOrder,
     /// A raw `.top_k(`/`.top_k_batch(` ranking call in a function the
     /// attack side can reach without crossing the metered surface
-    /// (recommender-trait impls and the platform/engine crates `ca-recsys`
-    /// and `ca-ann`): it spends platform queries the black-box
-    /// budget never sees (call-graph reachability checked).
+    /// (recommender-trait impls and the platform/engine crate
+    /// `ca-recsys`): it spends platform queries the black-box budget
+    /// never sees (call-graph reachability checked).
     UnmeteredQuery,
     /// A `ca-audit: allow` pragma with no reason after the rule list.
     PragmaMissingReason,
@@ -184,7 +184,8 @@ impl Rule {
             Rule::ServiceSleep => "thread::sleep in a logical-clock service path",
             Rule::NestedVec => "nested Vec<Vec<…>> in a compact-data-plane crate",
             Rule::ExactScan => {
-                "direct .score_batch call scans the full catalog outside the retrieval path"
+                "direct .score_batch call scans the full catalog outside the engine's Top-k \
+                 entry points"
             }
             Rule::SeedDiscipline => {
                 "RNG seeded outside the split_seed/config-seed discipline (literal seed in \
@@ -243,9 +244,9 @@ impl Rule {
                  may keep the nested shape behind a reasoned pragma"
             }
             Rule::ExactScan => {
-                "rank through the engine entry points (single_top_k/batch_top_k or \
-                 ca_ann::IvfIndex) so callers inherit the sublinear path; parity tests \
-                 pinning the dense kernel may suppress with a reason"
+                "rank through the engine entry points (single_top_k/batch_top_k), which own \
+                 seen-item exclusion, the deterministic tie-break and the pooled buffers; \
+                 parity tests pinning the dense kernel may suppress with a reason"
             }
             Rule::SeedDiscipline => {
                 "derive the seed from the run's root seed via ca_par::split_seed (or a \
@@ -408,10 +409,9 @@ fn local_rules(rel_path: &str, toks: &[Tok], pragmas: &[Pragma]) -> Vec<Finding>
     let in_service = rel_path.starts_with("crates/recsys/src/");
     let in_dataplane =
         rel_path.starts_with("crates/recsys/src/") || rel_path.starts_with("crates/datagen/src/");
-    // The engine module and the ANN crate *are* the retrieval path; a
-    // `.score_batch(` there is the implementation, not a bypass.
-    let in_retrieval_path =
-        rel_path == "crates/recsys/src/engine.rs" || rel_path.starts_with("crates/ann/src/");
+    // The engine module *is* the retrieval path; a `.score_batch(` there is
+    // the implementation, not a bypass.
+    let in_retrieval_path = rel_path == "crates/recsys/src/engine.rs";
 
     // Statement window for the unordered-reduce rule: a statement runs
     // between `;`/`{`/`}` boundaries; within one, a float reduction chained
@@ -936,12 +936,11 @@ fn skip_balanced_parens(file: &ParsedFile, open: usize, hi: usize) -> usize {
 
 /// Trait impls that *are* the query surface: implementing or forwarding
 /// these is the metered path's own machinery, not a bypass of it.
-const SURFACE_TRAITS: [&str; 4] =
-    ["BlackBoxRecommender", "FallibleBlackBox", "ScoringEngine", "EmbeddingEngine"];
+const SURFACE_TRAITS: [&str; 3] = ["BlackBoxRecommender", "FallibleBlackBox", "ScoringEngine"];
 
 /// Path prefixes that are platform/engine internals (they implement
 /// ranking; the budget meters *access to* them, not their insides).
-const SURFACE_PATHS: [&str; 2] = ["crates/recsys/src/", "crates/ann/src/"];
+const SURFACE_PATHS: [&str; 1] = ["crates/recsys/src/"];
 
 /// Path prefixes that hold attack-side code (the reachability roots).
 const ATTACK_PATHS: [&str; 2] = ["crates/copyattack-core/src/", "src/"];

@@ -1,7 +1,8 @@
 //! Known-bad fixture: exact-scan must fire on every direct
 //! `.score_batch(` call outside the shared retrieval path (the engine
-//! module and the `ca-ann` crate), where a full-catalog scan bypasses the
-//! Top-k entry points and the IVF sublinear path.
+//! module), where a full-catalog scan bypasses the Top-k entry points that
+//! own seen-item exclusion, the deterministic tie-break and the pooled
+//! buffers.
 
 fn rank_everything(engine: &Engine, users: &[UserId], out: &mut Matrix) {
     engine.score_batch(users, out) // MARK: method call fires

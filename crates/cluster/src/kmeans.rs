@@ -12,9 +12,10 @@ use rand::Rng;
 /// Rows per partial sum in the update and inertia sweeps. Each chunk sums
 /// from zero and the partials combine in ascending chunk order. The grid
 /// fixes the floating-point rounding of the centroids and the inertia: one
-/// running sum over all points rounds differently, and IVF trains its
-/// cells on these centroids, so the grid stays although nothing here runs
-/// in parallel.
+/// running sum over all points rounds differently, and the clustering
+/// tree, its goldens (`tests/golden.rs`) and every CopyAttack curve are
+/// pinned to these bits, so the grid stays although nothing here runs in
+/// parallel.
 const CHUNK_ROWS: usize = 256;
 
 /// Result of a k-means run.

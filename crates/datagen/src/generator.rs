@@ -247,7 +247,7 @@ pub fn generate(cfg: &CrossDomainConfig) -> CrossDomainDataset {
         source_user_vecs.row_mut(u).copy_from_slice(&uvec);
     }
 
-    assemble(cfg, world, target_b, target_user_vecs, source_b, source_user_vecs)
+    assemble(world, target_b, target_user_vecs, source_b, source_user_vecs)
 }
 
 /// Fixed user-block size of [`generate_streaming`]. Part of the determinism
@@ -301,7 +301,7 @@ pub fn generate_streaming(cfg: &CrossDomainConfig) -> CrossDomainDataset {
         |t| world.target_to_source[t].expect("overlap catalog item must map back"),
     );
 
-    assemble(cfg, world, target_b, target_user_vecs, source_b, source_user_vecs)
+    assemble(world, target_b, target_user_vecs, source_b, source_user_vecs)
 }
 
 /// Streams one domain's users: chunks are generated in parallel waves and
@@ -367,7 +367,6 @@ fn stream_domain(
 
 /// Finalizes both domains into a [`CrossDomainDataset`].
 fn assemble(
-    cfg: &CrossDomainConfig,
     world: World,
     target_b: DatasetBuilder,
     target_user_vecs: Matrix,
@@ -375,8 +374,6 @@ fn assemble(
     source_user_vecs: Matrix,
 ) -> CrossDomainDataset {
     let truth = LatentTruth {
-        dim: cfg.latent_dim,
-        centers: world.centers,
         item_vecs: world.item_vecs,
         item_cluster: world.item_cluster,
         item_pop: world.item_pop,

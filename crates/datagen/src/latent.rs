@@ -16,10 +16,6 @@ use rand::Rng;
 /// Ground-truth latent state for one generated cross-domain world.
 #[derive(Clone, Debug)]
 pub struct LatentTruth {
-    /// Latent dimensionality.
-    pub dim: usize,
-    /// Cluster centers, `n_clusters × dim`, unit rows.
-    pub centers: Matrix,
     /// Item latent vectors (unit rows), indexed by *target* item id.
     /// Overlapping items share these vectors across domains.
     pub item_vecs: Matrix,

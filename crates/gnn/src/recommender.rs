@@ -2,7 +2,7 @@
 //! caches, with inductive fold-in of injected users.
 
 use crate::model::PinSageModel;
-use ca_recsys::engine::{self, EmbeddingEngine, ScoringEngine};
+use ca_recsys::engine::{self, ScoringEngine};
 use ca_recsys::{BlackBoxRecommender, Dataset, ItemId, Scorer, UserId};
 use ca_tensor::{ops, Matrix, Scratch};
 
@@ -149,32 +149,6 @@ impl ScoringEngine for PinSageRecommender {
             hu_batch.row_mut(i).copy_from_slice(self.caches.h_user.row(u.idx()));
         }
         hu_batch.matmul_nt_into(&self.caches.h_item, out);
-    }
-}
-
-impl EmbeddingEngine for PinSageRecommender {
-    fn embedding_dim(&self) -> usize {
-        self.model.dim()
-    }
-
-    fn item_embedding_into(&self, item: ItemId, out: &mut [f32]) {
-        out.copy_from_slice(self.caches.h_item.row(item.idx()));
-    }
-
-    fn query_embedding_into(&self, user: UserId, out: &mut [f32]) {
-        out.copy_from_slice(self.caches.h_user.row(user.idx()));
-    }
-
-    fn score_items(&self, user: UserId, items: &[ItemId], out: &mut [f32]) {
-        // `score_reprs` is the plain `h_u · h_v` dot, bitwise equal to the
-        // cached-representation GEMM cells of `score_batch`.
-        for (o, &v) in out.iter_mut().zip(items) {
-            *o = self.model.score_reprs(
-                self.caches.h_user.row(user.idx()),
-                self.caches.h_item.row(v.idx()),
-                v,
-            );
-        }
     }
 }
 

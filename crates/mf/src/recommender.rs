@@ -10,7 +10,7 @@
 //! fixed-target-model setting.
 
 use crate::model::MfModel;
-use ca_recsys::engine::{self, EmbeddingEngine, ScoringEngine};
+use ca_recsys::engine::{self, ScoringEngine};
 use ca_recsys::{BlackBoxRecommender, Dataset, ItemId, Scorer, UserId};
 use ca_tensor::Matrix;
 
@@ -70,35 +70,6 @@ impl ScoringEngine for MfRecommender {
             for (s, b) in out.row_mut(i).iter_mut().zip(self.model.item_bias.iter()) {
                 *s += b;
             }
-        }
-    }
-}
-
-impl EmbeddingEngine for MfRecommender {
-    /// `dim + 1`: the item bias rides along as an extra coordinate whose
-    /// query-side partner is the constant 1, so `dot(query, item)` equals
-    /// the full MF score `p_u · q_v + b_v` and cell ranking sees the bias.
-    fn embedding_dim(&self) -> usize {
-        self.model.dim() + 1
-    }
-
-    fn item_embedding_into(&self, item: ItemId, out: &mut [f32]) {
-        let d = self.model.dim();
-        out[..d].copy_from_slice(self.model.item_emb.row(item.idx()));
-        out[d] = self.model.item_bias[item.idx()];
-    }
-
-    fn query_embedding_into(&self, user: UserId, out: &mut [f32]) {
-        let d = self.model.dim();
-        out[..d].copy_from_slice(self.model.user_emb.row(user.idx()));
-        out[d] = 1.0;
-    }
-
-    fn score_items(&self, user: UserId, items: &[ItemId], out: &mut [f32]) {
-        // `MfModel::score` is bitwise equal to the GEMM cells of
-        // `score_batch` (pinned by `batched_scores_match_the_scorer`).
-        for (o, &v) in out.iter_mut().zip(items) {
-            *o = self.model.score(user, v);
         }
     }
 }

@@ -9,7 +9,7 @@
 
 use crate::model::NcfModel;
 use crate::train::{apply_grad, fine_tune_user, pair_grad, PairGrad};
-use ca_recsys::engine::{self, EmbeddingEngine, ScoringEngine};
+use ca_recsys::engine::{self, ScoringEngine};
 use ca_recsys::{BlackBoxRecommender, Dataset, ItemId, Scorer, UserId};
 use ca_tensor::{Matrix, Scratch};
 use ca_train::{OptState, Optimizer};
@@ -147,39 +147,6 @@ impl ScoringEngine for NcfRecommender {
                 *s += l;
             }
             scratch.recycle(logits);
-        }
-    }
-}
-
-impl EmbeddingEngine for NcfRecommender {
-    fn embedding_dim(&self) -> usize {
-        self.model.dim()
-    }
-
-    /// Item representation for indexing: the GMF item factors `q_v`. The
-    /// MLP branch has no linear item embedding, so cell ranking sees the
-    /// GMF logit only — a coarse but serviceable proxy; candidate scoring
-    /// below remains the full exact model.
-    fn item_embedding_into(&self, item: ItemId, out: &mut [f32]) {
-        out.copy_from_slice(self.model.q.row(item.idx()));
-    }
-
-    /// Query vector `w_gmf ⊙ p_u`, so `dot(query, item)` is exactly the
-    /// GMF branch of the score.
-    fn query_embedding_into(&self, user: UserId, out: &mut [f32]) {
-        let pu = self.model.p.row(user.idx());
-        for (o, (g, p)) in out.iter_mut().zip(self.model.w_gmf.iter().zip(pu)) {
-            *o = g * p;
-        }
-    }
-
-    fn score_items(&self, user: UserId, items: &[ItemId], out: &mut [f32]) {
-        // `NcfModel::score` (scalar GMF loop + per-row `mlp.infer`) is
-        // bitwise equal to the batched `score_batch` cells: the mat-vec
-        // commutes multiplications exactly, and `infer_batch` row `i` is
-        // bitwise `infer(row i)` (pinned in `ca-nn`).
-        for (o, &v) in out.iter_mut().zip(items) {
-            *o = self.model.score(user, v);
         }
     }
 }

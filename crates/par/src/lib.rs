@@ -108,22 +108,6 @@ pub fn split_seed(parent: u64, index: u64) -> u64 {
     z
 }
 
-/// The fixed chunk grid for "split `n` slots into `parts` contiguous
-/// chunks": exactly `min(parts, n)` non-empty ranges whose sizes differ by
-/// at most one, covering `0..n` in order.
-///
-/// This is the blessed grid for callers that hand one chunk to each worker
-/// (e.g. IVF's user-batch split in `batch_top_k`): a naive
-/// `chunks(n.div_ceil(parts))` split can produce *fewer* chunks than
-/// requested (9 users at 4 threads → ⌈9/4⌉ = 3 chunks of 3), silently
-/// idling workers. Because the grid depends only on `n` and `parts` —
-/// never on scheduling — it is also safe ground for the determinism
-/// contract.
-pub fn even_chunks(n: usize, parts: usize) -> Vec<std::ops::Range<usize>> {
-    let parts = parts.max(1).min(n);
-    (0..parts).map(|p| (p * n / parts)..((p + 1) * n / parts)).collect()
-}
-
 /// Runs two independent closures and returns both results: `(a(), b())`.
 ///
 /// At [`threads`] ≥ 2, `a` runs on one scoped worker while `b` runs on the
@@ -220,26 +204,6 @@ mod tests {
         set_threads(Some(6));
         assert_eq!(threads(), 6);
         set_threads(None);
-    }
-
-    #[test]
-    fn even_chunks_yields_exactly_min_parts_n_balanced_ranges() {
-        // The regression shape: 9 slots at 4 parts must give 4 chunks
-        // (the old ⌈n/t⌉ split gave 3), sizes within one of each other.
-        for (n, parts) in [(9usize, 4usize), (5, 8), (16, 4), (7, 3), (1, 5), (100, 7)] {
-            let grid = even_chunks(n, parts);
-            assert_eq!(grid.len(), parts.min(n), "n={n} parts={parts}");
-            let sizes: Vec<usize> = grid.iter().map(std::ops::Range::len).collect();
-            assert!(sizes.iter().all(|&s| s > 0), "empty chunk at n={n} parts={parts}");
-            let (min, max) = (sizes.iter().min().unwrap(), sizes.iter().max().unwrap());
-            assert!(max - min <= 1, "unbalanced {sizes:?}");
-            assert_eq!(grid.first().unwrap().start, 0);
-            assert_eq!(grid.last().unwrap().end, n);
-            for w in grid.windows(2) {
-                assert_eq!(w[0].end, w[1].start, "grid must tile 0..n");
-            }
-        }
-        assert!(even_chunks(0, 4).is_empty());
     }
 
     #[test]

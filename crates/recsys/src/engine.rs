@@ -51,57 +51,6 @@ pub trait ScoringEngine {
     fn seen(&self, user: UserId) -> &[ItemId];
 }
 
-/// Engines whose items live in a vector space: the contract approximate
-/// retrieval indexes against.
-///
-/// An implementor exposes, besides full-catalog scoring, (a) a fixed-width
-/// representation per item (what gets clustered into index cells), (b) a
-/// query vector per user in the *same* space (inner product against item
-/// representations must rank like the model score, at least coarsely — it
-/// only steers which cells are probed), and (c) exact scoring of an
-/// arbitrary candidate subset, **bitwise identical** to the corresponding
-/// `score_batch` cells, so pruning the candidate set is the *only* source
-/// of approximation. Engines without such a space (co-occurrence KNN,
-/// popularity) simply don't implement this trait and always serve the
-/// exact path.
-pub trait EmbeddingEngine: ScoringEngine {
-    /// Width of the item/query representation vectors.
-    fn embedding_dim(&self) -> usize;
-
-    /// Writes `item`'s representation into `out` (`embedding_dim` floats).
-    fn item_embedding_into(&self, item: ItemId, out: &mut [f32]);
-
-    /// Writes `user`'s query vector into `out` (`embedding_dim` floats).
-    fn query_embedding_into(&self, user: UserId, out: &mut [f32]);
-
-    /// Scores exactly the given candidate items for `user`:
-    /// `out[i] = score(user, items[i])`, bitwise equal to what
-    /// `score_batch` would put in those columns.
-    fn score_items(&self, user: UserId, items: &[ItemId], out: &mut [f32]);
-}
-
-/// How a recommender answers Top-k queries.
-///
-/// `Exact` is the default full-catalog GEMM + partial-select path; `Ivf`
-/// routes through a seeded inverted-file index (`ca-ann`) that scores only
-/// the `nprobe` nearest of `nlist` cells — sublinear in the catalog, with
-/// the exact path kept as the parity/recall oracle. Engines without item
-/// embeddings (ItemKNN without a sketch, popularity) fall back to `Exact`
-/// regardless of the knob.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum RetrievalMode {
-    /// Score the full catalog (the parity/recall oracle).
-    #[default]
-    Exact,
-    /// IVF approximate retrieval: `nlist` k-means cells, probe `nprobe`.
-    Ivf {
-        /// Number of index cells the catalog is partitioned into.
-        nlist: usize,
-        /// Number of nearest cells scored per query.
-        nprobe: usize,
-    },
-}
-
 /// Deterministic ranking order: score descending, then item id ascending.
 #[inline]
 pub(crate) fn rank_cmp(a: &(f32, u32), b: &(f32, u32)) -> Ordering {
@@ -110,10 +59,8 @@ pub(crate) fn rank_cmp(a: &(f32, u32), b: &(f32, u32)) -> Ordering {
 
 /// Orders the best `k` candidates of `cand` into its prefix (score
 /// descending, id ascending) and truncates to them. Partial-select
-/// (`select_nth_unstable`) keeps this `O(n + k log k)`; the IVF path ranks
-/// its probed candidates through this same function, so exact and
-/// approximate retrieval share one tie-break.
-pub fn select_top_k(cand: &mut Vec<(f32, u32)>, k: usize) {
+/// (`select_nth_unstable`) keeps this `O(n + k log k)`.
+fn select_top_k(cand: &mut Vec<(f32, u32)>, k: usize) {
     let k = k.min(cand.len());
     if k == 0 {
         cand.clear();
@@ -189,37 +136,29 @@ thread_local! {
 }
 
 /// Batched Top-k: one `score_batch` call, then the shared ranking per
-/// row. The score matrix *and* the per-row candidate buffer come from an
-/// explicit [`Scratch`] pool.
-pub fn batch_top_k_with<E: ScoringEngine + ?Sized>(
-    engine: &E,
-    users: &[UserId],
-    k: usize,
-    scratch: &mut Scratch,
-    // ca-audit: allow(nested-vec) — k-sized per-query batch result, not dataset-scale state
-) -> Vec<Vec<ItemId>> {
-    let mut scores = scratch.matrix(users.len(), engine.catalog_len());
-    engine.score_batch(users, &mut scores);
-    let mut cand = scratch.take_pairs();
-    let lists = users
-        .iter()
-        .enumerate()
-        .map(|(i, &u)| top_k_from_scores_into(scores.row(i), k, engine.seen(u), &mut cand))
-        .collect();
-    scratch.put_pairs(cand);
-    scratch.recycle(scores);
-    lists
-}
-
-/// Batched Top-k over the calling thread's scratch pool. This is what
-/// recommenders route `top_k_batch` through.
+/// row. The score matrix and the per-row candidate buffer come from the
+/// calling thread's [`Scratch`] pool. This is what recommenders route
+/// `top_k_batch` through.
 pub fn batch_top_k<E: ScoringEngine + ?Sized>(
     engine: &E,
     users: &[UserId],
     k: usize,
     // ca-audit: allow(nested-vec) — k-sized per-query batch result, not dataset-scale state
 ) -> Vec<Vec<ItemId>> {
-    ENGINE_SCRATCH.with(|s| batch_top_k_with(engine, users, k, &mut s.borrow_mut()))
+    ENGINE_SCRATCH.with(|s| {
+        let scratch = &mut *s.borrow_mut();
+        let mut scores = scratch.matrix(users.len(), engine.catalog_len());
+        engine.score_batch(users, &mut scores);
+        let mut cand = scratch.take_pairs();
+        let lists = users
+            .iter()
+            .enumerate()
+            .map(|(i, &u)| top_k_from_scores_into(scores.row(i), k, engine.seen(u), &mut cand))
+            .collect();
+        scratch.put_pairs(cand);
+        scratch.recycle(scores);
+        lists
+    })
 }
 
 /// Single-user Top-k through the engine (a batch of one).

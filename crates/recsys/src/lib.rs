@@ -41,8 +41,7 @@ pub mod split;
 pub use blackbox::{BlackBoxRecommender, FallibleBlackBox, MeteredFallible};
 pub use dataset::{Dataset, DatasetBuilder};
 pub use engine::{
-    batch_top_k, batch_top_k_with, select_top_k, single_top_k, top_k_from_scores,
-    top_k_from_scores_into, EmbeddingEngine, RetrievalMode, ScoringEngine,
+    batch_top_k, single_top_k, top_k_from_scores, top_k_from_scores_into, ScoringEngine,
 };
 pub use eval::{RankingEval, Scorer};
 pub use faults::{FaultConfig, FaultStats, FaultyRecommender, RateLimit, RecError, SplitMix64};

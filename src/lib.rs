@@ -19,7 +19,6 @@
 //! | [`gnn`] | `ca-gnn` | PinSage-like inductive target recommender |
 //! | [`ncf`] | `ca-ncf` | NeuMF-style transductive target recommender (fine-tune cycle) |
 //! | [`cluster`] | `ca-cluster` | balanced hierarchical clustering tree + masking |
-//! | [`ann`] | `ca-ann` | deterministic IVF approximate retrieval (sublinear Top-k) |
 //! | [`core`] | `copyattack-core` | the attack: selection, crafting, env, RL |
 //! | [`detect`] | `ca-detect` | shilling-attack detectors (profile realism) |
 //! | [`pipeline`] | this crate | end-to-end experiment pipeline |
@@ -37,7 +36,6 @@
 
 #![forbid(unsafe_code)]
 
-pub use ca_ann as ann;
 pub use ca_cluster as cluster;
 pub use ca_datagen as datagen;
 pub use ca_detect as detect;

@@ -15,15 +15,12 @@
 //!    under budget Δ, and measure HR@K / NDCG@K of the target item over
 //!    real users plus the average injected-profile length (Table 2).
 
-use ca_ann::{IvfConfig, IvfRecommender};
 use ca_datagen::{generate, CrossDomainConfig, CrossDomainDataset};
 use ca_gnn::{train_with_features_observed, GnnConfig, PinSageRecommender, TrainReport};
 use ca_mf::{BprConfig, MfModel};
 use ca_recsys::eval::RankingEval;
 use ca_recsys::metrics::MetricAccumulator;
-use ca_recsys::{
-    split_dataset, BlackBoxRecommender, FallibleBlackBox, ItemId, RetrievalMode, Split, UserId,
-};
+use ca_recsys::{split_dataset, BlackBoxRecommender, FallibleBlackBox, ItemId, Split, UserId};
 use ca_recsys::{FaultConfig, FaultyRecommender};
 use ca_train::{History, StderrProgress, Tee, TrainObserver};
 use copyattack_core::env::plan_pretend_profiles;
@@ -50,7 +47,7 @@ pub struct PipelineConfig {
     /// Which registered attack the configured campaign runs, and its
     /// settings (budget Δ, pretend users, γ, …). Any name in the
     /// pipeline's [`AttackRegistry`] routes through the same
-    /// campaign/retry/IVF machinery.
+    /// campaign/retry machinery.
     pub attack: AttackSpec,
     /// Number of cold target items to attack (paper: 50).
     pub n_target_items: usize,
@@ -63,12 +60,6 @@ pub struct PipelineConfig {
     pub n_eval_users: usize,
     /// Length of each pretend user's establishing profile.
     pub pretend_profile_len: usize,
-    /// How the deployed platform answers the attacker's Top-k queries
-    /// during the campaign: `Exact` (the paper's setting) or `Ivf`, where
-    /// the reward signal passes through a realistic approximate-retrieval
-    /// stage (the cold-item-in-cold-cell ablation). Promotion metrics are
-    /// always evaluated on the underlying model.
-    pub retrieval: RetrievalMode,
     /// Master seed for everything not covered by the sub-configs.
     pub seed: u64,
 }
@@ -89,7 +80,6 @@ impl PipelineConfig {
             min_source_pop: 3,
             n_eval_users: 200,
             pretend_profile_len: 15,
-            retrieval: RetrievalMode::Exact,
             seed,
         }
     }
@@ -378,10 +368,9 @@ impl Pipeline {
     }
 
     /// Runs one registered attack (any [`AttackRegistry`] key) against one
-    /// target item under `attack_cfg`, routing the campaign through the
-    /// configured retrieval mode and evaluating promotion on the unwrapped
-    /// model; returns the promotion metrics of the polluted system and the
-    /// average injected-profile length.
+    /// target item under `attack_cfg` on a clone of the deployed model and
+    /// evaluates promotion on the polluted copy; returns its promotion
+    /// metrics and the average injected-profile length.
     ///
     /// # Panics
     /// Panics when the name is not registered or the attack cannot be
@@ -392,22 +381,9 @@ impl Pipeline {
         target: ItemId,
         attack_cfg: &AttackConfig,
     ) -> (MetricAccumulator, f32) {
-        let attacked = match self.config.retrieval {
-            RetrievalMode::Exact => {
-                self.attack_with(name, target, attack_cfg, &self.recommender, &self.pretend)
-            }
-            mode => {
-                // The campaign's reward signal (every Top-k the attacker
-                // sees) flows through the IVF index; promotion metrics are
-                // still computed on the unwrapped model so the Exact and
-                // Ivf arms of the ablation are directly comparable.
-                let cfg = IvfConfig::from_mode(mode).expect("non-exact mode has an IVF config");
-                let ann = IvfRecommender::deploy(self.recommender.clone(), cfg);
-                self.attack_with(name, target, attack_cfg, &ann, &self.pretend)
-                    .map(|(p, o)| (p.into_inner(), o))
-            }
-        };
-        let (polluted, outcome) = attacked.unwrap_or_else(|e| panic!("{e}"));
+        let (polluted, outcome) = self
+            .attack_with(name, target, attack_cfg, &self.recommender, &self.pretend)
+            .unwrap_or_else(|e| panic!("{e}"));
         let metrics = self.evaluate_promotion(&polluted, target, attack_cfg.seed ^ 0x5EED);
         (metrics, outcome.avg_items_per_profile)
     }
@@ -579,29 +555,6 @@ mod tests {
         let row = pipe.run_without_attack(3);
         assert!(row.metrics.hr(20) < 0.3, "cold items should rank low: {}", row.metrics.hr(20));
         assert_eq!(row.avg_items_per_profile, 0.0);
-    }
-
-    #[test]
-    fn ivf_retrieval_runs_the_campaign_and_matches_exact_without_attack() {
-        let mut cfg = PipelineConfig::tiny(7);
-        let pipe_exact = Pipeline::build(&cfg);
-        cfg.retrieval = RetrievalMode::Ivf { nlist: 8, nprobe: 4 };
-        let pipe_ivf = Pipeline::build(&cfg);
-        // WithoutAttack never queries the black box, and promotion metrics
-        // are always evaluated on the unwrapped model, so the two retrieval
-        // modes must agree exactly on the no-attack baseline.
-        let none_exact = pipe_exact.run_without_attack(2);
-        let none_ivf = pipe_ivf.run_without_attack(2);
-        assert_eq!(none_exact.metrics.hr(20), none_ivf.metrics.hr(20));
-        // A real campaign runs end-to-end with the reward signal routed
-        // through the IVF index and still promotes the target.
-        let t70 = pipe_ivf.run_attack_over_targets("TargetAttack70", 2);
-        assert!(
-            t70.metrics.hr(20) > none_ivf.metrics.hr(20),
-            "TargetAttack70 under IVF {} vs none {}",
-            t70.metrics.hr(20),
-            none_ivf.metrics.hr(20)
-        );
     }
 
     #[test]

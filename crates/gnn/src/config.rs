@@ -15,10 +15,6 @@ pub struct GnnConfig {
     pub patience: usize,
     /// RNG seed.
     pub seed: u64,
-    /// Per-pair update rule for tower training. The
-    /// [`ca_train::Optimizer::Sgd`] default reproduces the historical
-    /// hand-rolled tower updates bit-for-bit.
-    pub optimizer: ca_train::Optimizer,
     /// Pairs per minibatch in training: gradients within a batch are
     /// computed against the frozen batch-start towers and applied in pair
     /// order. `1` recovers classic per-pair SGD exactly.
@@ -27,16 +23,7 @@ pub struct GnnConfig {
 
 impl Default for GnnConfig {
     fn default() -> Self {
-        Self {
-            dim: 8,
-            hidden: 16,
-            lr: 0.05,
-            max_epochs: 40,
-            patience: 5,
-            seed: 0,
-            optimizer: ca_train::Optimizer::Sgd,
-            minibatch: 8,
-        }
+        Self { dim: 8, hidden: 16, lr: 0.05, max_epochs: 40, patience: 5, seed: 0, minibatch: 8 }
     }
 }
 

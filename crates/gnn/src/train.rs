@@ -18,7 +18,7 @@ use ca_recsys::eval::RankingEval;
 use ca_recsys::{Dataset, HeldOut, ItemId, Scorer, UserId};
 use ca_tensor::ops::{self, sigmoid};
 use ca_tensor::Matrix;
-use ca_train::{NullObserver, PairwiseModel, Step, TrainConfig, TrainObserver};
+use ca_train::{NullObserver, PairwiseModel, TrainConfig, TrainObserver};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -35,18 +35,13 @@ pub struct TrainReport {
 }
 
 impl GnnConfig {
-    /// The `ca-train` driver configuration this config describes. PinSage
-    /// has no weight decay (features are frozen), so `reg` is zero.
+    /// The `ca-train` driver configuration this config describes.
     pub fn train_config(&self) -> TrainConfig {
         TrainConfig {
             lr: self.lr,
-            reg: 0.0,
             max_epochs: self.max_epochs,
             patience: Some(self.patience),
             minibatch: self.minibatch,
-            seed: self.seed,
-            optimizer: self.optimizer,
-            ..TrainConfig::default()
         }
     }
 }
@@ -94,13 +89,11 @@ impl PairwiseModel for GnnTrainer<'_> {
         pair_grad(&self.model, self.m_users.row(u.idx()), caches, pos, neg, slot)
     }
 
-    /// Block-key layout: the item tower's layer blocks from key 0, the user
-    /// tower's directly after (two keys per layer, in layer order — the
-    /// same element order as `Mlp::sgd_step`, so the SGD path is bitwise
-    /// identical to the historical tower updates).
-    fn apply(&mut self, _u: UserId, _pos: ItemId, _neg: ItemId, g: &PairGrad, step: &mut Step<'_>) {
-        let next = step.descend_mlp(0, &mut self.model.item_tower, &g.item);
-        step.descend_mlp(next, &mut self.model.user_tower, &g.user);
+    /// Gradient descent on the item tower, then the user tower (the
+    /// features are frozen, so nothing else moves).
+    fn apply(&mut self, _u: UserId, _pos: ItemId, _neg: ItemId, g: &PairGrad, lr: f32) {
+        self.model.item_tower.sgd_step(&g.item, lr);
+        self.model.user_tower.sgd_step(&g.user, lr);
     }
 
     /// Post-update validation HR@10 through *fresh* caches (the stop

@@ -7,27 +7,21 @@
 //! The epoch loop itself lives in `ca-train` ([`ca_train::fit`]); this
 //! module contributes only what is MF-specific: the per-pair gradient
 //! against a frozen batch-start model and its fixed-order apply
-//! ([`ca_train::PairwiseModel`]), plus the optional HR@10 validation
-//! protocol for early stopping.
+//! ([`ca_train::PairwiseModel`]). MF trains for a fixed number of epochs,
+//! without validation.
 
 use crate::model::MfModel;
-use ca_recsys::eval::RankingEval;
-use ca_recsys::{Dataset, HeldOut, ItemId, UserId};
-use ca_tensor::ops::sigmoid;
-use ca_train::{
-    NullObserver, Optimizer, PairwiseModel, Step, TrainConfig, TrainObserver, TrainOutcome,
-};
+use ca_recsys::{Dataset, ItemId, UserId};
+use ca_tensor::ops::{axpy, sigmoid};
+use ca_train::{NullObserver, PairwiseModel, TrainConfig, TrainObserver, TrainOutcome};
 use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 /// BPR hyper-parameters.
 ///
-/// Naming note: earlier revisions called the epoch budget `epochs` and had
-/// no early stopping; the field is now `max_epochs` to match every other
-/// trainer in the workspace, and [`BprConfig::patience`] opts into the
-/// shared early-stopping rule (the `None` default preserves the historical
-/// fixed-epoch behavior bit-for-bit).
+/// Naming note: earlier revisions called the epoch budget `epochs`; the
+/// field is now `max_epochs` to match every other trainer in the
+/// workspace.
 #[derive(Clone, Debug)]
 pub struct BprConfig {
     /// Embedding dimensionality (the paper uses 8).
@@ -36,16 +30,10 @@ pub struct BprConfig {
     pub lr: f32,
     /// L2 regularization strength.
     pub reg: f32,
-    /// Maximum training epochs (one pass over all interactions each).
+    /// Training epochs (one pass over all interactions each).
     pub max_epochs: usize,
-    /// Early-stopping patience on validation HR@10, used only by
-    /// [`train_with_validation`]. `None` trains for exactly `max_epochs`.
-    pub patience: Option<usize>,
     /// RNG seed for init, shuffling, and negative sampling.
     pub seed: u64,
-    /// Per-pair update rule. The [`Optimizer::Sgd`] default reproduces the
-    /// historical hand-rolled update loop bit-for-bit.
-    pub optimizer: Optimizer,
     /// Pairs per minibatch. Gradients within a minibatch are computed
     /// against the frozen batch-start model and applied in pair order.
     /// `1` recovers classic per-pair SGD exactly.
@@ -54,67 +42,39 @@ pub struct BprConfig {
 
 impl Default for BprConfig {
     fn default() -> Self {
-        Self {
-            dim: 8,
-            lr: 0.05,
-            reg: 1e-4,
-            max_epochs: 30,
-            patience: None,
-            seed: 0,
-            optimizer: Optimizer::Sgd,
-            minibatch: 32,
-        }
+        Self { dim: 8, lr: 0.05, reg: 1e-4, max_epochs: 30, seed: 0, minibatch: 32 }
     }
 }
 
 impl BprConfig {
-    /// The `ca-train` driver configuration this config describes.
+    /// The `ca-train` driver configuration this config describes: a fixed
+    /// `max_epochs` run, with no early stopping.
     pub fn train_config(&self) -> TrainConfig {
         TrainConfig {
             lr: self.lr,
-            reg: self.reg,
             max_epochs: self.max_epochs,
-            patience: self.patience,
+            patience: None,
             minibatch: self.minibatch,
-            seed: self.seed,
-            optimizer: self.optimizer,
-            ..TrainConfig::default()
         }
     }
 }
 
 /// The MF side of the [`PairwiseModel`] contract: model + the L2 strength
-/// its gradients fold in, plus an optional validation context.
-struct MfTrainer<'a> {
+/// its gradients fold in.
+struct MfTrainer {
     model: MfModel,
     reg: f32,
-    val: Option<ValCtx<'a>>,
 }
 
-/// Validation protocol for early stopping: HR@10 of a ≤500-pair held-out
-/// sample against 100 sampled negatives, on a fresh RNG each epoch.
-struct ValCtx<'a> {
-    seen: &'a Dataset,
-    sample: Vec<HeldOut>,
-    seed: u64,
-}
-
-impl PairwiseModel for MfTrainer<'_> {
+impl PairwiseModel for MfTrainer {
     type Grad = PairGrad;
 
     fn pair_grad(&self, u: UserId, pos: ItemId, neg: ItemId, grad: &mut PairGrad) -> f32 {
         pair_grad(&self.model, u, pos, neg, self.reg, grad)
     }
 
-    fn apply(&mut self, u: UserId, pos: ItemId, neg: ItemId, g: &PairGrad, step: &mut Step<'_>) {
-        apply_grad(&mut self.model, u, pos, neg, g, step);
-    }
-
-    fn validate(&mut self) -> Option<f32> {
-        let val = self.val.as_ref()?;
-        let ev = RankingEval { seen: val.seen, ks: vec![10] };
-        let mut rng = StdRng::seed_from_u64(val.seed);
-        Some(ev.evaluate(&self.model, &val.sample, &mut rng).hr(10))
+    fn apply(&mut self, u: UserId, pos: ItemId, neg: ItemId, g: &PairGrad, lr: f32) {
+        apply_grad(&mut self.model, u, pos, neg, g, lr);
     }
 }
 
@@ -138,30 +98,7 @@ pub fn train_observed(
 ) -> (MfModel, TrainOutcome) {
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let model = MfModel::new(&mut rng, ds.n_users(), ds.n_items(), cfg.dim);
-    let mut trainer = MfTrainer { model, reg: cfg.reg, val: None };
-    let driver_cfg = TrainConfig { patience: None, ..cfg.train_config() };
-    let outcome = ca_train::fit(&mut trainer, ds, &driver_cfg, &mut rng, obs);
-    (trainer.model, outcome)
-}
-
-/// Trains with early stopping on validation HR@10 (patience from
-/// `cfg.patience`), the same protocol the NCF and GNN trainers use: the
-/// held-out sample is shuffled on the trainer RNG and truncated to 500
-/// pairs, and each epoch's score is computed post-update on a fresh
-/// seeded RNG.
-pub fn train_with_validation(
-    ds: &Dataset,
-    validation: &[HeldOut],
-    cfg: &BprConfig,
-    obs: &mut dyn TrainObserver,
-) -> (MfModel, TrainOutcome) {
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let model = MfModel::new(&mut rng, ds.n_users(), ds.n_items(), cfg.dim);
-    let mut sample: Vec<HeldOut> = validation.to_vec();
-    sample.shuffle(&mut rng);
-    sample.truncate(500);
-    let val = ValCtx { seen: ds, sample, seed: cfg.seed.wrapping_add(31337) };
-    let mut trainer = MfTrainer { model, reg: cfg.reg, val: Some(val) };
+    let mut trainer = MfTrainer { model, reg: cfg.reg };
     let outcome = ca_train::fit(&mut trainer, ds, &cfg.train_config(), &mut rng, obs);
     (trainer.model, outcome)
 }
@@ -209,26 +146,17 @@ fn pair_grad(
     -sigmoid(s_pos - s_neg).ln()
 }
 
-/// Block-key layout: user rows at `u`, item rows at `n_users + v`, item
-/// biases at `n_users + n_items + v`. All five blocks a pair touches are
-/// disjoint (`pos ≠ neg` by sampling), so block-order application is
-/// bitwise identical to the historical interleaved per-`k` loop.
-fn apply_grad(
-    model: &mut MfModel,
-    u: UserId,
-    pos: ItemId,
-    neg: ItemId,
-    g: &PairGrad,
-    step: &mut Step<'_>,
-) {
+/// Gradient ascent on the pair's five parameter blocks: the user row, both
+/// item rows and both item biases. The blocks are disjoint (`pos ≠ neg` by
+/// sampling), so block-order application is bitwise identical to the
+/// historical interleaved per-`k` loop.
+fn apply_grad(model: &mut MfModel, u: UserId, pos: ItemId, neg: ItemId, g: &PairGrad, lr: f32) {
     let (qp, qn) = (pos.idx(), neg.idx());
-    let n_users = model.user_emb.rows();
-    let n_items = model.item_emb.rows();
-    step.ascend(u.idx(), model.user_emb.row_mut(u.idx()), &g.d_pu);
-    step.ascend(n_users + qp, model.item_emb.row_mut(qp), &g.d_qp);
-    step.ascend(n_users + qn, model.item_emb.row_mut(qn), &g.d_qn);
-    step.ascend1(n_users + n_items + qp, &mut model.item_bias[qp], g.d_bp);
-    step.ascend1(n_users + n_items + qn, &mut model.item_bias[qn], g.d_bn);
+    axpy(lr, &g.d_pu, model.user_emb.row_mut(u.idx()));
+    axpy(lr, &g.d_qp, model.item_emb.row_mut(qp));
+    axpy(lr, &g.d_qn, model.item_emb.row_mut(qn));
+    model.item_bias[qp] += lr * g.d_bp;
+    model.item_bias[qn] += lr * g.d_bn;
 }
 
 fn dot_rows(model: &MfModel, u: UserId, v: ItemId) -> f32 {
@@ -238,7 +166,7 @@ fn dot_rows(model: &MfModel, u: UserId, v: ItemId) -> f32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ca_recsys::{split_dataset, DatasetBuilder, Scorer};
+    use ca_recsys::{DatasetBuilder, Scorer};
     use rand::Rng;
 
     /// Two disjoint user groups with disjoint item tastes.
@@ -357,21 +285,6 @@ mod tests {
             "BPR loss did not decrease: {curve:?}"
         );
         assert!(outcome.val_history.is_empty(), "plain train has no validation");
-    }
-
-    #[test]
-    fn validation_early_stopping_is_available() {
-        let ds = polarized();
-        let mut rng = StdRng::seed_from_u64(1);
-        let split = split_dataset(&ds, 0.2, &mut rng);
-        let cfg = BprConfig { max_epochs: 80, patience: Some(3), seed: 6, ..Default::default() };
-        let (_m, outcome) =
-            train_with_validation(&split.train, &split.validation, &cfg, &mut NullObserver);
-        assert_eq!(outcome.val_history.len(), outcome.epochs_run);
-        assert!(outcome.epochs_run <= 80);
-        if let ca_train::StopReason::EarlyStop { best_epoch, .. } = outcome.stop {
-            assert!(outcome.epochs_run == best_epoch + 1 + 3, "patience 3 after best epoch");
-        }
     }
 
     #[test]

@@ -23,6 +23,6 @@ pub mod bpr;
 pub mod model;
 pub mod recommender;
 
-pub use bpr::{train, train_observed, train_with_validation, BprConfig};
+pub use bpr::{train, train_observed, BprConfig};
 pub use model::MfModel;
 pub use recommender::MfRecommender;

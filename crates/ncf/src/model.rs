@@ -24,10 +24,6 @@ pub struct NcfConfig {
     pub patience: usize,
     /// RNG seed.
     pub seed: u64,
-    /// Per-pair update rule for [`crate::train::train`]. The
-    /// [`ca_train::Optimizer::Sgd`] default reproduces the historical
-    /// hand-rolled update loop bit-for-bit.
-    pub optimizer: ca_train::Optimizer,
     /// Pairs per minibatch in [`crate::train::train`]: gradients within a
     /// batch are computed against the frozen batch-start model and applied
     /// in pair order. `1` recovers classic per-pair SGD exactly.
@@ -44,7 +40,6 @@ impl Default for NcfConfig {
             max_epochs: 30,
             patience: 5,
             seed: 0,
-            optimizer: ca_train::Optimizer::Sgd,
             minibatch: 32,
         }
     }

@@ -12,7 +12,6 @@ use crate::train::{apply_grad, fine_tune_user, pair_grad, PairGrad};
 use ca_recsys::engine::{self, ScoringEngine};
 use ca_recsys::{BlackBoxRecommender, Dataset, ItemId, Scorer, UserId};
 use ca_tensor::{Matrix, Scratch};
-use ca_train::{OptState, Optimizer};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -71,11 +70,10 @@ impl NcfRecommender {
 
     /// Runs the global fine-tune immediately (the "nightly retrain"),
     /// consuming the fresh-interaction buffer. Each fresh interaction takes
-    /// one plain-SGD step at the model's base rate, whatever optimizer the
-    /// model was trained with. An account whose profile covers the whole
-    /// catalog has no negative to draw and is skipped.
+    /// one plain-SGD step at the model's training rate. An account whose
+    /// profile covers the whole catalog has no negative to draw and is
+    /// skipped.
     pub fn refresh(&mut self) {
-        let mut opt = OptState::new(Optimizer::Sgd);
         let mut slot = PairGrad::default();
         let lr = self.model.cfg.lr;
         let n_items = self.data.n_items();
@@ -94,7 +92,7 @@ impl NcfRecommender {
                         }
                     };
                     pair_grad(&self.model, u, pos, neg, &mut slot);
-                    apply_grad(&mut self.model, u, pos, neg, &slot, &mut opt.step(lr));
+                    apply_grad(&mut self.model, u, pos, neg, &slot, lr);
                 }
             }
         }

@@ -12,8 +12,8 @@ use crate::model::{NcfConfig, NcfModel};
 use ca_nn::{MlpCache, MlpGrad};
 use ca_recsys::eval::RankingEval;
 use ca_recsys::{Dataset, HeldOut, ItemId, UserId};
-use ca_tensor::ops::sigmoid;
-use ca_train::{NullObserver, PairwiseModel, Step, TrainConfig, TrainObserver};
+use ca_tensor::ops::{axpy, sigmoid};
+use ca_train::{NullObserver, PairwiseModel, TrainConfig, TrainObserver};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -34,13 +34,9 @@ impl NcfConfig {
     pub fn train_config(&self) -> TrainConfig {
         TrainConfig {
             lr: self.lr,
-            reg: self.reg,
             max_epochs: self.max_epochs,
             patience: Some(self.patience),
             minibatch: self.minibatch,
-            seed: self.seed,
-            optimizer: self.optimizer,
-            ..TrainConfig::default()
         }
     }
 }
@@ -60,8 +56,8 @@ impl PairwiseModel for NcfTrainer<'_> {
         pair_grad(&self.model, u, pos, neg, slot)
     }
 
-    fn apply(&mut self, u: UserId, pos: ItemId, neg: ItemId, g: &PairGrad, step: &mut Step<'_>) {
-        apply_grad(&mut self.model, u, pos, neg, g, step);
+    fn apply(&mut self, u: UserId, pos: ItemId, neg: ItemId, g: &PairGrad, lr: f32) {
+        apply_grad(&mut self.model, u, pos, neg, g, lr);
     }
 
     /// Post-update validation HR@10 (the stop criterion always reads the
@@ -175,27 +171,24 @@ pub(crate) fn pair_grad(
     -sigmoid(s_pos - s_neg).ln()
 }
 
-/// Block-key layout: user rows at `u`, item rows at `n_users + v`, the GMF
-/// fusion weights at `n_users + n_items`, and the MLP layer blocks from
-/// `n_users + n_items + 1` (two per layer, in layer order — the same
-/// element order as `Mlp::sgd_step`). All blocks a pair touches are
-/// disjoint (`pos ≠ neg` by sampling), so block-order application is
-/// bitwise identical to the historical interleaved per-`k` loop.
+/// Gradient descent at rate `lr`: the MLP (layer by layer), then the user
+/// row, both item rows and the GMF fusion weights. All blocks a pair
+/// touches are disjoint (`pos ≠ neg` by sampling), so block-order
+/// application is bitwise identical to the historical interleaved per-`k`
+/// loop.
 pub(crate) fn apply_grad(
     model: &mut NcfModel,
     u: UserId,
     pos: ItemId,
     neg: ItemId,
     g: &PairGrad,
-    step: &mut Step<'_>,
+    lr: f32,
 ) {
-    let n_users = model.p.rows();
-    let n_items = model.q.rows();
-    step.descend_mlp(n_users + n_items + 1, &mut model.mlp, &g.mlp);
-    step.descend(u.idx(), model.p.row_mut(u.idx()), &g.d_pu);
-    step.descend(n_users + pos.idx(), model.q.row_mut(pos.idx()), &g.d_qp);
-    step.descend(n_users + neg.idx(), model.q.row_mut(neg.idx()), &g.d_qn);
-    step.descend(n_users + n_items, &mut model.w_gmf, &g.d_w);
+    model.mlp.sgd_step(&g.mlp, lr);
+    axpy(-lr, &g.d_pu, model.p.row_mut(u.idx()));
+    axpy(-lr, &g.d_qp, model.q.row_mut(pos.idx()));
+    axpy(-lr, &g.d_qn, model.q.row_mut(neg.idx()));
+    axpy(-lr, &g.d_w, &mut model.w_gmf);
 }
 
 /// Local fine-tuning of a *single user's* embedding on their interactions

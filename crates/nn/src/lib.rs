@@ -10,8 +10,8 @@
 //!   (`x_{v*} = RNN(U^{B→A}_t)`, §4.3.3);
 //! - [`optim`] — global-norm gradient clipping for the policy update;
 //!   every layer carries its own plain-SGD `sgd_step` (the paper trains
-//!   everything with learning rate 1e-3). The recommender trainers'
-//!   SGD, momentum and Adam live in `ca-train`.
+//!   everything with learning rate 1e-3). The recommender trainers in
+//!   `ca-train` step their towers with the same `sgd_step`.
 //!
 //! There is no autograd tape. Each layer's `forward` returns a cache of the
 //! values its `backward` needs, and `backward` accumulates parameter

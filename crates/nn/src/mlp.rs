@@ -196,7 +196,7 @@ impl Mlp {
         self.layers.iter().map(Linear::param_count).sum()
     }
 
-    /// Read access to the layers (used by the Adam optimizer binding).
+    /// Read access to the layers.
     pub fn layers(&self) -> &[Linear] {
         &self.layers
     }

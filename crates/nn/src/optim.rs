@@ -1,9 +1,8 @@
 //! Gradient clipping for the policy update.
 //!
 //! The layers in this crate implement plain SGD themselves (`sgd_step`).
-//! The recommender models (MF, NCF, PinSage) train through `ca-train`,
-//! whose pluggable `Optimizer` (SGD, momentum, Adam) owns their update
-//! rules.
+//! The recommender models (MF, NCF, PinSage) train through `ca-train` with
+//! the same plain SGD, stepping with `sgd_step` and `ca_tensor::ops::axpy`.
 
 /// Global-norm gradient clipping.
 ///

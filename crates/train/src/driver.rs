@@ -2,12 +2,15 @@
 
 use crate::config::TrainConfig;
 use crate::observe::{EpochStats, TrainObserver};
-use crate::optim::{OptState, Step};
 use ca_recsys::{Dataset, ItemId, UserId};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 use std::time::Instant;
+
+/// Minimum improvement over the best validation score that resets the
+/// early-stopping patience counter.
+const TOLERANCE: f32 = 1e-5;
 
 /// A model trainable with pairwise (BPR) SGD by [`fit`].
 ///
@@ -18,8 +21,7 @@ use std::time::Instant;
 ///   gradient of a batch before applying any of them), written into a
 ///   gradient slot the driver owns;
 /// - [`PairwiseModel::apply`] folds one pair's gradient into the model
-///   through the driver's [`Step`] (the configured optimizer), in pair
-///   order;
+///   as a plain-SGD step at the run's learning rate, in pair order;
 /// - [`PairwiseModel::begin_epoch`] runs before each epoch's shuffle — the
 ///   place to refresh stale per-epoch state (the GNN's neighbor caches);
 /// - [`PairwiseModel::validate`] computes the post-update validation score
@@ -43,18 +45,11 @@ pub trait PairwiseModel {
     /// model must overwrite or re-zero every value `apply` reads.
     fn pair_grad(&self, u: UserId, pos: ItemId, neg: ItemId, grad: &mut Self::Grad) -> f32;
 
-    /// Applies one pair's gradient through `step` (which carries the epoch
-    /// learning rate and the configured optimizer's state). Called in pair
-    /// order. Models route each parameter block they own through
-    /// [`Step::ascend`] / [`Step::descend`] under a stable block key.
-    fn apply(
-        &mut self,
-        u: UserId,
-        pos: ItemId,
-        neg: ItemId,
-        grad: &Self::Grad,
-        step: &mut Step<'_>,
-    );
+    /// Applies one pair's gradient as a plain-SGD step at learning rate
+    /// `lr`: every parameter the pair touches moves by `±lr · grad`
+    /// (ascent for a score gradient, descent for a loss gradient). Called
+    /// in pair order.
+    fn apply(&mut self, u: UserId, pos: ItemId, neg: ItemId, grad: &Self::Grad, lr: f32);
 
     /// Post-update validation score (higher is better), or `None` for
     /// models trained a fixed number of epochs.
@@ -69,7 +64,7 @@ pub enum StopReason {
     /// Ran the full `max_epochs`.
     MaxEpochs,
     /// Early stopping: `patience` consecutive epochs failed to improve the
-    /// best post-update validation score by more than the tolerance.
+    /// best post-update validation score by more than 1e-5.
     EarlyStop {
         /// 0-based epoch that produced the best validation score.
         best_epoch: usize,
@@ -95,7 +90,8 @@ pub struct TrainOutcome {
     pub best_epoch: Option<usize>,
 }
 
-/// Trains `model` on `ds` with deterministic minibatch BPR-SGD.
+/// Trains `model` on `ds` with deterministic minibatch BPR-SGD at the
+/// constant rate `cfg.lr`.
 ///
 /// Per epoch: run [`PairwiseModel::begin_epoch`], shuffle the interaction
 /// pairs on `rng`, then for each minibatch sample one negative per pair
@@ -104,7 +100,7 @@ pub struct TrainOutcome {
 /// the frozen batch-start model, and apply them in pair order. After the
 /// epoch's updates, the post-update validation score (if any) drives the
 /// shared early-stopping rule: stop once `patience` consecutive epochs fail
-/// to beat the best score by more than `tolerance`.
+/// to beat the best score by more than 1e-5.
 ///
 /// A negative for the pair `(u, v⁺)` is drawn by rejection: uniform
 /// candidates from the catalog until one is not in `u`'s profile. Every
@@ -120,8 +116,7 @@ pub struct TrainOutcome {
 ///
 /// The caller owns `rng` so historical draw orders are reproducible (model
 /// init on the same stream before training, a validation-sample shuffle
-/// between model init and the first epoch); use [`fit_seeded`] when no such
-/// prelude exists.
+/// between model init and the first epoch).
 pub fn fit<M: PairwiseModel>(
     model: &mut M,
     ds: &Dataset,
@@ -136,9 +131,6 @@ pub fn fit<M: PairwiseModel>(
     let n_items = ds.n_items() as u32;
     let seen = SeenBits::new(ds);
     let batch = cfg.minibatch.max(1);
-    // Optimizer state (momentum velocities, Adam moments) lives with the
-    // driver and is only touched from the in-order apply phase below.
-    let mut opt = OptState::new(cfg.optimizer);
     // Scratch for one minibatch, reused by every batch of every epoch.
     let width = batch.min(pairs.len());
     let mut triples: Vec<(UserId, ItemId, ItemId)> = Vec::with_capacity(width);
@@ -156,7 +148,6 @@ pub fn fit<M: PairwiseModel>(
         let t0 = Instant::now();
         model.begin_epoch();
         pairs.shuffle(rng);
-        let lr = cfg.schedule.lr_at(epoch, cfg.lr);
         let mut loss_sum = 0f64;
         for chunk in pairs.chunks(batch) {
             // Negative sampling stays on the single trainer RNG.
@@ -175,7 +166,7 @@ pub fn fit<M: PairwiseModel>(
                 loss_sum += model.pair_grad(u, pos, neg, slot) as f64;
             }
             for (&(u, pos, neg), slot) in triples.iter().zip(&slots) {
-                model.apply(u, pos, neg, slot, &mut opt.step(lr));
+                model.apply(u, pos, neg, slot, cfg.lr);
             }
         }
         epochs_run += 1;
@@ -189,13 +180,13 @@ pub fn fit<M: PairwiseModel>(
             epoch,
             pairs: pairs.len(),
             loss: (loss_sum / pairs.len().max(1) as f64) as f32,
-            lr,
+            lr: cfg.lr,
             val_score: val,
             seconds,
         });
         if let Some(score) = val {
             val_history.push(score);
-            if score > best + cfg.tolerance {
+            if score > best + TOLERANCE {
                 best = score;
                 best_epoch = Some(epoch);
                 since_best = 0;
@@ -243,22 +234,12 @@ impl SeenBits {
     }
 }
 
-/// [`fit`] with a fresh `StdRng` seeded from `cfg.seed`.
-pub fn fit_seeded<M: PairwiseModel>(
-    model: &mut M,
-    ds: &Dataset,
-    cfg: &TrainConfig,
-    obs: &mut dyn TrainObserver,
-) -> TrainOutcome {
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    fit(model, ds, cfg, &mut rng, obs)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::observe::{History, NullObserver};
     use ca_recsys::DatasetBuilder;
+    use rand::SeedableRng;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     /// A scalar "model" whose score for every pair is `theta` and whose
@@ -294,8 +275,8 @@ mod tests {
             *g = 1.0;
             self.theta.abs() + 0.5
         }
-        fn apply(&mut self, _u: UserId, _p: ItemId, _n: ItemId, g: &f32, step: &mut Step<'_>) {
-            step.ascend(0, std::slice::from_mut(&mut self.theta), std::slice::from_ref(g));
+        fn apply(&mut self, _u: UserId, _p: ItemId, _n: ItemId, g: &f32, lr: f32) {
+            self.theta += lr * g;
             self.applies.fetch_add(1, Ordering::Relaxed);
         }
         fn validate(&mut self) -> Option<f32> {
@@ -321,7 +302,7 @@ mod tests {
         // Scores never improve, but patience is None → all epochs run.
         let mut m = Scripted::new(vec![0.1; 8]);
         let cfg = TrainConfig { max_epochs: 8, patience: None, ..Default::default() };
-        let out = fit_seeded(&mut m, &ds, &cfg, &mut NullObserver);
+        let out = fit(&mut m, &ds, &cfg, &mut StdRng::seed_from_u64(0), &mut NullObserver);
         assert_eq!(out.epochs_run, 8);
         assert_eq!(out.stop, StopReason::MaxEpochs);
         assert_eq!(out.val_history.len(), 8);
@@ -332,7 +313,7 @@ mod tests {
         let ds = world();
         let mut m = Scripted::new(vec![0.1, 0.3, 0.2, 0.2, 0.2, 0.9]);
         let cfg = TrainConfig { max_epochs: 6, patience: Some(2), ..Default::default() };
-        let out = fit_seeded(&mut m, &ds, &cfg, &mut NullObserver);
+        let out = fit(&mut m, &ds, &cfg, &mut StdRng::seed_from_u64(0), &mut NullObserver);
         // Best at epoch 1; epochs 2 and 3 exhaust patience 2.
         assert_eq!(out.epochs_run, 4);
         assert_eq!(out.stop, StopReason::EarlyStop { best_epoch: 1, best_score: 0.3 });
@@ -350,7 +331,7 @@ mod tests {
         let n_pairs = ds.interactions().count();
         let mut m = Scripted::new(vec![0.5, 0.1, 0.1]);
         let cfg = TrainConfig { max_epochs: 5, patience: Some(2), ..Default::default() };
-        let out = fit_seeded(&mut m, &ds, &cfg, &mut NullObserver);
+        let out = fit(&mut m, &ds, &cfg, &mut StdRng::seed_from_u64(0), &mut NullObserver);
         assert_eq!(out.epochs_run, 3);
         // validate() after epoch e has seen exactly (e+1) × n_pairs applies:
         // the score is computed strictly after the epoch's updates.
@@ -365,7 +346,7 @@ mod tests {
         let ds = world();
         let mut m = Scripted::new(vec![f32::NAN; 6]);
         let cfg = TrainConfig { max_epochs: 6, patience: Some(3), ..Default::default() };
-        let out = fit_seeded(&mut m, &ds, &cfg, &mut NullObserver);
+        let out = fit(&mut m, &ds, &cfg, &mut StdRng::seed_from_u64(0), &mut NullObserver);
         assert_eq!(out.epochs_run, 3);
         assert!(out.best_val == f32::NEG_INFINITY && out.best_epoch.is_none());
     }
@@ -376,11 +357,13 @@ mod tests {
         let mut m = Scripted::new(vec![0.4, 0.1, 0.1]);
         let cfg = TrainConfig { max_epochs: 9, patience: Some(2), ..Default::default() };
         let mut h = History::new();
-        let out = fit_seeded(&mut m, &ds, &cfg, &mut h);
+        let out = fit(&mut m, &ds, &cfg, &mut StdRng::seed_from_u64(0), &mut h);
         assert_eq!(h.epochs.len(), out.epochs_run);
         assert_eq!(h.val_curve(), out.val_history);
         assert!(h.epochs.iter().all(|e| e.pairs == ds.interactions().count()));
         assert!(h.epochs.iter().all(|e| e.loss > 0.0));
+        // Every epoch steps at the configured rate, bit for bit.
+        assert!(h.epochs.iter().all(|e| e.lr.to_bits() == cfg.lr.to_bits()));
         assert_eq!(h.stop, Some(out.stop));
     }
 
@@ -395,7 +378,7 @@ mod tests {
         fn pair_grad(&self, _u: UserId, _pos: ItemId, _neg: ItemId, _g: &mut ()) -> f32 {
             0.0
         }
-        fn apply(&mut self, u: UserId, pos: ItemId, neg: ItemId, _g: &(), _step: &mut Step<'_>) {
+        fn apply(&mut self, u: UserId, pos: ItemId, neg: ItemId, _g: &(), _lr: f32) {
             self.triples.push((u, pos, neg));
         }
     }
@@ -444,9 +427,9 @@ mod tests {
             let short = b.user(&one_short);
             let ds = b.build();
 
-            let cfg = TrainConfig { max_epochs: 3, minibatch: 5, seed: 11, ..Default::default() };
+            let cfg = TrainConfig { max_epochs: 3, minibatch: 5, ..Default::default() };
             let mut rec = Recorder::default();
-            fit_seeded(&mut rec, &ds, &cfg, &mut NullObserver);
+            fit(&mut rec, &ds, &cfg, &mut StdRng::seed_from_u64(11), &mut NullObserver);
             for &(u, pos, neg) in &rec.triples {
                 assert!(neg != pos && !ds.contains(u, neg), "{n_items} items: {u} drew {neg}");
                 assert_ne!(u, full, "{n_items} items: the full-catalog user was trained");
@@ -459,21 +442,5 @@ mod tests {
             }
             assert_eq!(rec.triples, replay(&ds, 3, 11), "{n_items} items");
         }
-    }
-
-    #[test]
-    fn schedule_drives_per_epoch_lr() {
-        let ds = world();
-        let mut m = Scripted::new(vec![]);
-        let cfg = TrainConfig {
-            max_epochs: 4,
-            lr: 1.0,
-            schedule: crate::LrSchedule::Exponential { gamma: 0.5 },
-            ..Default::default()
-        };
-        let mut h = History::new();
-        fit_seeded(&mut m, &ds, &cfg, &mut h);
-        let lrs: Vec<f32> = h.epochs.iter().map(|e| e.lr).collect();
-        assert_eq!(lrs, vec![1.0, 0.5, 0.25, 0.125]);
     }
 }

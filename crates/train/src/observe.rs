@@ -7,7 +7,7 @@ use crate::driver::StopReason;
 ///
 /// Everything except `seconds` is deterministic: `loss` folds the per-pair
 /// losses in pair order (a fixed f64 rounding schedule at any thread
-/// count), `lr` comes from the schedule, and `val_score` is the model's own
+/// count), `lr` is the configured rate, and `val_score` is the model's own
 /// deterministic validation protocol. `seconds` (and therefore
 /// [`EpochStats::pairs_per_sec`]) is wall-clock — telemetry only, never fed
 /// back into training.

@@ -11,9 +11,7 @@ use copyattack::mf::BprConfig;
 use copyattack::ncf::NcfConfig;
 use copyattack::par;
 use copyattack::recsys::{split_dataset, Dataset, DatasetBuilder, ItemId, Split, UserId};
-use copyattack::train::{
-    fit_seeded, History, LrSchedule, Optimizer, PairwiseModel, Step, StopReason, TrainConfig,
-};
+use copyattack::train::{fit, History, PairwiseModel, StopReason, TrainConfig};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -173,7 +171,7 @@ impl PairwiseModel for Scripted {
         0.0
     }
 
-    fn apply(&mut self, _u: UserId, _pos: ItemId, _neg: ItemId, _g: &(), _step: &mut Step<'_>) {}
+    fn apply(&mut self, _u: UserId, _pos: ItemId, _neg: ItemId, _g: &(), _lr: f32) {}
 
     fn validate(&mut self) -> Option<f32> {
         let s = self.scores.get(self.epoch).copied().unwrap_or(0.0);
@@ -189,11 +187,13 @@ fn tiny_ds() -> Dataset {
     b.build()
 }
 
-fn run_scripted(scores: &[f32], patience: usize, cfg: &TrainConfig) -> (usize, History) {
+fn run_scripted(scores: &[f32], patience: usize, seed: u64) -> (usize, History) {
     let mut model = Scripted { scores: scores.to_vec(), epoch: 0 };
     let mut hist = History::new();
-    let cfg = TrainConfig { patience: Some(patience), ..cfg.clone() };
-    let outcome = fit_seeded(&mut model, &tiny_ds(), &cfg, &mut hist);
+    let cfg =
+        TrainConfig { max_epochs: scores.len(), patience: Some(patience), ..Default::default() };
+    let mut rng = StdRng::seed_from_u64(seed);
+    let outcome = fit(&mut model, &tiny_ds(), &cfg, &mut rng, &mut hist);
     (outcome.epochs_run, hist)
 }
 
@@ -207,9 +207,8 @@ proptest! {
         seed in 0u64..1000,
     ) {
         let scores: Vec<f32> = raw.iter().map(|&r| r as f32 / 1000.0).collect();
-        let cfg = TrainConfig { max_epochs: scores.len(), seed, ..Default::default() };
-        let (shorter, _) = run_scripted(&scores, patience, &cfg);
-        let (longer, _) = run_scripted(&scores, patience + 1, &cfg);
+        let (shorter, _) = run_scripted(&scores, patience, seed);
+        let (longer, _) = run_scripted(&scores, patience + 1, seed);
         prop_assert!(shorter <= longer,
             "patience {} ran {} epochs but patience {} ran {}",
             patience, shorter, patience + 1, longer);
@@ -217,43 +216,6 @@ proptest! {
         prop_assert!(shorter >= (patience + 1).min(scores.len()));
     }
 
-    /// The per-epoch learning rate the driver hands the model is exactly
-    /// the schedule's closed form — decoupled from run length, scores, and
-    /// seed, and bitwise-reproducible across runs.
-    #[test]
-    fn lr_schedule_is_deterministic_and_positionally_pure(
-        every in 1usize..5,
-        factor in 0.1f32..1.0,
-        gamma in 0.5f32..1.0,
-        base in 0.001f32..0.5,
-        seed in 0u64..1000,
-    ) {
-        for schedule in [
-            LrSchedule::Constant,
-            LrSchedule::StepDecay { every, factor },
-            LrSchedule::Exponential { gamma },
-        ] {
-            let cfg = TrainConfig {
-                lr: base,
-                max_epochs: 6,
-                schedule,
-                seed,
-                ..Default::default()
-            };
-            let (_, hist) = run_scripted(&[1.0; 6], 100, &cfg);
-            let (_, again) = run_scripted(&[1.0; 6], 100, &cfg);
-            for (epoch, (a, b)) in hist.epochs.iter().zip(&again.epochs).enumerate() {
-                prop_assert_eq!(a.lr.to_bits(), b.lr.to_bits(),
-                    "lr not reproducible at epoch {}", epoch);
-                prop_assert_eq!(a.lr.to_bits(), schedule.lr_at(epoch, base).to_bits(),
-                    "driver lr diverged from the closed form at epoch {}", epoch);
-            }
-            if matches!(schedule, LrSchedule::Constant) {
-                // The default schedule must not perturb the base rate at all.
-                prop_assert!(hist.epochs.iter().all(|e| e.lr.to_bits() == base.to_bits()));
-            }
-        }
-    }
 }
 
 /// The driver's stop decision must read the *post-update* validation score;
@@ -262,121 +224,8 @@ proptest! {
 #[test]
 fn early_stop_counts_from_the_post_update_best() {
     let scores = [0.5, 0.5, 0.5, 0.5, 0.5, 0.5];
-    let cfg = TrainConfig { max_epochs: scores.len(), ..Default::default() };
-    let (epochs, hist) = run_scripted(&scores, 2, &cfg);
+    let (epochs, hist) = run_scripted(&scores, 2, 0);
     // Epoch 0 sets the best; epochs 1 and 2 fail to improve; stop after 3.
     assert_eq!(epochs, 3);
     assert!(matches!(hist.stop, Some(StopReason::EarlyStop { best_epoch: 0, .. })));
-}
-
-/// Momentum is a *pluggable* strategy on the same driver: it must be just
-/// as deterministic as plain SGD — bitwise-identical models at any thread
-/// count — while actually changing the trajectory (β > 0 smooths updates
-/// through per-block velocity state, so the weights must differ from SGD).
-#[test]
-fn momentum_training_is_thread_count_invariant_and_distinct_from_sgd() {
-    let ds = golden_world();
-    let sgd_cfg = BprConfig { max_epochs: 4, seed: 11, ..Default::default() };
-    let mom_cfg = BprConfig { optimizer: Optimizer::Momentum { beta: 0.9 }, ..sgd_cfg.clone() };
-
-    par::set_threads(Some(1));
-    let base = copyattack::mf::train(&ds, &mom_cfg);
-    let sgd = copyattack::mf::train(&ds, &sgd_cfg);
-    par::set_threads(Some(4));
-    let wide = copyattack::mf::train(&ds, &mom_cfg);
-    par::set_threads(None);
-
-    assert_eq!(base.user_emb.as_slice(), wide.user_emb.as_slice(), "momentum broke determinism");
-    assert_eq!(base.item_emb.as_slice(), wide.item_emb.as_slice(), "momentum broke determinism");
-    assert_eq!(base.item_bias, wide.item_bias, "momentum broke determinism");
-
-    // Captured before `Optimizer::Adam` was added: growing the strategy
-    // enum (and the Adam state in `OptState`) must leave the momentum
-    // trajectory bitwise-inert.
-    let mut h = FNV_OFFSET;
-    hash_f32s(&mut h, base.user_emb.as_slice());
-    hash_f32s(&mut h, base.item_emb.as_slice());
-    hash_f32s(&mut h, &base.item_bias);
-    assert_eq!(h, 0xb0573ea233e9b521, "momentum mf golden diverged from the pre-Adam capture");
-    assert_ne!(
-        base.user_emb.as_slice(),
-        sgd.user_emb.as_slice(),
-        "momentum with beta 0.9 must change the trajectory"
-    );
-}
-
-/// Adam is the third pluggable strategy: per-block moments and bias
-/// correction live in driver-owned `OptState`, updated only in the serial
-/// apply phase, so an Adam run must be thread-count-invariant like the
-/// other two — while taking a genuinely different trajectory.
-#[test]
-fn adam_training_is_thread_count_invariant_and_distinct() {
-    let ds = golden_world();
-    let sgd_cfg = BprConfig { max_epochs: 4, seed: 11, ..Default::default() };
-    let adam_cfg = BprConfig { optimizer: Optimizer::adam(), ..sgd_cfg.clone() };
-    let mom_cfg = BprConfig { optimizer: Optimizer::Momentum { beta: 0.9 }, ..sgd_cfg.clone() };
-
-    par::set_threads(Some(1));
-    let base = copyattack::mf::train(&ds, &adam_cfg);
-    let sgd = copyattack::mf::train(&ds, &sgd_cfg);
-    let mom = copyattack::mf::train(&ds, &mom_cfg);
-    par::set_threads(Some(4));
-    let wide = copyattack::mf::train(&ds, &adam_cfg);
-    par::set_threads(None);
-
-    assert_eq!(base.user_emb.as_slice(), wide.user_emb.as_slice(), "adam broke determinism");
-    assert_eq!(base.item_emb.as_slice(), wide.item_emb.as_slice(), "adam broke determinism");
-    assert_eq!(base.item_bias, wide.item_bias, "adam broke determinism");
-    assert!(base.user_emb.as_slice().iter().all(|x| x.is_finite()), "adam blew up");
-    assert_ne!(base.user_emb.as_slice(), sgd.user_emb.as_slice(), "adam must differ from SGD");
-    assert_ne!(base.user_emb.as_slice(), mom.user_emb.as_slice(), "adam must differ from momentum");
-}
-
-/// The NCF and GNN trainers route their MLP towers through the same block
-/// router; momentum must stay thread-count-invariant there too. Hashes
-/// compare bit patterns, so the check is exact even if a hyper-parameter
-/// choice ever drives some weights non-finite.
-#[test]
-fn momentum_tower_training_is_thread_count_invariant() {
-    let split = golden_split();
-    let ncf_cfg = NcfConfig {
-        max_epochs: 3,
-        seed: 12,
-        optimizer: Optimizer::Momentum { beta: 0.5 },
-        ..Default::default()
-    };
-    let gnn_cfg = GnnConfig {
-        max_epochs: 3,
-        seed: 13,
-        optimizer: Optimizer::Momentum { beta: 0.5 },
-        ..Default::default()
-    };
-
-    let run = |threads| {
-        par::set_threads(Some(threads));
-        let (ncf, _) = copyattack::ncf::train(&split.train, &split.validation, &ncf_cfg);
-        let (gnn, _) = copyattack::gnn::train(&split.train, &split.validation, &gnn_cfg);
-        let mut h = FNV_OFFSET;
-        hash_f32s(&mut h, ncf.p.as_slice());
-        hash_f32s(&mut h, ncf.q.as_slice());
-        hash_f32s(&mut h, &ncf.w_gmf);
-        for l in ncf.mlp.layers().iter().chain(gnn.model().user_tower.layers()) {
-            hash_f32s(&mut h, l.w.as_slice());
-            hash_f32s(&mut h, &l.b);
-        }
-        let finite = ncf.p.as_slice().iter().all(|x| x.is_finite());
-        (h, finite)
-    };
-    let (base, base_finite) = run(1);
-    let (wide, _) = run(4);
-    par::set_threads(None);
-
-    assert_eq!(base, wide, "momentum tower training diverged across thread counts");
-    // Pre-Adam capture (see the mf golden above): the third strategy must
-    // not perturb the momentum tower path either.
-    assert_eq!(
-        base, 0xaa3ea18451980010,
-        "momentum tower golden diverged from the pre-Adam capture"
-    );
-    assert!(base_finite, "momentum with beta 0.5 must keep NCF embeddings finite");
 }

@@ -49,13 +49,6 @@ fn main() {
     for k in [5usize, 10, 20] {
         run(format!("reward_k={k}"), AttackConfig { reward_k: k, ..cfg.attack.config.clone() });
     }
-    // 4. State-encoder cell (the paper says only "an RNN model").
-    for (label, kind) in [
-        ("encoder=rnn", copyattack::core::config::EncoderKind::Rnn),
-        ("encoder=gru", copyattack::core::config::EncoderKind::Gru),
-    ] {
-        run(label.to_string(), AttackConfig { encoder: kind, ..cfg.attack.config.clone() });
-    }
 
     let header = ["configuration", "HR@20", "NDCG@20", "avg items/profile"];
     print_table(

@@ -1,35 +1,31 @@
-//! Data-plane bench: compact CSR arenas vs the legacy nested-`Vec` layout,
-//! and serial vs streaming chunk-seeded dataset generation.
+//! Data-plane bench: compact CSR arenas vs the legacy nested-`Vec` layout.
 //!
-//! Two comparisons, each swept over user counts:
-//!
-//! 1. **Layout** — build the same deduped interaction data into the CSR
-//!    `Dataset` and into an in-bench replica of the pre-refactor nested
-//!    model (one `Vec` per profile, one `Vec` per item's users), then scan
-//!    both ways. Reports peak RSS (`VmHWM`) and build/scan throughput.
-//! 2. **Datagen** — `generate` (serial, bitwise-pinned stream) vs
-//!    `generate_streaming` (chunk-seeded, runs on `ca-par`). Reports
-//!    interactions generated per second.
+//! Swept over user counts, the bench builds the same deduped interaction
+//! data into the CSR `Dataset` and into an in-bench replica of the
+//! pre-refactor nested model (one `Vec` per profile, one `Vec` per item's
+//! users), then scans both ways. It reports peak RSS (`VmHWM`) and
+//! build/scan throughput.
 //!
 //! `VmHWM` is monotone over a process's lifetime, so every scenario runs
 //! in its own subprocess (`--scenario=`) and reports one `RESULT {json}`
 //! line; the parent collects them into `results/BENCH_dataplane.json`.
+//! Its one table is `layout`. The `datagen` table and `threads` key of
+//! earlier files left the schema with the chunk-seeded generator they
+//! measured; EXPERIMENTS.md keeps their last values.
 //!
 //! ```text
 //! cargo run --release -p copyattack-bench --bin dataplane
 //! cargo run --release -p copyattack-bench --bin dataplane -- --smoke=1
 //! ```
 //!
-//! `--smoke=1` runs only the 1M-user streaming-generation scenario (small
-//! catalog, short profiles) — the CI guard that large-scale generation
-//! stays healthy.
+//! `--smoke=1` builds only the 1M-user CSR `Dataset` of the layout sweep and
+//! checks its user count and structural consistency — the CI guard that the
+//! data plane every pipeline builds on stays sane at scale.
 
 use std::process::Command;
 use std::time::Instant;
 
-use copyattack::datagen::{generate, generate_streaming, CrossDomainConfig};
-use copyattack::par;
-use copyattack::recsys::{DatasetBuilder, ItemId, UserId};
+use copyattack::recsys::{Dataset, DatasetBuilder, ItemId, UserId};
 use copyattack_bench::{print_table, results_dir, Args};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -87,16 +83,21 @@ fn emit(fields: &str) {
     println!("RESULT {{{fields}}}");
 }
 
-fn scenario_layout_csr(n_users: usize) {
+/// Builds the layout sweep's `n_users` CSR `Dataset`.
+fn build_csr(n_users: usize) -> Dataset {
     let mut rng = StdRng::seed_from_u64(0xDA7A);
     let mut buf = Vec::new();
-    let t = Instant::now();
     let mut b = DatasetBuilder::new(LAYOUT_CATALOG);
     for _ in 0..n_users {
         fill_profile(&mut rng, &mut buf);
         b.user(&buf);
     }
-    let ds = b.build();
+    b.build()
+}
+
+fn scenario_layout_csr(n_users: usize) {
+    let t = Instant::now();
+    let ds = build_csr(n_users);
     let build_s = t.elapsed().as_secs_f64();
 
     let t = Instant::now();
@@ -148,37 +149,6 @@ fn scenario_layout_nested(n_users: usize) {
     ));
 }
 
-/// Generator config scaled to `n_users` target users: small catalog, short
-/// profiles, a 1/10-sized source domain — the data plane is the subject,
-/// not the latent model.
-fn gen_cfg(n_users: usize) -> CrossDomainConfig {
-    let mut cfg = CrossDomainConfig::tiny(0xBEEF);
-    cfg.n_target_items = 500;
-    cfg.n_overlap = 300;
-    cfg.target.n_users = n_users;
-    cfg.target.profile_len_mean = 6.0;
-    cfg.target.profile_len_min = 2;
-    cfg.target.profile_len_max = 12;
-    cfg.source.n_users = (n_users / 10).max(100);
-    cfg.source.profile_len_mean = 6.0;
-    cfg.source.profile_len_min = 2;
-    cfg.source.profile_len_max = 12;
-    cfg
-}
-
-fn scenario_gen(n_users: usize, streaming: bool) {
-    let cfg = gen_cfg(n_users);
-    let t = Instant::now();
-    let world = if streaming { generate_streaming(&cfg) } else { generate(&cfg) };
-    let gen_s = t.elapsed().as_secs_f64();
-    let interactions = world.target.n_interactions() + world.source.n_interactions();
-    assert_eq!(world.target.n_users(), n_users);
-    emit(&format!(
-        "\"interactions\": {interactions}, \"gen_s\": {gen_s:.4}, \"hwm_kb\": {}",
-        vm_hwm_kb()
-    ));
-}
-
 /// Spawns this binary on one scenario and returns the parsed `RESULT`
 /// fields as (key, value) pairs.
 fn run_child(scenario: &str, n_users: usize) -> Vec<(String, f64)> {
@@ -214,22 +184,25 @@ fn main() {
     match scenario.as_str() {
         "layout-csr" => return scenario_layout_csr(n_users),
         "layout-nested" => return scenario_layout_nested(n_users),
-        "gen-serial" => return scenario_gen(n_users, false),
-        "gen-stream" => return scenario_gen(n_users, true),
         "" => {}
         other => panic!("unknown scenario {other:?}"),
     }
 
     if args.get_parse("smoke", 0u32) == 1 {
-        // CI guard: 1M-user streaming generation must finish and stay sane.
+        // CI guard: the 1M-user CSR dataset must build and stay consistent.
         let t = Instant::now();
-        scenario_gen(1_000_000, true);
-        println!("smoke: 1M-user streaming datagen ok in {:.1}s", t.elapsed().as_secs_f64());
+        let ds = build_csr(1_000_000);
+        assert_eq!(ds.n_users(), 1_000_000);
+        ds.check_consistency().unwrap_or_else(|e| panic!("1M-user dataset inconsistent: {e}"));
+        println!(
+            "smoke: 1M-user CSR dataset ({} interactions) ok in {:.1}s",
+            ds.n_interactions(),
+            t.elapsed().as_secs_f64()
+        );
         return;
     }
 
     let layout_sizes = [10_000usize, 100_000, 1_000_000];
-    let gen_sizes = [10_000usize, 100_000, 1_000_000];
 
     let mut rows = Vec::new();
     let mut layout_cases = Vec::new();
@@ -275,49 +248,9 @@ fn main() {
         &rows,
     );
 
-    let mut rows = Vec::new();
-    let mut gen_cases = Vec::new();
-    for &n in &gen_sizes {
-        let serial = run_child("gen-serial", n);
-        let stream = run_child("gen-stream", n);
-        let serial_ips = get(&serial, "interactions") / get(&serial, "gen_s");
-        let stream_ips = get(&stream, "interactions") / get(&stream, "gen_s");
-        rows.push(vec![
-            n.to_string(),
-            format!("{:.0}", get(&serial, "interactions")),
-            format!("{serial_ips:.0}"),
-            format!("{stream_ips:.0}"),
-            format!("{:.2}x", stream_ips / serial_ips),
-        ]);
-        gen_cases.push(format!(
-            concat!(
-                "    {{\"target_users\": {}, \"serial_interactions\": {:.0}, ",
-                "\"stream_interactions\": {:.0}, \"serial_s\": {:.4}, \"stream_s\": {:.4}, ",
-                "\"serial_ips\": {:.0}, \"stream_ips\": {:.0}}}"
-            ),
-            n,
-            get(&serial, "interactions"),
-            get(&stream, "interactions"),
-            get(&serial, "gen_s"),
-            get(&stream, "gen_s"),
-            serial_ips,
-            stream_ips,
-        ));
-    }
-    print_table(
-        "datagen: serial generate vs chunk-seeded generate_streaming",
-        &["users", "inter", "serial_ips", "stream_ips", "speedup"],
-        &rows,
-    );
-
     let json = format!(
-        concat!(
-            "{{\n  \"bench\": \"dataplane\",\n  \"threads\": {},\n",
-            "  \"layout\": [\n{}\n  ],\n  \"datagen\": [\n{}\n  ]\n}}\n"
-        ),
-        par::threads(),
+        "{{\n  \"bench\": \"dataplane\",\n  \"layout\": [\n{}\n  ]\n}}\n",
         layout_cases.join(",\n"),
-        gen_cases.join(",\n"),
     );
     let path = results_dir().join("BENCH_dataplane.json");
     std::fs::write(&path, json).expect("write BENCH_dataplane.json");

@@ -127,8 +127,7 @@ impl CopyProposer {
         rng: &mut StdRng,
     ) -> Result<Self, AttackError> {
         let tree = ClusterTree::build_with_depth(&src.user_embeddings(), cfg.tree_depth, rng);
-        let policy =
-            HierarchicalPolicy::with_encoder(rng, tree, src.dim(), cfg.hidden, cfg.encoder);
+        let policy = HierarchicalPolicy::new(rng, tree, src.dim(), cfg.hidden);
         let crafting = CraftingPolicy::new(rng, src.dim(), cfg.hidden, cfg.clip_fractions());
         let mask = build_mask(variant, cfg.goal, policy.tree(), src, target_src)?;
         let baseline = Baseline::new(cfg.budget);

@@ -1,7 +1,5 @@
 //! Attack hyper-parameters (§5.1.3).
 
-pub use ca_nn::EncoderKind;
-
 /// Attack objective. The paper evaluates promotion and names demotion as
 /// future work ("this type of reward function based on ranking evaluation
 /// … could be used for either a promotion or demotion attack", §4.2); both
@@ -53,13 +51,11 @@ pub struct AttackConfig {
     pub tree_depth: usize,
     /// Number of discrete crafting levels (paper: 10 → {10%, …, 100%}).
     pub clip_levels: usize,
-    /// Global-norm gradient clip for the episode update.
+    /// Global-norm gradient clip for the episode update. Must be positive;
+    /// `f32::INFINITY` turns clipping off.
     pub grad_clip: f32,
     /// Promotion or demotion (the paper's future-work direction).
     pub goal: AttackGoal,
-    /// Recurrent cell encoding the selected-user sequence (the paper says
-    /// only "an RNN model"; GRU is the ablation alternative).
-    pub encoder: EncoderKind,
     /// RNG seed.
     pub seed: u64,
 }
@@ -79,7 +75,6 @@ impl Default for AttackConfig {
             clip_levels: 10,
             grad_clip: 5.0,
             goal: AttackGoal::Promote,
-            encoder: EncoderKind::Rnn,
             seed: 0,
         }
     }
@@ -102,6 +97,11 @@ impl AttackConfig {
         }
         if self.tree_depth == 0 {
             return Err("tree depth must be at least 1".into());
+        }
+        // A zero radius zeroes every clipped update and a negative one
+        // steps against the gradient.
+        if self.grad_clip.is_nan() || self.grad_clip <= 0.0 {
+            return Err(format!("grad_clip {} must be positive", self.grad_clip));
         }
         Ok(())
     }
@@ -159,5 +159,15 @@ mod tests {
     fn validation_rejects_bad_discount() {
         let c = AttackConfig { discount: 1.5, ..Default::default() };
         assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn validation_rejects_bad_grad_clip() {
+        for bad in [0.0, -1.0, f32::NAN] {
+            let c = AttackConfig { grad_clip: bad, ..Default::default() };
+            assert!(c.validate().is_err(), "grad_clip {bad} must be rejected");
+        }
+        let c = AttackConfig { grad_clip: f32::INFINITY, ..Default::default() };
+        assert!(c.validate().is_ok(), "an infinite radius means no clipping");
     }
 }

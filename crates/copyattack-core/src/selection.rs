@@ -9,10 +9,7 @@
 //! instead, which is the O(n)-per-decision cost the tree removes.
 
 use ca_cluster::{ClusterTree, NodeId, TreeMask};
-use ca_nn::{
-    Categorical, EncoderKind, Mlp, MlpCache, MlpGrad, Rnn, RnnCache, RnnGrad, SeqCache, SeqEncoder,
-    SeqGrad,
-};
+use ca_nn::{Categorical, Mlp, MlpCache, MlpGrad, Rnn, RnnCache, RnnGrad};
 use ca_recsys::UserId;
 use rand::Rng;
 
@@ -34,8 +31,8 @@ pub struct SelectionSample {
     pub user: UserId,
     /// Per-node decisions along the path, root first.
     pub steps: Vec<SelectionStep>,
-    /// Encoder cache for the state encoding (shared by all steps).
-    pub rnn_cache: SeqCache,
+    /// RNN cache for the state encoding (shared by all steps).
+    pub rnn_cache: RnnCache,
     /// The `[q_{v*} ⊕ x_{v*}]` state input used at every node.
     pub state: Vec<f32>,
 }
@@ -43,7 +40,7 @@ pub struct SelectionSample {
 /// Gradient accumulators for a [`HierarchicalPolicy`].
 pub struct PolicyGrads {
     nets: Vec<Option<MlpGrad>>,
-    rnn: SeqGrad,
+    rnn: RnnGrad,
 }
 
 impl PolicyGrads {
@@ -71,50 +68,28 @@ impl PolicyGrads {
 pub struct HierarchicalPolicy {
     tree: ClusterTree,
     nets: Vec<Mlp>,
-    rnn: SeqEncoder,
+    rnn: Rnn,
     embed_dim: usize,
 }
 
 impl HierarchicalPolicy {
-    /// Builds the policy over a clustering tree with the default Elman RNN
-    /// state encoder. `embed_dim` is the MF embedding size `e`; each node
-    /// MLP maps `[q ⊕ x] ∈ R^{2e}` to logits over that node's children.
+    /// Builds the policy over a clustering tree with an Elman RNN state
+    /// encoder. `embed_dim` is the MF embedding size `e`; each node MLP
+    /// maps `[q ⊕ x] ∈ R^{2e}` to logits over that node's children.
     pub fn new(rng: &mut impl Rng, tree: ClusterTree, embed_dim: usize, hidden: usize) -> Self {
-        Self::with_encoder(rng, tree, embed_dim, hidden, EncoderKind::Rnn)
-    }
-
-    /// Builds the policy with an explicit state-encoder kind (RNN or GRU) —
-    /// the encoder ablation of DESIGN.md §5.
-    pub fn with_encoder(
-        rng: &mut impl Rng,
-        tree: ClusterTree,
-        embed_dim: usize,
-        hidden: usize,
-        encoder: EncoderKind,
-    ) -> Self {
         let mut nets = Vec::with_capacity(tree.n_internal());
         for node in tree.internal_nodes() {
             debug_assert_eq!(tree.internal_index(node), nets.len());
             let out = tree.children(node).len();
             nets.push(Mlp::new(rng, &[2 * embed_dim, hidden, out], 0.3));
         }
-        let rnn = SeqEncoder::new(encoder, rng, embed_dim, embed_dim, 0.3);
+        let rnn = Rnn::new(rng, embed_dim, embed_dim, 0.3);
         Self { tree, nets, rnn, embed_dim }
-    }
-
-    /// The state-encoder kind in use.
-    pub fn encoder_kind(&self) -> EncoderKind {
-        self.rnn.kind()
     }
 
     /// The underlying clustering tree.
     pub fn tree(&self) -> &ClusterTree {
         &self.tree
-    }
-
-    /// Number of policy networks (the paper's `I`).
-    pub fn n_networks(&self) -> usize {
-        self.nets.len()
     }
 
     /// Total trainable parameters (networks + RNN).
@@ -123,7 +98,7 @@ impl HierarchicalPolicy {
     }
 
     /// Encodes the episode state `[q_{v*} ⊕ RNN(selected)]`.
-    fn encode_state(&self, q_target: &[f32], prev: &[&[f32]]) -> (Vec<f32>, SeqCache) {
+    fn encode_state(&self, q_target: &[f32], prev: &[&[f32]]) -> (Vec<f32>, RnnCache) {
         debug_assert_eq!(q_target.len(), self.embed_dim);
         let (x, cache) = self.rnn.forward(prev);
         let mut state = Vec::with_capacity(2 * self.embed_dim);

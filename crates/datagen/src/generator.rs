@@ -1,17 +1,11 @@
 //! The cross-domain dataset generator.
 //!
-//! Two generation paths share one world model:
-//!
-//! - [`generate`] — the historical serial path: a single RNG stream drives
-//!   the whole world. Its output is bitwise-pinned by golden hashes
-//!   (`tests/dataplane_golden.rs`) and must never change.
-//! - [`generate_streaming`] — the scale path: user profiles are produced in
-//!   fixed-size blocks of [`STREAM_CHUNK`] users, each block seeded from
-//!   `split_seed(domain_seed, chunk_index)`, fanned out over `ca-par`, and
-//!   emitted straight into the flat [`DatasetBuilder`] arenas in chunk
-//!   order. The stream is a pure function of the config seed — identical at
-//!   any `CA_THREADS` — but it is a *different* stream from [`generate`]'s
-//!   (per-chunk seeding necessarily decouples the draws).
+//! [`generate`] draws the whole world from one RNG stream seeded by the
+//! config: first the shared latent world (`build_world`), then every
+//! target user, then every source user (`sample_user`), each profile
+//! appended straight into a flat [`DatasetBuilder`] arena. Its output is
+//! bitwise-pinned by golden hashes (`tests/dataplane_golden.rs`) and must
+//! never change.
 
 use crate::config::CrossDomainConfig;
 use crate::latent::{around, sample_centers, zipf_weights, LatentTruth};
@@ -117,8 +111,7 @@ impl CrossDomainDataset {
 }
 
 /// Everything about a generated world except the users: latent structure,
-/// popularity, and the cross-domain alignment. Shared by the serial and
-/// streaming paths.
+/// popularity, and the cross-domain alignment.
 struct World {
     centers: Matrix,
     item_vecs: Matrix,
@@ -193,8 +186,8 @@ fn sample_user(
     (uvec, profile)
 }
 
-/// Generates a cross-domain world from the configuration (serial path;
-/// bitwise-pinned by golden hashes).
+/// Generates a cross-domain world from the configuration (bitwise-pinned
+/// by golden hashes).
 ///
 /// # Panics
 /// Panics if the configuration fails [`CrossDomainConfig::validate`].
@@ -248,121 +241,6 @@ pub fn generate(cfg: &CrossDomainConfig) -> CrossDomainDataset {
     }
 
     assemble(world, target_b, target_user_vecs, source_b, source_user_vecs)
-}
-
-/// Fixed user-block size of [`generate_streaming`]. Part of the determinism
-/// contract: chunk `i` always covers users `i*STREAM_CHUNK..`, whatever the
-/// thread count, so its seed — and therefore the whole dataset — never
-/// depends on scheduling.
-pub const STREAM_CHUNK: usize = 1024;
-
-/// One generated block of users, in flat arena form ready to append.
-struct ChunkOut {
-    /// `n_chunk_users × dim`, row-major.
-    uvecs: Vec<f32>,
-    /// Per-user profile runs, back to back.
-    items: Vec<ItemId>,
-    /// `n_chunk_users + 1` local offsets into `items`.
-    offsets: Vec<u32>,
-}
-
-/// Generates a cross-domain world with chunk-seeded parallel user
-/// generation (see the [module docs](self)).
-///
-/// The output is deterministic in `cfg.seed` and independent of
-/// `CA_THREADS`, but is a different sample than [`generate`] produces for
-/// the same seed.
-///
-/// # Panics
-/// Panics if the configuration fails [`CrossDomainConfig::validate`].
-pub fn generate_streaming(cfg: &CrossDomainConfig) -> CrossDomainDataset {
-    cfg.validate().unwrap_or_else(|e| panic!("invalid config: {e}"));
-    // Stream seed layout: child 0 drives the shared world; children 1 / 2
-    // are the target / source domain roots, split once more per chunk.
-    let mut world_rng = StdRng::seed_from_u64(ca_par::split_seed(cfg.seed, 0));
-    let world = build_world(&mut world_rng, cfg);
-
-    let (target_b, target_user_vecs) = stream_domain(
-        cfg,
-        &world,
-        &cfg.target,
-        ca_par::split_seed(cfg.seed, 1),
-        cfg.n_target_items,
-        &world.full_catalog,
-        |i| ItemId(i as u32),
-    );
-    let (source_b, source_user_vecs) = stream_domain(
-        cfg,
-        &world,
-        &cfg.source,
-        ca_par::split_seed(cfg.seed, 2),
-        cfg.n_overlap,
-        &world.overlap_catalog,
-        |t| world.target_to_source[t].expect("overlap catalog item must map back"),
-    );
-
-    assemble(world, target_b, target_user_vecs, source_b, source_user_vecs)
-}
-
-/// Streams one domain's users: chunks are generated in parallel waves and
-/// appended to the builder in chunk order, so transient memory stays
-/// bounded by the wave size while the result is order-identical to a
-/// serial chunk walk.
-fn stream_domain(
-    cfg: &CrossDomainConfig,
-    world: &World,
-    dcfg: &crate::config::DomainConfig,
-    domain_seed: u64,
-    n_items: usize,
-    catalog: &[usize],
-    to_domain_id: impl Fn(usize) -> ItemId + Sync,
-) -> (DatasetBuilder, Matrix) {
-    let n_users = dcfg.n_users;
-    let n_chunks = n_users.div_ceil(STREAM_CHUNK);
-    let mut builder = DatasetBuilder::new(n_items);
-    builder.reserve(n_users * dcfg.profile_len_mean as usize);
-    let mut user_vecs = Matrix::zeros(n_users, cfg.latent_dim);
-
-    let gen_chunk = |ci: usize| -> ChunkOut {
-        let lo = ci * STREAM_CHUNK;
-        let hi = (lo + STREAM_CHUNK).min(n_users);
-        let mut rng = StdRng::seed_from_u64(ca_par::split_seed(domain_seed, ci as u64));
-        let mut out = ChunkOut {
-            uvecs: Vec::with_capacity((hi - lo) * cfg.latent_dim),
-            items: Vec::new(),
-            offsets: vec![0],
-        };
-        for _ in lo..hi {
-            let (uvec, profile) = sample_user(
-                &mut rng,
-                world,
-                dcfg,
-                catalog,
-                cfg.n_clusters,
-                cfg.user_noise,
-                cfg.affinity_beta,
-            );
-            out.uvecs.extend_from_slice(&uvec);
-            out.items.extend(profile.iter().map(|&i| to_domain_id(i)));
-            out.offsets.push(out.items.len() as u32);
-        }
-        out
-    };
-
-    // Wave size bounds in-flight chunk buffers without affecting the
-    // output: chunk content depends only on the chunk index.
-    let wave = (ca_par::threads() * 4).max(1);
-    let chunk_ids: Vec<usize> = (0..n_chunks).collect();
-    for wave_ids in chunk_ids.chunks(wave) {
-        for out in ca_par::map(wave_ids, |_, &ci| gen_chunk(ci)) {
-            let row0 = builder.n_users();
-            for w in out.offsets.windows(2) {
-                builder.user(&out.items[w[0] as usize..w[1] as usize]);
-            }
-            user_vecs.row_range_mut(row0, builder.n_users()).copy_from_slice(&out.uvecs);
-        }
-    }
-    (builder, user_vecs)
 }
 
 /// Finalizes both domains into a [`CrossDomainDataset`].
@@ -628,65 +506,5 @@ mod tests {
             let s = world.source_item(v).expect("must overlap");
             assert!(world.source.item_popularity(s) >= 2);
         }
-    }
-
-    #[test]
-    fn streaming_world_has_configured_shape() {
-        let cfg = CrossDomainConfig::tiny(42);
-        let world = generate_streaming(&cfg);
-        let s = world.stats();
-        assert_eq!(s.target_users, cfg.target.n_users);
-        assert_eq!(s.target_items, cfg.n_target_items);
-        assert_eq!(s.source_users, cfg.source.n_users);
-        assert_eq!(s.overlap_items, cfg.n_overlap);
-        assert!(s.target_interactions > 0);
-        assert!(world.target.check_consistency().is_ok());
-        assert!(world.source.check_consistency().is_ok());
-        assert_eq!(world.truth.target_user_vecs.rows(), cfg.target.n_users);
-    }
-
-    #[test]
-    fn streaming_is_thread_count_invariant() {
-        // The whole point of chunk seeding: CA_THREADS must not leak into
-        // the sample. tiny() has n_users < STREAM_CHUNK for the target and
-        // > 1 chunk for nothing — so also widen a preset past one chunk.
-        let mut cfg = CrossDomainConfig::tiny(13);
-        cfg.target.n_users = STREAM_CHUNK + 257; // straddle a chunk boundary
-        let run = |t: usize| {
-            ca_par::set_threads(Some(t));
-            let w = generate_streaming(&cfg);
-            ca_par::set_threads(None);
-            w
-        };
-        let a = run(1);
-        let b = run(4);
-        assert_eq!(a.stats(), b.stats());
-        for u in a.target.users() {
-            assert_eq!(a.target.profile(u), b.target.profile(u), "profile of {u} diverged");
-        }
-        for u in a.source.users() {
-            assert_eq!(a.source.profile(u), b.source.profile(u));
-        }
-        assert_eq!(
-            a.truth.target_user_vecs.as_slice(),
-            b.truth.target_user_vecs.as_slice(),
-            "user vectors diverged across thread counts"
-        );
-    }
-
-    #[test]
-    fn streaming_shares_the_world_but_not_the_user_stream() {
-        // Same latent world family (both draw a valid alignment), but the
-        // user sample is a different stream than the serial path's.
-        let cfg = CrossDomainConfig::tiny(21);
-        let serial = generate(&cfg);
-        let streamed = generate_streaming(&cfg);
-        assert_eq!(serial.target.n_users(), streamed.target.n_users());
-        let differs = serial
-            .target
-            .users()
-            .take(50)
-            .any(|u| serial.target.profile(u) != streamed.target.profile(u));
-        assert!(differs, "streaming must be a distinct (chunk-seeded) sample");
     }
 }

@@ -78,11 +78,6 @@ impl LatentTruth {
         self.target_user_vecs.row(u)
     }
 
-    /// Latent vector of source-domain user `u`.
-    pub fn source_user_vec(&self, u: usize) -> &[f32] {
-        self.source_user_vecs.row(u)
-    }
-
     /// Ground-truth affinity between a user vector and item `v`
     /// (cosine, since all vectors are unit length).
     pub fn affinity(&self, user_vec: &[f32], item: usize) -> f32 {

@@ -28,5 +28,5 @@ pub mod generator;
 pub mod latent;
 
 pub use config::{CrossDomainConfig, DomainConfig};
-pub use generator::{generate, generate_streaming, CrossDomainDataset, STREAM_CHUNK};
+pub use generator::{generate, CrossDomainDataset};
 pub use latent::LatentTruth;

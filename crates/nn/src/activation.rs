@@ -20,13 +20,6 @@ pub fn relu_backward(pre: &[f32], grad: &mut [f32]) {
     }
 }
 
-/// tanh applied in place.
-pub fn tanh_inplace(x: &mut [f32]) {
-    for v in x.iter_mut() {
-        *v = v.tanh();
-    }
-}
-
 /// Backward of tanh given the *post-activation* output `y = tanh(x)`:
 /// `dx = dy * (1 - y²)`.
 pub fn tanh_backward(post: &[f32], grad: &mut [f32]) {

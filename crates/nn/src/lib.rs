@@ -22,16 +22,12 @@
 
 pub mod activation;
 pub mod categorical;
-pub mod encoder;
-pub mod gru;
 pub mod linear;
 pub mod mlp;
 pub mod optim;
 pub mod rnn;
 
 pub use categorical::Categorical;
-pub use encoder::{EncoderKind, SeqCache, SeqEncoder, SeqGrad};
-pub use gru::{Gru, GruCache, GruGrad};
 pub use linear::{Linear, LinearGrad};
 pub use mlp::{Mlp, MlpCache, MlpGrad};
 pub use optim::GradClip;

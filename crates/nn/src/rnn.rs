@@ -273,6 +273,22 @@ mod tests {
     }
 
     #[test]
+    fn forward_backward_step_roundtrip() {
+        let mut rng = StdRng::seed_from_u64(3);
+        let mut rnn = Rnn::new(&mut rng, 3, 4, 0.4);
+        let xs = seq(&[&[0.2, -0.1, 0.4], &[0.0, 0.3, -0.2]]);
+        let refs: Vec<&[f32]> = xs.iter().map(|x| x.as_slice()).collect();
+        let (h, cache) = rnn.forward(&refs);
+        assert_eq!(h.len(), 4);
+        let mut grad = rnn.zero_grad();
+        rnn.backward(&cache, &h, &mut grad);
+        assert!(grad.norm() > 0.0, "backward produced a zero gradient");
+        rnn.sgd_step(&grad, 0.1);
+        let (h2, _) = rnn.forward(&refs);
+        assert_ne!(h, h2, "sgd_step had no effect");
+    }
+
+    #[test]
     fn backward_on_empty_cache_is_noop() {
         let mut rng = StdRng::seed_from_u64(4);
         let rnn = Rnn::new(&mut rng, 2, 3, 0.2);

@@ -126,17 +126,6 @@ impl Matrix {
         &self.data[r0 * self.cols..r1 * self.cols]
     }
 
-    /// Mutable contiguous view of rows `r0..r1` (row-major,
-    /// `(r1 - r0) * cols` floats).
-    ///
-    /// # Panics
-    /// Panics if `r0 > r1` or `r1 > rows`.
-    #[inline]
-    pub fn row_range_mut(&mut self, r0: usize, r1: usize) -> &mut [f32] {
-        assert!(r0 <= r1 && r1 <= self.rows, "row_range {r0}..{r1} out of {} rows", self.rows);
-        &mut self.data[r0 * self.cols..r1 * self.cols]
-    }
-
     /// Row-aligned chunked views: contiguous blocks of up to `rows_per_chunk`
     /// whole rows, in row order. k-means sums its points over this grid,
     /// which depends only on the matrix shape.
@@ -146,16 +135,6 @@ impl Matrix {
     pub fn row_chunks(&self, rows_per_chunk: usize) -> impl Iterator<Item = &[f32]> {
         assert!(rows_per_chunk > 0, "row_chunks needs a positive chunk height");
         self.data.chunks(rows_per_chunk * self.cols.max(1))
-    }
-
-    /// Mutable row-aligned chunked views (disjoint, so workers can fill
-    /// them concurrently).
-    ///
-    /// # Panics
-    /// Panics if `rows_per_chunk == 0`.
-    pub fn row_chunks_mut(&mut self, rows_per_chunk: usize) -> impl Iterator<Item = &mut [f32]> {
-        assert!(rows_per_chunk > 0, "row_chunks_mut needs a positive chunk height");
-        self.data.chunks_mut(rows_per_chunk * self.cols.max(1))
     }
 
     /// Sets every element to zero, keeping the allocation.
@@ -294,16 +273,6 @@ impl Matrix {
         let mut out = Matrix::zeros(self.rows, other.rows);
         self.matmul_nt_into(other, &mut out);
         out
-    }
-
-    /// Batched mat-vec: `out.row(i) = self · xs.row(i)` for every row of
-    /// `xs` (`self` is `n × d`, `xs` is `m × d`, `out` is `m × n`).
-    ///
-    /// Equivalent to `m` [`Matrix::matvec`] calls but dispatched as one
-    /// blocked GEMM (`xs · selfᵀ`), which is how the scoring engine turns a
-    /// batch of user queries into a single kernel invocation.
-    pub fn gemv_batch(&self, xs: &Matrix, out: &mut Matrix) {
-        xs.matmul_nt_into(self, out);
     }
 
     /// Transposed copy.
@@ -528,17 +497,6 @@ mod tests {
     }
 
     #[test]
-    fn gemv_batch_matches_per_row_matvec() {
-        let a = Matrix::from_fn(6, 3, |r, c| (r * 3 + c) as f32 * 0.1);
-        let xs = Matrix::from_fn(4, 3, |r, c| (r as f32 - c as f32) * 0.7);
-        let mut out = Matrix::zeros(4, 6);
-        a.gemv_batch(&xs, &mut out);
-        for i in 0..4 {
-            assert_eq!(out.row(i), &a.matvec(xs.row(i))[..], "row {i}");
-        }
-    }
-
-    #[test]
     fn into_vec_roundtrips_the_buffer() {
         let m = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
         assert_eq!(m.into_vec(), vec![1.0, 2.0, 3.0, 4.0]);
@@ -562,15 +520,6 @@ mod tests {
         assert_eq!(chunks[3], m.row_range(6, 7));
         let total: usize = chunks.iter().map(|c| c.len()).sum();
         assert_eq!(total, 21);
-    }
-
-    #[test]
-    fn row_chunks_mut_are_disjoint_and_writable() {
-        let mut m = Matrix::zeros(5, 2);
-        for (i, chunk) in m.row_chunks_mut(2).enumerate() {
-            chunk.fill(i as f32);
-        }
-        assert_eq!(m.as_slice(), &[0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 1.0, 2.0, 2.0]);
     }
 
     #[test]

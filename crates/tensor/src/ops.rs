@@ -156,19 +156,6 @@ pub fn mean(x: &[f32]) -> f32 {
     }
 }
 
-/// Element-wise mean of several equal-length vectors, written into `out`.
-/// Leaves `out` zeroed when `vecs` is empty.
-pub fn mean_of_vectors(vecs: &[&[f32]], out: &mut [f32]) {
-    out.iter_mut().for_each(|o| *o = 0.0);
-    if vecs.is_empty() {
-        return;
-    }
-    for v in vecs {
-        axpy(1.0, v, out);
-    }
-    scale(out, 1.0 / vecs.len() as f32);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -247,17 +234,6 @@ mod tests {
         assert!((cosine(&[1.0, 0.0], &[0.0, 1.0])).abs() < 1e-7);
         assert!((cosine(&[1.0, 1.0], &[2.0, 2.0]) - 1.0).abs() < 1e-6);
         assert_eq!(cosine(&[0.0, 0.0], &[1.0, 1.0]), 0.0);
-    }
-
-    #[test]
-    fn mean_of_vectors_averages() {
-        let a = [1.0, 2.0];
-        let b = [3.0, 4.0];
-        let mut out = vec![0.0; 2];
-        mean_of_vectors(&[&a, &b], &mut out);
-        assert_eq!(out, vec![2.0, 3.0]);
-        mean_of_vectors(&[], &mut out);
-        assert_eq!(out, vec![0.0, 0.0]);
     }
 
     #[test]

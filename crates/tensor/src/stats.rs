@@ -19,11 +19,6 @@ pub fn variance(xs: &[f32]) -> f32 {
     xs.iter().map(|x| (x - m) * (x - m)).sum::<f32>() / (xs.len() - 1) as f32
 }
 
-/// Sample standard deviation.
-pub fn std_dev(xs: &[f32]) -> f32 {
-    variance(xs).sqrt()
-}
-
 /// `p`-th percentile (0 ≤ p ≤ 100) using nearest-rank on a sorted copy.
 ///
 /// # Panics
@@ -80,11 +75,6 @@ impl RunningStats {
         } else {
             (self.m2 / (self.n - 1) as f64) as f32
         }
-    }
-
-    /// Running standard deviation.
-    pub fn std_dev(&self) -> f32 {
-        self.variance().sqrt()
     }
 }
 

@@ -1,24 +1,31 @@
 //! Microbench for the batched scoring engine: one reward round of 50
-//! pretend users over 1k and 10k item catalogs, ranked by the scalar
-//! per-user loop (the pre-engine code path) and by `batch_top_k`, whose
-//! round is also split into its score GEMM and its ranking pass.
+//! pretend users, ranked by the scalar per-user loop (the pre-engine code
+//! path) and by `batch_top_k`, whose round is also split into its
+//! `score_batch` kernel and its ranking pass. It runs three victims:
+//!
+//! - MF (`--dim`, 64 by default) over 1k and 10k item catalogs;
+//! - NCF with `NcfConfig::default()` (dim 8, hidden 16, the victim of
+//!   e2ebench's `victims-small`) over 1k and 10k item catalogs;
+//! - ItemKNN over 1k items only: its dense co-occurrence table holds
+//!   n(n−1)/2 `u32` counts, about 200 MB at 10k.
 //!
 //! ```text
 //! cargo run --release -p copyattack-bench --bin scoring -- --reps=20
 //! ```
 //!
-//! Before timing anything it asserts, at both catalog sizes, that the
-//! scalar loop, `batch_top_k` and the per-user `top_k` return the same
-//! lists; `--reps=1` turns the run into that parity check.
+//! Before timing anything it asserts, for every case, that the scalar
+//! loop, `batch_top_k` and the per-user `top_k` return the same lists;
+//! `--reps=1` turns the run into that parity check.
 //!
 //! Emits `results/BENCH_scoring.json`: `bench`, `reps`, and one entry of
-//! `cases` per catalog with `catalog`, `users`, `k`, `dim` and the
-//! best-of-`reps` wall times in microseconds of one round on the calling
-//! thread:
+//! `cases` per victim and catalog with `model` (`mf`, `ncf` or `knn`),
+//! `catalog`, `users`, `k`, `dim` (the embedding width, 0 for ItemKNN)
+//! and the best-of-`reps` wall times in microseconds of one round on the
+//! calling thread:
 //!
 //! - `scalar_us`: the scalar loop (per-item `Scorer` calls, full sort);
 //! - `batched_us`: `batch_top_k`, scoring and ranking together;
-//! - `score_us`: its `score_batch` GEMM alone;
+//! - `score_us`: its `score_batch` kernel alone;
 //! - `rank_us`: its ranking of the scored rows alone
 //!   (`top_k_from_scores_into` per user);
 //! - `speedup_batched`: `scalar_us / batched_us`.
@@ -26,21 +33,23 @@
 use std::time::Instant;
 
 use copyattack::mf::{MfModel, MfRecommender};
+use copyattack::ncf::{NcfConfig, NcfModel, NcfRecommender};
 use copyattack::recsys::engine::{self, ScoringEngine};
-use copyattack::recsys::{BlackBoxRecommender, DatasetBuilder, ItemId, Scorer, UserId};
+use copyattack::recsys::knn::ItemKnnRecommender;
+use copyattack::recsys::{BlackBoxRecommender, Dataset, DatasetBuilder, ItemId, Scorer, UserId};
 use copyattack::tensor::Matrix;
 use copyattack_bench::{f1, print_table, results_dir, Args};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// The pre-engine ranking loop: per-item `Scorer` calls, a full sort in
-/// the engine's order (score descending by `total_cmp`, then item id
-/// ascending), truncate.
-fn scalar_top_k(rec: &MfRecommender, user: UserId, k: usize) -> Vec<ItemId> {
-    let n = rec.data().n_items();
-    let mut scored: Vec<(f32, u32)> = (0..n as u32)
+/// The pre-engine ranking loop: per-item `Scorer` calls over the unseen
+/// items, a full sort in the engine's order (score descending by
+/// `total_cmp`, then item id ascending), truncate.
+fn scalar_top_k<R: Scorer + ScoringEngine>(rec: &R, user: UserId, k: usize) -> Vec<ItemId> {
+    let seen = rec.seen(user);
+    let mut scored: Vec<(f32, u32)> = (0..rec.catalog_len() as u32)
         .map(ItemId)
-        .filter(|&v| !rec.data().contains(user, v))
+        .filter(|v| seen.binary_search(v).is_err())
         .map(|v| (rec.score(user, v), v.0))
         .collect();
     scored.sort_unstable_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
@@ -48,17 +57,15 @@ fn scalar_top_k(rec: &MfRecommender, user: UserId, k: usize) -> Vec<ItemId> {
     scored.into_iter().map(|(_, v)| ItemId(v)).collect()
 }
 
-fn platform(n_items: usize, n_users: usize, dim: usize, seed: u64) -> MfRecommender {
-    let mut rng = StdRng::seed_from_u64(seed);
+/// `n_users` users of 20 random items each over an `n_items` catalog.
+fn world(n_items: usize, n_users: usize, rng: &mut StdRng) -> Dataset {
     let mut b = DatasetBuilder::new(n_items);
     for _ in 0..n_users {
         let profile: Vec<ItemId> =
             (0..20).map(|_| ItemId(rng.gen_range(0..n_items as u32))).collect();
         b.user(&profile);
     }
-    let data = b.build();
-    let model = MfModel::new(&mut rng, data.n_users(), data.n_items(), dim);
-    MfRecommender::deploy(model, data)
+    b.build()
 }
 
 /// Best-of-`reps` wall time of `f`, in microseconds.
@@ -72,6 +79,60 @@ fn time_us(reps: usize, mut f: impl FnMut()) -> f64 {
     best
 }
 
+/// One round's timings of one victim over one catalog.
+struct Case {
+    model: &'static str,
+    catalog: usize,
+    dim: usize,
+    scalar: f64,
+    batched: f64,
+    score: f64,
+    rank: f64,
+}
+
+/// Asserts the three ranking paths agree on `rec`, then times each.
+fn run_case<R: BlackBoxRecommender + Scorer + ScoringEngine>(
+    model: &'static str,
+    dim: usize,
+    rec: &R,
+    users: &[UserId],
+    k: usize,
+    reps: usize,
+) -> Case {
+    let catalog = rec.catalog_len();
+    // Parity first: the timings below only mean something if every path
+    // returns the same lists.
+    let batched_lists = engine::batch_top_k(rec, users, k);
+    for (i, &u) in users.iter().enumerate() {
+        let scalar = scalar_top_k(rec, u, k);
+        assert_eq!(scalar, batched_lists[i], "{model} batch_top_k parity broken at {catalog}");
+        assert_eq!(scalar, rec.top_k(u, k), "{model} top_k parity broken at {catalog}");
+    }
+
+    let mut sink = 0usize;
+    let scalar = time_us(reps, || {
+        for &u in users {
+            sink += scalar_top_k(rec, u, k).len();
+        }
+    });
+    let batched = time_us(reps, || {
+        sink += engine::batch_top_k(rec, users, k).iter().map(Vec::len).sum::<usize>();
+    });
+    let mut scores = Matrix::zeros(users.len(), catalog);
+    let score = time_us(reps, || {
+        // ca-audit: allow(exact-scan) — the layer bench times the scoring kernel apart from the ranking
+        rec.score_batch(users, &mut scores);
+    });
+    let mut cand = Vec::new();
+    let rank = time_us(reps, || {
+        for (i, &u) in users.iter().enumerate() {
+            sink += engine::top_k_from_scores_into(scores.row(i), k, rec.seen(u), &mut cand).len();
+        }
+    });
+    assert!(sink > 0);
+    Case { model, catalog, dim, scalar, batched, score, rank }
+}
+
 fn main() {
     let args = Args::parse();
     let reps: usize = args.get_parse("reps", 20);
@@ -80,79 +141,72 @@ fn main() {
     let n_pretend: usize = args.get_parse("users", 50);
 
     let users: Vec<UserId> = (0..n_pretend as u32).map(UserId).collect();
-    let mut rows = Vec::new();
     let mut cases = Vec::new();
     for &catalog in &[1_000usize, 10_000] {
-        let rec = platform(catalog, n_pretend, dim, 0xC0FFEE);
+        let mut rng = StdRng::seed_from_u64(0xC0FFEE);
+        let data = world(catalog, n_pretend, &mut rng);
+        let mf = MfModel::new(&mut rng, data.n_users(), data.n_items(), dim);
+        let rec = MfRecommender::deploy(mf, data.clone());
+        cases.push(run_case("mf", dim, &rec, &users, k, reps));
 
-        // Parity first: the timings below only mean something if every
-        // path returns the same lists.
-        let batched_lists = engine::batch_top_k(&rec, &users, k);
-        for (i, &u) in users.iter().enumerate() {
-            let scalar = scalar_top_k(&rec, u, k);
-            assert_eq!(scalar, batched_lists[i], "batch_top_k parity broken at {catalog}");
-            assert_eq!(scalar, rec.top_k(u, k), "top_k parity broken at {catalog}");
+        let cfg = NcfConfig::default();
+        let ncf_dim = cfg.dim;
+        let ncf = NcfModel::new(data.n_users(), data.n_items(), cfg);
+        let rec = NcfRecommender::deploy(ncf, data.clone(), 8, 1);
+        cases.push(run_case("ncf", ncf_dim, &rec, &users, k, reps));
+
+        if catalog <= 1_000 {
+            let rec = ItemKnnRecommender::deploy(data);
+            cases.push(run_case("knn", 0, &rec, &users, k, reps));
         }
-
-        let mut sink = 0usize;
-        let scalar = time_us(reps, || {
-            for &u in &users {
-                sink += scalar_top_k(&rec, u, k).len();
-            }
-        });
-        let batched = time_us(reps, || {
-            sink += engine::batch_top_k(&rec, &users, k).iter().map(Vec::len).sum::<usize>();
-        });
-        let mut scores = Matrix::zeros(users.len(), catalog);
-        let score = time_us(reps, || {
-            // ca-audit: allow(exact-scan) — the layer bench times the GEMM apart from the ranking
-            rec.score_batch(&users, &mut scores);
-        });
-        let mut cand = Vec::new();
-        let rank = time_us(reps, || {
-            for (i, &u) in users.iter().enumerate() {
-                sink +=
-                    engine::top_k_from_scores_into(scores.row(i), k, rec.seen(u), &mut cand).len();
-            }
-        });
-        assert!(sink > 0);
-
-        rows.push(vec![
-            catalog.to_string(),
-            format!("{scalar:.0}"),
-            format!("{batched:.0}"),
-            format!("{score:.0}"),
-            format!("{rank:.0}"),
-            f1((scalar / batched) as f32),
-        ]);
-        cases.push(format!(
-            concat!(
-                "    {{\"catalog\": {}, \"users\": {}, \"k\": {}, \"dim\": {}, ",
-                "\"scalar_us\": {:.1}, \"batched_us\": {:.1}, \"score_us\": {:.1}, ",
-                "\"rank_us\": {:.1}, \"speedup_batched\": {:.2}}}"
-            ),
-            catalog,
-            n_pretend,
-            k,
-            dim,
-            scalar,
-            batched,
-            score,
-            rank,
-            scalar / batched,
-        ));
     }
 
+    let rows: Vec<Vec<String>> = cases
+        .iter()
+        .map(|c| {
+            vec![
+                c.model.to_string(),
+                c.catalog.to_string(),
+                format!("{:.0}", c.scalar),
+                format!("{:.0}", c.batched),
+                format!("{:.0}", c.score),
+                format!("{:.0}", c.rank),
+                f1((c.scalar / c.batched) as f32),
+            ]
+        })
+        .collect();
     print_table(
         &format!("scoring: one reward round ({n_pretend} pretend users)"),
-        &["catalog", "scalar_us", "batched_us", "score_us", "rank_us", "x_batched"],
+        &["model", "catalog", "scalar_us", "batched_us", "score_us", "rank_us", "x_batched"],
         &rows,
     );
 
+    let entries: Vec<String> = cases
+        .iter()
+        .map(|c| {
+            format!(
+                concat!(
+                    "    {{\"model\": \"{}\", \"catalog\": {}, \"users\": {}, \"k\": {}, ",
+                    "\"dim\": {}, \"scalar_us\": {:.1}, \"batched_us\": {:.1}, ",
+                    "\"score_us\": {:.1}, \"rank_us\": {:.1}, \"speedup_batched\": {:.2}}}"
+                ),
+                c.model,
+                c.catalog,
+                n_pretend,
+                k,
+                c.dim,
+                c.scalar,
+                c.batched,
+                c.score,
+                c.rank,
+                c.scalar / c.batched,
+            )
+        })
+        .collect();
     let json = format!(
         "{{\n  \"bench\": \"scoring\",\n  \"reps\": {},\n  \"cases\": [\n{}\n  ]\n}}\n",
         reps,
-        cases.join(",\n")
+        entries.join(",\n")
     );
     let path = results_dir().join("BENCH_scoring.json");
     std::fs::write(&path, json).expect("write BENCH_scoring.json");

@@ -19,9 +19,9 @@
 //! [`batch_top_k`] runs the engine over a thread-local [`Scratch`] pool:
 //! the score matrix and the candidate buffer are reused from round to
 //! round. What a model's `score_batch` allocates itself is not pooled (MF
-//! and the GNN gather the batch's user rows into a fresh matrix, NCF builds
-//! a fresh `Scratch` for its fusion inputs), nor are the k-sized result
-//! lists.
+//! and the GNN gather the batch's user rows into a fresh matrix, NCF its
+//! per-user prefixes and `q` panel, ItemKNN its popularity and column
+//! buffers), nor are the k-sized result lists.
 //!
 //! None of this changes attacker-visible semantics: ranking order (modulo
 //! previously unspecified tie order), seen-item exclusion, and query
@@ -36,7 +36,10 @@ use std::cmp::Ordering;
 ///
 /// `score_batch` must write **every** cell of `out` (a zeroed
 /// `users.len() × catalog_len()` matrix): `out[(i, v)]` is the score of
-/// `users[i]` for item `v`. Scores must not be NaN.
+/// `users[i]` for item `v`. Scores must not be NaN. An engine that is also
+/// a [`Scorer`](crate::Scorer) writes `score(users[i], v)` bit for bit:
+/// the evaluator reads `score` while rankings read `score_batch`, so the
+/// two must not disagree even on the sign of a zero.
 pub trait ScoringEngine {
     /// Number of items in the catalog (the width of a score row).
     fn catalog_len(&self) -> usize;

@@ -99,7 +99,9 @@ impl Scorer for ItemKnnRecommender {
             .profile(user)
             .iter()
             .map(|&i| if i == item { 0.0 } else { self.similarity(i, item) })
-            .sum()
+            // From +0.0: `Iterator::sum` starts an `f32` sum at -0.0, which
+            // an empty profile would keep as its score.
+            .fold(0.0, |acc, s| acc + s)
     }
 }
 
@@ -113,21 +115,42 @@ impl ScoringEngine for ItemKnnRecommender {
     }
 
     fn score_batch(&self, users: &[UserId], out: &mut Matrix) {
-        // Accumulate similarity mass profile-item by profile-item; the
-        // `i == v` skip only affects seen items, which ranking masks anyway,
-        // but is kept so scores match `Scorer::score` exactly.
+        // Each profile item `a` walks its row of the count triangle: the
+        // counts against `v > a` are one contiguous run, those against
+        // `v < a` one per earlier row, gathered into `col`. Terms are added
+        // in profile order, as `Scorer::score` adds them; the ones skipped
+        // (`v == a`, a zero-popularity `v`) are +0.0 terms there, which
+        // leave a sum from +0.0 of non-negative terms unchanged. `a` itself
+        // is in a profile, so its popularity `pa` is at least 1.
+        let n = self.n_items;
+        let pop: Vec<f32> =
+            (0..n).map(|v| self.data.item_popularity(ItemId(v as u32)) as f32).collect();
+        let mut col = Vec::with_capacity(n);
         for (i, &u) in users.iter().enumerate() {
             let row = out.row_mut(i);
             row.fill(0.0);
-            for &pi in self.data.profile(u) {
-                for (v, s) in row.iter_mut().enumerate() {
-                    let item = ItemId(v as u32);
-                    if pi != item {
-                        *s += self.similarity(pi, item);
-                    }
-                }
+            for &a in self.data.profile(u) {
+                let (a, pa) = (a.idx(), pop[a.idx()]);
+                col.clear();
+                col.extend((0..a).map(|v| self.co[tri_index(n, v, a)]));
+                add_similarities(&mut row[..a], &col, pa, &pop[..a]);
+                let run = &self.co[tri_index(n, a, a + 1)..][..n - a - 1];
+                add_similarities(&mut row[a + 1..], run, pa, &pop[a + 1..]);
             }
         }
+    }
+}
+
+/// Adds to each `row[v]` the similarity between an item of popularity `pa`
+/// and item `v`, given their count `co[v]` and `v`'s popularity `pop[v]`:
+/// [`ItemKnnRecommender::similarity`]'s expression, or nothing where
+/// `pop[v]` is zero. The quotient is computed for every cell and dropped
+/// where it is not wanted, so the loop vectorizes.
+#[inline]
+fn add_similarities(row: &mut [f32], co: &[u32], pa: f32, pop: &[f32]) {
+    for ((s, &c), &pv) in row.iter_mut().zip(co).zip(pop) {
+        let q = c as f32 / (pa * pv).sqrt();
+        *s += if pv == 0.0 { 0.0 } else { q };
     }
 }
 

@@ -2,7 +2,8 @@
 //! `top_k_batch` must equal per-user `top_k` element-for-element — same
 //! items, same order — including tie-heavy score distributions, so the
 //! batched reward rounds in the attack loop are observationally identical
-//! to sequential querying. The ranking kernel itself is checked against
+//! to sequential querying. Every engine's `score_batch` cells are checked
+//! bit for bit against its own `Scorer::score`, the ranking kernel against
 //! an independent oracle (a full sort of the unseen cells), and every
 //! engine's seen run against the dataset it serves.
 
@@ -12,11 +13,12 @@ use ca_ncf::{NcfConfig, NcfModel, NcfRecommender};
 use ca_recsys::knn::ItemKnnRecommender;
 use ca_recsys::{
     top_k_from_scores, BlackBoxRecommender, Dataset, DatasetBuilder, FallibleBlackBox, FaultConfig,
-    FaultyRecommender, ItemId, PopularityRecommender, RateLimit, ScoringEngine, UserId,
+    FaultyRecommender, ItemId, PopularityRecommender, RateLimit, Scorer, ScoringEngine, UserId,
 };
+use ca_tensor::Matrix;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 /// Builds a dataset over `n_items` from raw profiles (ids taken mod the
 /// catalog; `DatasetBuilder` dedups).
@@ -38,6 +40,36 @@ fn assert_batch_parity<R: BlackBoxRecommender>(rec: &R, n_users: usize, k: usize
         let single = rec.top_k(u, k);
         prop_assert_eq!(&batched[i], &single, "user {} diverges at k={}", u, k);
     }
+}
+
+/// Asserts every cell `score_batch` writes for `users` has the bits of
+/// `Scorer::score` for the same user and item.
+fn assert_cells_match_scorer<R: ScoringEngine + Scorer>(rec: &R, users: &[UserId], model: &str) {
+    let mut out = Matrix::zeros(users.len(), rec.catalog_len());
+    // ca-audit: allow(exact-scan) — parity test pinning every engine's cells against its scalar scorer
+    rec.score_batch(users, &mut out);
+    for (i, &u) in users.iter().enumerate() {
+        for v in 0..rec.catalog_len() {
+            let (batch, scalar) = (out[(i, v)], rec.score(u, ItemId(v as u32)));
+            prop_assert_eq!(
+                batch.to_bits(),
+                scalar.to_bits(),
+                "{}: user {} item {} scores {} batched, {} scalar",
+                model,
+                u,
+                v,
+                batch,
+                scalar
+            );
+        }
+    }
+}
+
+/// Injects `injected` into `rec` and returns every account it then serves,
+/// last first.
+fn inject_all<R: BlackBoxRecommender>(rec: &mut R, injected: &[Vec<ItemId>]) -> Vec<UserId> {
+    let last = injected.iter().map(|p| rec.inject_user(p)).last().expect("an injection");
+    (0..=last.0).rev().map(UserId).collect()
 }
 
 /// Profile strategy biased toward collisions: few distinct items across
@@ -145,6 +177,83 @@ proptest! {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Each engine's `score_batch` cells against its `Scorer::score`, bit
+    /// for bit: the evaluator reads `score` while rankings read
+    /// `score_batch`. The list-equality properties below cannot see a cell
+    /// that every path gets wrong the same way, since `top_k` is a batch of
+    /// one through the same `score_batch`.
+    ///
+    /// Catalogs of 2–199 items mostly end part-way through one of NCF's
+    /// 32-item blocks; `tie_heavy` folds every profile onto four items; the
+    /// last base user has an empty profile, and three accounts (one empty)
+    /// are injected before scoring. NCF starts from random biases and
+    /// refreshes every two injections, so its `p`, `q` and MLP have all
+    /// moved, and some of its hidden units are negative on the scored
+    /// cells, so ReLU clamps.
+    #[test]
+    fn every_engine_writes_the_bits_its_scorer_returns(
+        n_items in 2usize..200,
+        profiles in prop::collection::vec(prop::collection::vec(0u32..1_000, 1..10), 2..8),
+        tie_heavy in 0u32..2,
+        seed in 0u64..1_000,
+    ) {
+        let palette = if tie_heavy == 1 { 4 } else { n_items as u32 };
+        let mut profiles: Vec<Vec<u32>> =
+            profiles.iter().map(|p| p.iter().map(|&v| v % palette).collect()).collect();
+        profiles.push(Vec::new());
+        let data = dataset(n_items, &profiles);
+        let injected = vec![
+            vec![ItemId(0)],
+            Vec::new(),
+            (0..n_items as u32).rev().step_by(3).map(ItemId).collect(),
+        ];
+
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mf = MfModel::new(&mut rng, data.n_users(), n_items, 6);
+        let mut rec = MfRecommender::deploy(mf, data.clone());
+        let users = inject_all(&mut rec, &injected);
+        assert_cells_match_scorer(&rec, &users, "mf");
+
+        // BPR never moves the output bias (its gradients from the positive
+        // and the negative item cancel), and both biases start at zero; set
+        // them so every bias addition is exercised.
+        let cfg = NcfConfig { seed, ..Default::default() };
+        let mut ncf = NcfModel::new(data.n_users(), n_items, cfg);
+        for layer in ncf.mlp.layers_mut() {
+            layer.b.iter_mut().for_each(|b| *b = rng.gen_range(-0.1f32..0.1));
+        }
+        let mut rec = NcfRecommender::deploy(ncf.clone(), data.clone(), 2, 1);
+        let users = inject_all(&mut rec, &injected);
+        prop_assert_eq!(rec.pending_refresh(), 1, "the refresh fired once");
+        let model = rec.model();
+        prop_assert!(model.q.as_slice() != ncf.q.as_slice(), "the refresh moved q");
+        for (now, then) in model.mlp.layers().iter().zip(ncf.mlp.layers()) {
+            prop_assert!(now.w.as_slice() != then.w.as_slice(), "the refresh moved the MLP");
+        }
+        let hidden = &model.mlp.layers()[0];
+        let pre: Vec<f32> = users
+            .iter()
+            .flat_map(|&u| (0..n_items as u32).map(move |v| (u, ItemId(v))))
+            .flat_map(|(u, v)| hidden.forward(&model.fusion_input(u, v)))
+            .collect();
+        prop_assert!(pre.iter().any(|&h| h < 0.0), "no hidden unit is clamped");
+        prop_assert!(pre.iter().any(|&h| h > 0.0), "every hidden unit is clamped");
+        assert_cells_match_scorer(&rec, &users, "ncf");
+
+        let gnn = PinSageModel::with_random_features(n_items, GnnConfig { seed, ..Default::default() });
+        let mut rec = PinSageRecommender::deploy(gnn, data.clone());
+        let users = inject_all(&mut rec, &injected);
+        assert_cells_match_scorer(&rec, &users, "gnn");
+
+        let mut rec = ItemKnnRecommender::deploy(data.clone());
+        let users = inject_all(&mut rec, &injected);
+        assert_cells_match_scorer(&rec, &users, "knn");
+
+        let mut rec = PopularityRecommender::deploy(data);
+        let users = inject_all(&mut rec, &injected);
+        assert_cells_match_scorer(&rec, &users, "popularity");
+    }
 
     #[test]
     fn mf_batch_matches_per_user(

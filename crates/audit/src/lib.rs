@@ -36,18 +36,15 @@
 //!
 //! - inline pragmas `// ca-audit: allow(<rule>) — <reason>` (reason
 //!   mandatory) for single sites;
-//! - a reviewed path-prefix allowlist ([`config`]) for whole trees;
-//! - a checked-in ratchet baseline ([`baseline`], `audit.baseline`) for
-//!   accepted debt that may only shrink.
+//! - a reviewed path-prefix allowlist ([`config`]) for whole trees.
 //!
 //! It ships three ways: the CLI (`cargo run -p ca-audit`, with
-//! `--format human|json|github`, `--write-baseline`, `--self-check`),
+//! `--format human|json|github`, `--self-check`),
 //! the tier-1 gate at `tests/audit.rs`, and a CI job emitting GitHub
 //! annotations.
 
 #![forbid(unsafe_code)]
 
-pub mod baseline;
 pub mod callgraph;
 pub mod config;
 pub mod lexer;
@@ -56,7 +53,6 @@ pub mod report;
 pub mod rules;
 pub mod symbols;
 
-pub use baseline::{Baseline, StaleEntry};
 pub use config::{AllowEntry, AuditConfig};
 pub use rules::{analyze_source, analyze_sources, Finding, Rule, Severity};
 
@@ -68,30 +64,24 @@ use std::path::{Path, PathBuf};
 /// deliberately outside the contract.
 pub const SCAN_ROOTS: [&str; 4] = ["crates", "src", "tests", "examples"];
 
-/// The full result of a workspace audit: surviving findings plus the
-/// baseline bookkeeping the exit policy needs.
+/// The full result of a workspace audit.
 #[derive(Clone, Debug, Default)]
 pub struct AuditOutcome {
-    /// Findings not suppressed by pragma, allowlist, or baseline, in
-    /// (path, line, rule) order.
+    /// Findings not suppressed by pragma or allowlist, in (path, line,
+    /// rule) order.
     pub findings: Vec<Finding>,
-    /// Number of findings the ratchet baseline absorbed.
-    pub baselined: usize,
-    /// Baseline entries whose debt has shrunk: the ledger must be
-    /// regenerated (ratchet violation — fails the run like a Deny).
-    pub stale: Vec<StaleEntry>,
 }
 
 impl AuditOutcome {
-    /// Whether the run should fail: any Deny-severity finding or any
-    /// stale baseline entry. Warn findings alone pass.
+    /// Whether the run should fail: any Deny-severity finding. Warn
+    /// findings alone pass.
     pub fn failed(&self) -> bool {
-        !self.stale.is_empty() || self.findings.iter().any(|f| f.severity() == Severity::Deny)
+        self.findings.iter().any(|f| f.severity() == Severity::Deny)
     }
 
     /// Whether anything at all was reported.
     pub fn is_clean(&self) -> bool {
-        self.findings.is_empty() && self.stale.is_empty()
+        self.findings.is_empty()
     }
 }
 
@@ -135,34 +125,16 @@ pub fn collect_sources(
     Ok(files)
 }
 
-/// Audits the workspace at `root` under [`AuditConfig::workspace_default`],
-/// with **no baseline** applied (the strict view of the tree).
-pub fn audit_workspace(root: &Path) -> io::Result<Vec<Finding>> {
-    audit_workspace_with(root, &AuditConfig::workspace_default())
-}
-
-/// Audits the workspace at `root` under an explicit configuration, with
-/// no baseline applied.
-pub fn audit_workspace_with(root: &Path, cfg: &AuditConfig) -> io::Result<Vec<Finding>> {
-    let files = collect_sources(root, cfg, None)?;
-    let refs: Vec<(&str, &str)> = files.iter().map(|(p, s)| (p.as_str(), s.as_str())).collect();
-    Ok(analyze_sources(&refs, cfg))
-}
-
 /// The full pipeline behind the CLI and the tier-1 gate: walk (optionally
-/// restricted to `prefix`), analyze as one workspace, ratchet through
-/// `baseline`.
+/// restricted to `prefix`) and analyze as one workspace.
 pub fn audit_workspace_outcome(
     root: &Path,
     cfg: &AuditConfig,
-    baseline: &Baseline,
     prefix: Option<&str>,
 ) -> io::Result<AuditOutcome> {
     let files = collect_sources(root, cfg, prefix)?;
     let refs: Vec<(&str, &str)> = files.iter().map(|(p, s)| (p.as_str(), s.as_str())).collect();
-    let findings = analyze_sources(&refs, cfg);
-    let (findings, baselined, stale) = baseline.apply(findings);
-    Ok(AuditOutcome { findings, baselined, stale })
+    Ok(AuditOutcome { findings: analyze_sources(&refs, cfg) })
 }
 
 /// Recursively collects `.rs` files under `dir` (skipping `target/`).

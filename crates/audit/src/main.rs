@@ -4,14 +4,10 @@
 //! cargo run -p ca-audit                        # human-readable report
 //! cargo run -p ca-audit -- --format json       # machine-readable
 //! cargo run -p ca-audit -- --format github     # CI annotations
-//! cargo run -p ca-audit -- --write-baseline    # regenerate audit.baseline
 //! cargo run -p ca-audit -- --self-check        # audit the auditor itself
 //! ```
 //!
-//! The ratchet baseline at `<root>/audit.baseline` is applied when the
-//! file exists (`--baseline <path>` overrides, `--no-baseline` disables).
-//! Exit status: 0 when no Deny finding and no stale baseline entry
-//! survives (`--deny-warnings` promotes Warn findings to failures), 1 on
+//! Exit status: 0 when no Deny finding survives (`--deny-warnings` promotes Warn findings to failures), 1 on
 //! failure, 2 on usage or I/O errors — so CI can gate on the exit code
 //! alone.
 
@@ -22,18 +18,15 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use ca_audit::{AuditConfig, Baseline};
+use ca_audit::AuditConfig;
 
-const USAGE: &str = "usage: ca-audit [--format human|json|github] [--root <workspace>] \
-                     [--baseline <path>] [--no-baseline] [--write-baseline] [--self-check] \
-                     [--deny-warnings]";
+const USAGE: &str =
+    "usage: ca-audit [--format human|json|github] [--root <workspace>] [--self-check] \
+     [--deny-warnings]";
 
 fn main() -> ExitCode {
     let mut format = "human".to_string();
     let mut root: Option<PathBuf> = None;
-    let mut baseline_path: Option<PathBuf> = None;
-    let mut no_baseline = false;
-    let mut write_baseline = false;
     let mut self_check = false;
     let mut deny_warnings = false;
 
@@ -48,12 +41,6 @@ fn main() -> ExitCode {
                 Some(p) => root = Some(PathBuf::from(p)),
                 None => return usage("--root takes a path"),
             },
-            "--baseline" => match args.next() {
-                Some(p) => baseline_path = Some(PathBuf::from(p)),
-                None => return usage("--baseline takes a path"),
-            },
-            "--no-baseline" => no_baseline = true,
-            "--write-baseline" => write_baseline = true,
             "--self-check" => self_check = true,
             "--deny-warnings" => deny_warnings = true,
             "--help" | "-h" => {
@@ -62,9 +49,6 @@ fn main() -> ExitCode {
             }
             other => return usage(&format!("unknown argument `{other}`")),
         }
-    }
-    if no_baseline && baseline_path.is_some() {
-        return usage("--no-baseline and --baseline are mutually exclusive");
     }
 
     let root = root.or_else(|| {
@@ -76,40 +60,10 @@ fn main() -> ExitCode {
     };
 
     let cfg = AuditConfig::workspace_default();
-    // The self-check audits the auditor's own sources with no baseline:
-    // the lint engine must hold itself to the strict contract.
+    // The self-check audits the auditor's own sources: the lint engine
+    // must hold itself to the contract it enforces.
     let prefix = self_check.then_some("crates/audit/");
-
-    if write_baseline {
-        let findings = match ca_audit::audit_workspace_with(&root, &cfg) {
-            Ok(f) => f,
-            Err(e) => return io_error(&e),
-        };
-        let path = baseline_path.unwrap_or_else(|| root.join("audit.baseline"));
-        if let Err(e) = std::fs::write(&path, Baseline::render(&findings)) {
-            return io_error(&e);
-        }
-        println!("ca-audit: wrote {} ({} finding(s) accepted)", path.display(), findings.len());
-        return ExitCode::SUCCESS;
-    }
-
-    let baseline = if no_baseline || self_check {
-        Baseline::empty()
-    } else {
-        let path = baseline_path.clone().unwrap_or_else(|| root.join("audit.baseline"));
-        match std::fs::read_to_string(&path) {
-            Ok(text) => match Baseline::parse(&text) {
-                Ok(b) => b,
-                Err(e) => return usage(&format!("{}: {e}", path.display())),
-            },
-            // A missing default baseline just means no accepted debt; an
-            // explicitly requested one must exist.
-            Err(e) if baseline_path.is_some() => return io_error(&e),
-            Err(_) => Baseline::empty(),
-        }
-    };
-
-    let outcome = match ca_audit::audit_workspace_outcome(&root, &cfg, &baseline, prefix) {
+    let outcome = match ca_audit::audit_workspace_outcome(&root, &cfg, prefix) {
         Ok(o) => o,
         Err(e) => return io_error(&e),
     };

@@ -11,7 +11,7 @@ use crate::rules::Severity;
 use crate::AuditOutcome;
 
 /// Human-readable report: one `file:line [rule] message` block per finding
-/// plus a fix hint, then stale-baseline entries, ending with a summary.
+/// plus a fix hint, ending with a summary.
 pub fn human(outcome: &AuditOutcome) -> String {
     let mut out = String::new();
     for f in &outcome.findings {
@@ -25,34 +25,15 @@ pub fn human(outcome: &AuditOutcome) -> String {
         ));
         out.push_str(&format!("    hint: {}\n", f.rule.hint()));
     }
-    for s in &outcome.stale {
-        out.push_str(&format!(
-            "audit.baseline [{}] {}: baseline says {} finding(s), tree has {} — ratchet down \
-             with --write-baseline\n",
-            s.rule, s.file, s.baselined, s.actual
-        ));
-    }
     if outcome.is_clean() {
-        if outcome.baselined > 0 {
-            out.push_str(&format!(
-                "ca-audit: clean ({} baselined finding(s) suppressed)\n",
-                outcome.baselined
-            ));
-        } else {
-            out.push_str("ca-audit: clean\n");
-        }
+        out.push_str("ca-audit: clean\n");
     } else {
-        out.push_str(&format!(
-            "ca-audit: {} finding(s), {} stale baseline entr(ies)\n",
-            outcome.findings.len(),
-            outcome.stale.len()
-        ));
+        out.push_str(&format!("ca-audit: {} finding(s)\n", outcome.findings.len()));
     }
     out
 }
 
-/// JSON report:
-/// `{"findings":[…],"count":N,"baselined":N,"stale":[…]}`.
+/// JSON report: `{"findings":[…],"count":N}`.
 pub fn json(outcome: &AuditOutcome) -> String {
     let mut out = String::from("{\"findings\":[");
     for (i, f) in outcome.findings.iter().enumerate() {
@@ -69,30 +50,13 @@ pub fn json(outcome: &AuditOutcome) -> String {
             escape(f.rule.hint()),
         ));
     }
-    out.push_str(&format!(
-        "],\"count\":{},\"baselined\":{},\"stale\":[",
-        outcome.findings.len(),
-        outcome.baselined
-    ));
-    for (i, s) in outcome.stale.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"rule\":{},\"file\":{},\"baselined\":{},\"actual\":{}}}",
-            escape(&s.rule),
-            escape(&s.file),
-            s.baselined,
-            s.actual
-        ));
-    }
-    out.push_str("]}");
+    out.push_str(&format!("],\"count\":{}}}", outcome.findings.len()));
     out
 }
 
 /// GitHub Actions annotations: one workflow command per finding (Deny →
-/// `::error`, Warn → `::warning`), plus an `::error` per stale baseline
-/// entry. A trailing plain-text summary line keeps the job log readable.
+/// `::error`, Warn → `::warning`). A trailing plain-text summary line
+/// keeps the job log readable.
 pub fn github(outcome: &AuditOutcome) -> String {
     let mut out = String::new();
     for f in &outcome.findings {
@@ -109,22 +73,7 @@ pub fn github(outcome: &AuditOutcome) -> String {
             gh_message(f.rule.hint()),
         ));
     }
-    for s in &outcome.stale {
-        out.push_str(&format!(
-            "::error file={},title=ca-audit stale-baseline::baseline says {} [{}] finding(s), \
-             tree has {} — regenerate with --write-baseline\n",
-            gh_property(&s.file),
-            s.baselined,
-            gh_message(&s.rule),
-            s.actual
-        ));
-    }
-    out.push_str(&format!(
-        "ca-audit: {} finding(s), {} baselined, {} stale baseline entr(ies)\n",
-        outcome.findings.len(),
-        outcome.baselined,
-        outcome.stale.len()
-    ));
+    out.push_str(&format!("ca-audit: {} finding(s)\n", outcome.findings.len()));
     out
 }
 
@@ -161,7 +110,6 @@ fn escape(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::baseline::StaleEntry;
     use crate::rules::{Finding, Rule};
 
     fn sample() -> AuditOutcome {
@@ -172,8 +120,6 @@ mod tests {
                 rule: Rule::WallClock,
                 message: Rule::WallClock.message().into(),
             }],
-            baselined: 0,
-            stale: Vec::new(),
         }
     }
 
@@ -187,31 +133,14 @@ mod tests {
     }
 
     #[test]
-    fn human_report_surfaces_stale_baseline_entries() {
-        let mut o = AuditOutcome::default();
-        o.stale.push(StaleEntry {
-            rule: "wall-clock".into(),
-            file: "src/a.rs".into(),
-            baselined: 3,
-            actual: 1,
-        });
-        let r = human(&o);
-        assert!(r.contains("baseline says 3 finding(s), tree has 1"));
-        assert!(!r.contains("clean"));
-    }
-
-    #[test]
     fn json_report_is_well_formed() {
         let r = json(&sample());
         assert!(r.starts_with("{\"findings\":[{\"file\":\"crates/x/src/lib.rs\""));
         assert!(r.contains("\"rule\":\"wall-clock\""));
         assert!(r.contains("\"severity\":\"deny\""));
         assert!(r.contains("\"count\":1"));
-        assert!(r.ends_with("\"stale\":[]}"));
-        assert_eq!(
-            json(&AuditOutcome::default()),
-            "{\"findings\":[],\"count\":0,\"baselined\":0,\"stale\":[]}"
-        );
+        assert!(r.ends_with("\"count\":1}"));
+        assert_eq!(json(&AuditOutcome::default()), "{\"findings\":[],\"count\":0}");
     }
 
     #[test]
@@ -244,17 +173,10 @@ mod tests {
             rule: Rule::IterationOrder,
             message: "50% of\nruns".into(),
         });
-        o.stale.push(StaleEntry {
-            rule: "nested-vec".into(),
-            file: "src/c.rs".into(),
-            baselined: 2,
-            actual: 0,
-        });
         let r = github(&o);
         assert!(r.contains("::error file=crates/x/src/lib.rs,line=7,title=ca-audit wall-clock::"));
         assert!(r.contains("::warning file=src/b.rs"), "warn severity maps to ::warning");
         assert!(r.contains("50%25 of%0Aruns"), "percent and newline are escaped");
-        assert!(r.contains("::error file=src/c.rs,title=ca-audit stale-baseline::"));
-        assert!(r.lines().last().unwrap().starts_with("ca-audit: 2 finding(s), 0 baselined"));
+        assert_eq!(r.lines().last().unwrap(), "ca-audit: 2 finding(s)");
     }
 }

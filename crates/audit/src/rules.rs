@@ -28,7 +28,7 @@ use crate::symbols::{FnRef, Workspace};
 pub enum Severity {
     /// Reported (and annotated in CI) but does not fail the run.
     Warn,
-    /// Fails the run unless suppressed by pragma, allowlist, or baseline.
+    /// Fails the run unless suppressed by pragma or allowlist.
     Deny,
 }
 
@@ -129,8 +129,7 @@ impl Rule {
         Rule::PragmaUnknownRule,
     ];
 
-    /// Stable kebab-case id (used in pragmas, JSON output, allowlists, and
-    /// the ratchet baseline).
+    /// Stable kebab-case id (used in pragmas, JSON output and allowlists).
     pub fn id(&self) -> &'static str {
         match self {
             Rule::HashCollections => "hash-collections",
@@ -157,9 +156,7 @@ impl Rule {
     }
 
     /// Default gating severity. `iteration-order` is the one taint-based
-    /// heuristic family, so it warns; everything else denies (the
-    /// baseline-ratchet policy in `DESIGN.md` §16 is how a new rule climbs
-    /// from Warn to Deny without blocking the tree).
+    /// heuristic family, so it warns; everything else denies.
     pub fn severity(&self) -> Severity {
         match self {
             Rule::IterationOrder => Severity::Warn,

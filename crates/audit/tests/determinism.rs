@@ -9,7 +9,7 @@
 //! Thread-count sweeps share process-global state (`ca_par::set_threads`),
 //! so the whole sweep lives in one test fn and runs sequentially.
 
-use ca_audit::{analyze_sources, report, AuditConfig, AuditOutcome, Baseline};
+use ca_audit::{analyze_sources, report, AuditConfig, AuditOutcome};
 
 /// A small synthetic workspace that exercises every cross-file pass:
 /// seed propagation, hash-iteration taint, and top-k reachability.
@@ -62,9 +62,7 @@ fn chained(counts: &HashMap<u32, f32>) -> f32 {
 fn render_all(cfg: &AuditConfig) -> (String, String, String) {
     let owned = sources();
     let refs: Vec<(&str, &str)> = owned.iter().map(|(p, s)| (p.as_str(), s.as_str())).collect();
-    let findings = analyze_sources(&refs, cfg);
-    let (findings, baselined, stale) = Baseline::empty().apply(findings);
-    let outcome = AuditOutcome { findings, baselined, stale };
+    let outcome = AuditOutcome { findings: analyze_sources(&refs, cfg) };
     (report::human(&outcome), report::json(&outcome), report::github(&outcome))
 }
 

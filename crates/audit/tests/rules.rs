@@ -1,14 +1,13 @@
 //! Fixture tests for the rule engine: every rule must fire on its
 //! known-bad fixture at the exact marked line, stay silent on the decoys,
-//! and be silenced by (only) a *reasoned* suppression pragma — and, for
-//! the cross-file families, by the ratchet baseline too.
+//! and be silenced by (only) a *reasoned* suppression pragma.
 //!
 //! Fixtures live in `tests/fixtures/<rule_id>.rs` (dashes mapped to
 //! underscores — the completeness test leans on that convention) and are
 //! never compiled; the workspace audit skips them via the allowlist, so
 //! they keep their violations on purpose.
 
-use ca_audit::{analyze_source, AuditConfig, Baseline, Finding, Rule, Severity};
+use ca_audit::{analyze_source, AuditConfig, Finding, Rule, Severity};
 use proptest::prelude::*;
 
 /// 1-based line of the first fixture line containing `needle`.
@@ -363,22 +362,6 @@ fn every_rule_is_complete_with_docs_fixture_firing_and_suppression() {
             !strict(path, &patched).iter().any(|f| f.rule == rule),
             "{rule}: reasoned pragma above each violation must silence the rule"
         );
-    }
-}
-
-#[test]
-fn new_rule_families_are_baseline_suppressible() {
-    for rule in [Rule::SeedDiscipline, Rule::IterationOrder, Rule::UnmeteredQuery] {
-        let src = fixture_for(rule);
-        let path = fixture_path(rule);
-        let findings: Vec<Finding> =
-            strict(path, &src).into_iter().filter(|f| f.rule == rule).collect();
-        assert!(!findings.is_empty());
-        let baseline = Baseline::parse(&Baseline::render(&findings)).unwrap();
-        let (left, suppressed, stale) = baseline.apply(findings.clone());
-        assert!(left.is_empty(), "{rule}: baseline must absorb its own findings");
-        assert_eq!(suppressed, findings.len());
-        assert!(stale.is_empty());
     }
 }
 

@@ -7,7 +7,7 @@
 
 use copyattack::core::AttackConfig;
 use copyattack::pipeline::{AttackSpec, Pipeline};
-use copyattack_bench::{f4, preset, print_table, write_csv, Args};
+use copyattack_bench::{f4, preset, print_table, timed, write_csv, Args};
 
 fn main() {
     let args = Args::parse();
@@ -24,8 +24,9 @@ fn main() {
 
     let mut rows = Vec::new();
     let mut run = |label: String, attack_cfg: AttackConfig| {
-        let row = pipe.run_spec_over_items(&AttackSpec::new("CopyAttack", attack_cfg), &chosen);
-        eprintln!("{label:<24} HR@20 {:.4} ({:.1}s)", row.metrics.hr(20), row.attack_seconds);
+        let spec = AttackSpec::new("CopyAttack", attack_cfg);
+        let (row, secs) = timed(|| pipe.run_spec_over_items(&spec, &chosen));
+        eprintln!("{label:<24} HR@20 {:.4} ({secs:.1}s)", row.metrics.hr(20));
         rows.push(vec![
             label,
             f4(row.metrics.hr(20)),

@@ -22,16 +22,11 @@ use copyattack::detect::features::PopularityIndex;
 use copyattack::detect::{extract_features, ScreenedRecommender, ZScoreDetector};
 use copyattack::mf::MfRecommender;
 use copyattack::ncf::NcfRecommender;
-use copyattack::pipeline::{Pipeline, PipelineConfig};
+use copyattack::pipeline::{Pipeline, PipelineConfig, TargetRun};
 use copyattack::recsys::knn::ItemKnnRecommender;
-use copyattack::recsys::{
-    BlackBoxRecommender, ItemId, PopularityRecommender, RankingEval, Scorer, UserId,
-};
+use copyattack::recsys::{BlackBoxRecommender, ItemId, PopularityRecommender, Scorer, UserId};
 use copyattack::tensor::Matrix;
-use copyattack_bench::{f4, preset, print_table, results_dir, Args};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use std::fmt::Write as _;
+use copyattack_bench::{f4, json_str, preset, print_table, write_json, Args};
 
 /// The fitted screen shared by every cell: detector, feature geometry and
 /// the 99th-percentile threshold on genuine scores.
@@ -87,28 +82,84 @@ impl Defense {
     }
 }
 
-/// One aggregated matrix cell.
+/// One matrix cell: the per-target runs of one (attack, platform,
+/// defense) triple, folded when the cell is written, plus what only the
+/// screen sees.
 struct Cell {
     attack: String,
     platform: &'static str,
     defended: bool,
-    hr20_clean: f32,
-    hr20_attacked: f32,
-    queries: u64,
-    attempted: usize,
+    /// Each attacked target's run, in target order.
+    runs: Vec<TargetRun>,
+    /// HR@20 of the same targets on the clean platform.
+    clean_hr20: Vec<f32>,
+    /// Detector scores of every injected profile, pooled over targets.
+    screened_scores: Vec<f32>,
+    /// Profiles the screen let through.
     accepted: usize,
-    precision: f32,
-    recall: f32,
 }
 
 impl Cell {
+    /// Mean over the cell's targets, summed in target order.
+    fn mean(&self, xs: impl Iterator<Item = f32>) -> f32 {
+        xs.fold(0.0, |sum, x| sum + x) / self.runs.len() as f32
+    }
+
+    fn hr20_clean(&self) -> f32 {
+        self.mean(self.clean_hr20.iter().copied())
+    }
+
+    fn hr20_attacked(&self) -> f32 {
+        self.mean(self.runs.iter().map(|r| r.metrics.hr(20)))
+    }
+
     fn uplift(&self) -> f32 {
-        self.hr20_attacked - self.hr20_clean
+        self.hr20_attacked() - self.hr20_clean()
+    }
+
+    fn queries(&self) -> u64 {
+        self.runs.iter().filter_map(|r| r.outcome.as_ref()).map(|o| o.queries).sum()
+    }
+
+    /// The cell's values in [`COLUMNS`] order, each as its table text and
+    /// its JSON text.
+    fn values(&self, def: &Defense) -> [(String, String); 11] {
+        let (precision, recall) = def.precision_recall(&self.screened_scores);
+        let real = |x: f32| (f4(x), x.to_string());
+        let count = |n: u64| (n.to_string(), n.to_string());
+        [
+            (self.attack.clone(), json_str(&self.attack)),
+            (self.platform.to_string(), json_str(self.platform)),
+            (if self.defended { "on" } else { "off" }.to_string(), self.defended.to_string()),
+            real(self.hr20_clean()),
+            real(self.hr20_attacked()),
+            real(self.uplift()),
+            count(self.queries()),
+            count(self.screened_scores.len() as u64),
+            count(self.accepted as u64),
+            real(precision),
+            real(recall),
+        ]
     }
 }
 
+/// The arena's columns, as table header and JSON key, in output order.
+const COLUMNS: [(&str, &str); 11] = [
+    ("attack", "attack"),
+    ("platform", "platform"),
+    ("defense", "defense"),
+    ("HR@20 clean", "hr20_clean"),
+    ("HR@20 attacked", "hr20_attacked"),
+    ("uplift", "hr20_uplift"),
+    ("queries", "queries"),
+    ("injected", "injected"),
+    ("accepted", "accepted"),
+    ("det precision", "detector_precision"),
+    ("det recall", "detector_recall"),
+];
+
 /// Runs every (attack, defense) pair on one platform deployment and pushes
-/// the aggregated cells. `pretend` must already be established in `base`.
+/// the cells. `pretend` must already be established in `base`.
 #[allow(clippy::too_many_arguments)]
 fn run_platform<R>(
     label: &'static str,
@@ -122,19 +173,23 @@ fn run_platform<R>(
 ) where
     R: BlackBoxRecommender + Scorer + Clone + 'static,
 {
-    let ev = RankingEval::standard(&pipe.split.train);
     let base_cfg = &pipe.config.attack.config;
+    let seed = |t: ItemId| base_cfg.seed ^ t.0 as u64;
+    let clean_hr20: Vec<f32> =
+        targets.iter().map(|&t| pipe.target_run(base, t, seed(t), None).metrics.hr(20)).collect();
     for defended in [false, true] {
         for name in attacks {
-            let mut hr_clean = 0.0f32;
-            let mut hr_attacked = 0.0f32;
-            let mut queries = 0u64;
-            let mut accepted = 0usize;
-            let mut fake_scores: Vec<f32> = Vec::new();
-            let mut cells = 0usize;
-            for &t in targets {
-                let cell_seed = base_cfg.seed ^ t.0 as u64;
-                let cfg = AttackConfig { seed: cell_seed, ..base_cfg.clone() };
+            let mut cell = Cell {
+                attack: name.clone(),
+                platform: label,
+                defended,
+                runs: Vec::new(),
+                clean_hr20: Vec::new(),
+                screened_scores: Vec::new(),
+                accepted: 0,
+            };
+            for (i, &t) in targets.iter().enumerate() {
+                let cfg = AttackConfig { seed: seed(t), ..base_cfg.clone() };
                 let victim = def.wrap(base.clone(), defended);
                 let (screened, outcome) = match pipe.attack_with(name, t, &cfg, &victim, pretend) {
                     Ok(attacked) => attacked,
@@ -143,44 +198,22 @@ fn run_platform<R>(
                         continue;
                     }
                 };
-                queries += outcome.queries;
-                fake_scores.extend_from_slice(screened.screened_scores());
-                accepted += screened.accepted();
-                let polluted = screened.into_inner();
-                let mut eval_rng = StdRng::seed_from_u64(cell_seed ^ 0x5EED);
-                hr_attacked +=
-                    ev.evaluate_promotion(&polluted, &pipe.eval_users, t, &mut eval_rng).hr(20);
-                let mut eval_rng = StdRng::seed_from_u64(cell_seed ^ 0x5EED);
-                hr_clean += ev.evaluate_promotion(base, &pipe.eval_users, t, &mut eval_rng).hr(20);
-                cells += 1;
+                cell.screened_scores.extend_from_slice(screened.screened_scores());
+                cell.accepted += screened.accepted();
+                cell.clean_hr20.push(clean_hr20[i]);
+                cell.runs.push(pipe.target_run(&screened.into_inner(), t, cfg.seed, Some(outcome)));
             }
-            if cells == 0 {
+            if cell.runs.is_empty() {
                 continue;
             }
-            let (precision, recall) = def.precision_recall(&fake_scores);
-            out.push(Cell {
-                attack: name.clone(),
-                platform: label,
-                defended,
-                hr20_clean: hr_clean / cells as f32,
-                hr20_attacked: hr_attacked / cells as f32,
-                queries,
-                attempted: fake_scores.len(),
-                accepted,
-                precision,
-                recall,
-            });
             eprintln!(
                 "{label:>10} | {name:<18} | defense {} | uplift {:+.4}",
                 if defended { "on " } else { "off" },
-                out.last().expect("just pushed").uplift()
+                cell.uplift()
             );
+            out.push(cell);
         }
     }
-}
-
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 fn main() {
@@ -250,71 +283,21 @@ fn main() {
         run_platform("knn", &knn, &pretend, &pipe, &attacks, &targets, &def, &mut cells);
     }
 
-    let header = [
-        "attack",
-        "platform",
-        "defense",
-        "HR@20 clean",
-        "HR@20 attacked",
-        "uplift",
-        "queries",
-        "injected",
-        "accepted",
-        "det precision",
-        "det recall",
-    ];
-    let rows: Vec<Vec<String>> = cells
-        .iter()
-        .map(|c| {
-            vec![
-                c.attack.clone(),
-                c.platform.to_string(),
-                if c.defended { "on" } else { "off" }.to_string(),
-                f4(c.hr20_clean),
-                f4(c.hr20_attacked),
-                f4(c.uplift()),
-                c.queries.to_string(),
-                c.attempted.to_string(),
-                c.accepted.to_string(),
-                f4(c.precision),
-                f4(c.recall),
-            ]
-        })
-        .collect();
+    let values: Vec<_> = cells.iter().map(|c| c.values(&def)).collect();
+    let rows: Vec<Vec<String>> =
+        values.iter().map(|v| v.iter().map(|(text, _)| text.clone()).collect()).collect();
+    let header = COLUMNS.map(|(header, _)| header);
     print_table(&format!("Attack arena on {preset_name}"), &header, &rows);
 
-    let mut json = String::new();
-    let _ = writeln!(json, "{{");
-    let _ = writeln!(json, "  \"preset\": \"{}\",", json_escape(&preset_name));
-    let _ = writeln!(json, "  \"seed\": {seed},");
-    let _ = writeln!(json, "  \"items_per_cell\": {},", targets.len());
-    let _ = writeln!(json, "  \"screen_threshold\": {},", def.threshold);
-    let _ = writeln!(json, "  \"cells\": [");
-    for (i, c) in cells.iter().enumerate() {
-        let comma = if i + 1 < cells.len() { "," } else { "" };
-        let _ = writeln!(
-            json,
-            "    {{\"attack\": \"{}\", \"platform\": \"{}\", \"defense\": {}, \
-             \"hr20_clean\": {}, \"hr20_attacked\": {}, \"hr20_uplift\": {}, \
-             \"queries\": {}, \"injected\": {}, \"accepted\": {}, \
-             \"detector_precision\": {}, \"detector_recall\": {}}}{}",
-            json_escape(&c.attack),
-            c.platform,
-            c.defended,
-            c.hr20_clean,
-            c.hr20_attacked,
-            c.uplift(),
-            c.queries,
-            c.attempted,
-            c.accepted,
-            c.precision,
-            c.recall,
-            comma,
-        );
-    }
-    let _ = writeln!(json, "  ]");
-    let _ = writeln!(json, "}}");
-    let path = results_dir().join("BENCH_arena.json");
-    std::fs::write(&path, json).expect("write BENCH_arena.json");
-    eprintln!("wrote {}", path.display());
+    let json_cells: Vec<Vec<(&str, String)>> = values
+        .into_iter()
+        .map(|v| COLUMNS.iter().zip(v).map(|(&(_, key), (_, json))| (key, json)).collect())
+        .collect();
+    let top = [
+        ("preset", json_str(&preset_name)),
+        ("seed", seed.to_string()),
+        ("items_per_cell", targets.len().to_string()),
+        ("screen_threshold", def.threshold.to_string()),
+    ];
+    write_json("BENCH_arena.json", &top, "cells", &json_cells);
 }

@@ -26,7 +26,7 @@ use std::process::Command;
 use std::time::Instant;
 
 use copyattack::recsys::{Dataset, DatasetBuilder, ItemId, UserId};
-use copyattack_bench::{print_table, results_dir, Args};
+use copyattack_bench::{json_str, print_table, write_json, Args};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -224,23 +224,17 @@ fn main() {
             format!("{:.0}", get(&csr, "interactions") / get(&csr, "build_s")),
             format!("{:.0}", get(&csr, "interactions") / get(&csr, "scan_s")),
         ]);
-        layout_cases.push(format!(
-            concat!(
-                "    {{\"users\": {}, \"interactions\": {:.0}, ",
-                "\"csr_hwm_kb\": {:.0}, \"nested_hwm_kb\": {:.0}, \"rss_reduction\": {:.3}, ",
-                "\"csr_build_s\": {:.4}, \"nested_build_s\": {:.4}, ",
-                "\"csr_scan_s\": {:.4}, \"nested_scan_s\": {:.4}}}"
-            ),
-            n,
-            get(&csr, "interactions"),
-            get(&csr, "hwm_kb"),
-            get(&nested, "hwm_kb"),
-            reduction,
-            get(&csr, "build_s"),
-            get(&nested, "build_s"),
-            get(&csr, "scan_s"),
-            get(&nested, "scan_s"),
-        ));
+        layout_cases.push(vec![
+            ("users", n.to_string()),
+            ("interactions", format!("{:.0}", get(&csr, "interactions"))),
+            ("csr_hwm_kb", format!("{:.0}", get(&csr, "hwm_kb"))),
+            ("nested_hwm_kb", format!("{:.0}", get(&nested, "hwm_kb"))),
+            ("rss_reduction", format!("{reduction:.3}")),
+            ("csr_build_s", format!("{:.4}", get(&csr, "build_s"))),
+            ("nested_build_s", format!("{:.4}", get(&nested, "build_s"))),
+            ("csr_scan_s", format!("{:.4}", get(&csr, "scan_s"))),
+            ("nested_scan_s", format!("{:.4}", get(&nested, "scan_s"))),
+        ]);
     }
     print_table(
         "layout: CSR arenas vs nested Vec (per-process VmHWM)",
@@ -248,11 +242,10 @@ fn main() {
         &rows,
     );
 
-    let json = format!(
-        "{{\n  \"bench\": \"dataplane\",\n  \"layout\": [\n{}\n  ]\n}}\n",
-        layout_cases.join(",\n"),
+    write_json(
+        "BENCH_dataplane.json",
+        &[("bench", json_str("dataplane"))],
+        "layout",
+        &layout_cases,
     );
-    let path = results_dir().join("BENCH_dataplane.json");
-    std::fs::write(&path, json).expect("write BENCH_dataplane.json");
-    println!("wrote {}", path.display());
 }

@@ -10,7 +10,7 @@
 
 use copyattack::core::AttackConfig;
 use copyattack::pipeline::{AttackSpec, Pipeline};
-use copyattack_bench::{f4, preset, print_table, write_csv, Args};
+use copyattack_bench::{f4, preset, print_table, timed, write_csv, Args};
 
 fn main() {
     let args = Args::parse();
@@ -34,18 +34,18 @@ fn main() {
     let mut rows = Vec::new();
     for &d in &depths {
         let attack_cfg = AttackConfig { tree_depth: d, ..cfg.attack.config.clone() };
-        let row = pipe.run_spec_over_items(&AttackSpec::new("CopyAttack", attack_cfg), &chosen);
+        let spec = AttackSpec::new("CopyAttack", attack_cfg);
+        let (row, secs) = timed(|| pipe.run_spec_over_items(&spec, &chosen));
         eprintln!(
-            "depth {d}: HR@20 {:.4} NDCG@20 {:.4} ({:.1}s)",
+            "depth {d}: HR@20 {:.4} NDCG@20 {:.4} ({secs:.1}s)",
             row.metrics.hr(20),
-            row.metrics.ndcg(20),
-            row.attack_seconds
+            row.metrics.ndcg(20)
         );
         rows.push(vec![
             d.to_string(),
             f4(row.metrics.hr(20)),
             f4(row.metrics.ndcg(20)),
-            format!("{:.1}", row.attack_seconds),
+            format!("{secs:.1}"),
         ]);
     }
     let header = ["depth", "HR@20", "NDCG@20", "seconds"];

@@ -38,7 +38,7 @@ use copyattack::recsys::engine::{self, ScoringEngine};
 use copyattack::recsys::knn::ItemKnnRecommender;
 use copyattack::recsys::{BlackBoxRecommender, Dataset, DatasetBuilder, ItemId, Scorer, UserId};
 use copyattack::tensor::Matrix;
-use copyattack_bench::{f1, print_table, results_dir, Args};
+use copyattack_bench::{f1, json_str, print_table, write_json, Args};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -181,34 +181,23 @@ fn main() {
         &rows,
     );
 
-    let entries: Vec<String> = cases
+    let entries: Vec<Vec<(&str, String)>> = cases
         .iter()
         .map(|c| {
-            format!(
-                concat!(
-                    "    {{\"model\": \"{}\", \"catalog\": {}, \"users\": {}, \"k\": {}, ",
-                    "\"dim\": {}, \"scalar_us\": {:.1}, \"batched_us\": {:.1}, ",
-                    "\"score_us\": {:.1}, \"rank_us\": {:.1}, \"speedup_batched\": {:.2}}}"
-                ),
-                c.model,
-                c.catalog,
-                n_pretend,
-                k,
-                c.dim,
-                c.scalar,
-                c.batched,
-                c.score,
-                c.rank,
-                c.scalar / c.batched,
-            )
+            vec![
+                ("model", json_str(c.model)),
+                ("catalog", c.catalog.to_string()),
+                ("users", n_pretend.to_string()),
+                ("k", k.to_string()),
+                ("dim", c.dim.to_string()),
+                ("scalar_us", format!("{:.1}", c.scalar)),
+                ("batched_us", format!("{:.1}", c.batched)),
+                ("score_us", format!("{:.1}", c.score)),
+                ("rank_us", format!("{:.1}", c.rank)),
+                ("speedup_batched", format!("{:.2}", c.scalar / c.batched)),
+            ]
         })
         .collect();
-    let json = format!(
-        "{{\n  \"bench\": \"scoring\",\n  \"reps\": {},\n  \"cases\": [\n{}\n  ]\n}}\n",
-        reps,
-        entries.join(",\n")
-    );
-    let path = results_dir().join("BENCH_scoring.json");
-    std::fs::write(&path, json).expect("write BENCH_scoring.json");
-    println!("wrote {}", path.display());
+    let top = [("bench", json_str("scoring")), ("reps", reps.to_string())];
+    write_json("BENCH_scoring.json", &top, "cases", &entries);
 }

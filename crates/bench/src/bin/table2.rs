@@ -14,7 +14,7 @@
 //! scale; see the Criterion bench `selection` for the per-decision cost).
 
 use copyattack::pipeline::Pipeline;
-use copyattack_bench::{f1, f4, preset, print_table, write_csv, Args};
+use copyattack_bench::{f1, f4, preset, print_table, timed, write_csv, Args};
 
 fn main() {
     let args = Args::parse();
@@ -27,11 +27,9 @@ fn main() {
     let skip_flat: bool = args.get_parse("skip-flat", preset_name == "ml20m");
 
     eprintln!("building pipeline for preset {preset_name} (seed {seed}) ...");
-    let t0 = std::time::Instant::now();
-    let pipe = Pipeline::build(&cfg);
+    let (pipe, build_secs) = timed(|| Pipeline::build(&cfg));
     eprintln!(
-        "pipeline ready in {:.1}s: target model val HR@10 = {:.4}, {} attackable cold items",
-        t0.elapsed().as_secs_f64(),
+        "pipeline ready in {build_secs:.1}s: target model val HR@10 = {:.4}, {} attackable cold items",
         pipe.train_report.best_val_hr10,
         pipe.target_items.len()
     );
@@ -66,16 +64,14 @@ fn main() {
             eprintln!("{name:<22} skipped (48h-infeasible row of the paper)");
             continue;
         }
-        let row = if name == "Without Attack" {
-            pipe.run_without_attack(items)
-        } else {
-            pipe.run_attack_over_targets(name, items)
-        };
-        eprintln!(
-            "{name:<22} HR@20 {:.4}  ({:.1}s over {items} items)",
-            row.metrics.hr(20),
-            row.attack_seconds
-        );
+        let (row, secs) = timed(|| {
+            if name == "Without Attack" {
+                pipe.run_without_attack(items)
+            } else {
+                pipe.run_attack_over_targets(name, items)
+            }
+        });
+        eprintln!("{name:<22} HR@20 {:.4}  ({secs:.1}s over {items} items)", row.metrics.hr(20));
         rows.push(vec![
             row.name,
             f4(row.metrics.hr(20)),
@@ -85,7 +81,7 @@ fn main() {
             f4(row.metrics.ndcg(10)),
             f4(row.metrics.ndcg(5)),
             f1(row.avg_items_per_profile),
-            format!("{:.1}", row.attack_seconds),
+            format!("{secs:.1}"),
         ]);
     }
 

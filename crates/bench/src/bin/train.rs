@@ -16,7 +16,7 @@ use copyattack::mf::{self, BprConfig};
 use copyattack::ncf::NcfConfig;
 use copyattack::recsys::{split_dataset, Dataset, DatasetBuilder, ItemId};
 use copyattack::train::{History, StopReason};
-use copyattack_bench::{print_table, results_dir};
+use copyattack_bench::{json_list, json_str, print_table, write_json};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -32,12 +32,11 @@ fn training_world(n_users: usize, n_items: usize, seed: u64) -> Dataset {
     b.build()
 }
 
-/// Renders one model's captured training [`History`] as a JSON object:
-/// per-epoch loss, pairs/sec, and the validation trace (empty for
+/// One model's captured training [`History`] as the fields of its JSON
+/// object: per-epoch loss, pairs/sec, and the validation trace (empty for
 /// fixed-epoch runs).
-fn history_json(model: &str, hist: &History) -> String {
-    let join_f32 = |xs: &[f32]| xs.iter().map(|x| format!("{x:.6}")).collect::<Vec<_>>().join(", ");
-    let pps: Vec<String> = hist.pairs_per_sec().iter().map(|x| format!("{x:.1}")).collect();
+fn history_fields(model: &'static str, hist: &History) -> Vec<(&'static str, String)> {
+    let f6 = |xs: Vec<f32>| json_list(xs.iter().map(|x| format!("{x:.6}")));
     let stop = match &hist.stop {
         None => "running".to_string(),
         Some(StopReason::MaxEpochs) => "max_epochs".to_string(),
@@ -45,18 +44,14 @@ fn history_json(model: &str, hist: &History) -> String {
             format!("early_stop(best_epoch={best_epoch})")
         }
     };
-    format!(
-        concat!(
-            "    {{\"model\": \"{}\", \"epochs_run\": {}, \"stop\": \"{}\", ",
-            "\"loss_curve\": [{}], \"pairs_per_sec\": [{}], \"val_curve\": [{}]}}"
-        ),
-        model,
-        hist.epochs.len(),
-        stop,
-        join_f32(&hist.loss_curve()),
-        pps.join(", "),
-        join_f32(&hist.val_curve()),
-    )
+    vec![
+        ("model", json_str(model)),
+        ("epochs_run", hist.epochs.len().to_string()),
+        ("stop", json_str(&stop)),
+        ("loss_curve", f6(hist.loss_curve())),
+        ("pairs_per_sec", json_list(hist.pairs_per_sec().iter().map(|x| format!("{x:.1}")))),
+        ("val_curve", f6(hist.val_curve())),
+    ]
 }
 
 fn main() {
@@ -95,16 +90,10 @@ fn main() {
         &train_rows,
     );
 
-    let train_json = format!(
-        "{{\n  \"bench\": \"train\",\n  \"models\": [\n{}\n  ]\n}}\n",
-        [
-            history_json("mf", &mf_hist),
-            history_json("ncf", &ncf_hist),
-            history_json("gnn", &gnn_hist)
-        ]
-        .join(",\n")
-    );
-    let train_path = results_dir().join("BENCH_train.json");
-    std::fs::write(&train_path, train_json).expect("write BENCH_train.json");
-    println!("wrote {}", train_path.display());
+    let models = [
+        history_fields("mf", &mf_hist),
+        history_fields("ncf", &ncf_hist),
+        history_fields("gnn", &gnn_hist),
+    ];
+    write_json("BENCH_train.json", &[("bench", json_str("train"))], "models", &models);
 }

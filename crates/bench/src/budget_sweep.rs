@@ -1,6 +1,6 @@
 //! Shared implementation of the Figure 5 / Figure 6 budget sweeps.
 
-use crate::{f4, preset, print_table, write_csv, Args};
+use crate::{f4, preset, print_table, timed, write_csv, Args};
 use copyattack::core::AttackConfig;
 use copyattack::pipeline::{AttackSpec, Pipeline};
 
@@ -38,11 +38,11 @@ pub fn run(default_preset: &str, figure: &str) {
                 query_every: cfg.attack.config.query_every.min(budget),
                 ..cfg.attack.config.clone()
             };
-            let row = pipe.run_spec_over_items(&AttackSpec::new(method, attack_cfg), &chosen);
+            let spec = AttackSpec::new(method, attack_cfg);
+            let (row, secs) = timed(|| pipe.run_spec_over_items(&spec, &chosen));
             eprintln!(
-                "budget {budget:>3} {method:<16} HR@20 {:.4} ({:.1}s)",
-                row.metrics.hr(20),
-                row.attack_seconds
+                "budget {budget:>3} {method:<16} HR@20 {:.4} ({secs:.1}s)",
+                row.metrics.hr(20)
             );
             hr_row.push(f4(row.metrics.hr(20)));
             ndcg_row.push(f4(row.metrics.ndcg(20)));

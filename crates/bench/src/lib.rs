@@ -1,5 +1,6 @@
 //! Shared plumbing for the experiment binaries: tiny CLI parsing, aligned
-//! table printing, and CSV emission into `results/`.
+//! table printing, timing, and the one writer per results format in
+//! `results/` ([`write_csv`], [`write_json`]).
 //!
 //! Every table and figure of the paper has a `src/bin/*.rs` binary here;
 //! run them with e.g.
@@ -94,8 +95,8 @@ pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
     }
 }
 
-/// Where CSV outputs go (workspace `results/`).
-pub fn results_dir() -> PathBuf {
+/// Where results files go (workspace `results/`).
+fn results_dir() -> PathBuf {
     let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
     std::fs::create_dir_all(&dir).expect("create results dir");
     dir
@@ -113,6 +114,52 @@ pub fn write_csv(name: &str, header: &[&str], rows: &[Vec<String>]) {
     }
     std::fs::write(&path, out).expect("write csv");
     println!("wrote {}", path.display());
+}
+
+/// Quotes `s` as a JSON string: the bench crate's one copy of string
+/// escaping.
+pub fn json_str(s: &str) -> String {
+    format!("\"{}\"", s.replace('\\', "\\\\").replace('"', "\\\""))
+}
+
+/// A JSON array of values already formatted as JSON text.
+pub fn json_list(values: impl IntoIterator<Item = String>) -> String {
+    format!("[{}]", values.into_iter().collect::<Vec<_>>().join(", "))
+}
+
+/// Renders the layout every `BENCH_*.json` shares: top-level
+/// `"key": value` lines, then the array `name` with one object per line.
+/// Values are JSON text the caller has already formatted, so each file
+/// keeps its own number format; [`json_str`] quotes strings.
+pub fn json_doc(top: &[(&str, String)], name: &str, rows: &[Vec<(&str, String)>]) -> String {
+    let mut out = String::from("{\n");
+    for (key, value) in top {
+        let _ = writeln!(out, "  {}: {value},", json_str(key));
+    }
+    let _ = writeln!(out, "  {}: [", json_str(name));
+    for (i, row) in rows.iter().enumerate() {
+        let fields: Vec<String> =
+            row.iter().map(|(key, value)| format!("{}: {value}", json_str(key))).collect();
+        let comma = if i + 1 < rows.len() { "," } else { "" };
+        let _ = writeln!(out, "    {{{}}}{comma}", fields.join(", "));
+    }
+    out.push_str("  ]\n}\n");
+    out
+}
+
+/// Writes [`json_doc`] as `file` into `results/` and reports the path.
+pub fn write_json(file: &str, top: &[(&str, String)], name: &str, rows: &[Vec<(&str, String)>]) {
+    let path = results_dir().join(file);
+    std::fs::write(&path, json_doc(top, name, rows)).expect("write json");
+    println!("wrote {}", path.display());
+}
+
+/// Runs `f` and returns its value with the wall-clock seconds it took.
+/// The pipeline reads no clock; each binary times its own calls.
+pub fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
+    let start = std::time::Instant::now();
+    let value = f();
+    (value, start.elapsed().as_secs_f64())
 }
 
 /// Formats an f32 with 4 decimals (Table 2 style).
@@ -149,6 +196,29 @@ mod tests {
     #[should_panic(expected = "unknown preset")]
     fn unknown_preset_panics() {
         let _ = preset("nope", 1);
+    }
+
+    #[test]
+    fn json_doc_writes_the_shared_layout_byte_for_byte() {
+        let rows = vec![
+            vec![("name", json_str(r#"say "hi" \ bye"#)), ("hr", 0.5f32.to_string())],
+            vec![("name", json_str("plain")), ("curve", json_list(["1.0".into(), "2.5".into()]))],
+        ];
+        let doc =
+            json_doc(&[("bench", json_str("demo")), ("seed", 42.to_string())], "cells", &rows);
+        assert_eq!(
+            doc,
+            concat!(
+                "{\n",
+                "  \"bench\": \"demo\",\n",
+                "  \"seed\": 42,\n",
+                "  \"cells\": [\n",
+                "    {\"name\": \"say \\\"hi\\\" \\\\ bye\", \"hr\": 0.5},\n",
+                "    {\"name\": \"plain\", \"curve\": [1.0, 2.5]}\n",
+                "  ]\n",
+                "}\n",
+            )
+        );
     }
 
     #[test]

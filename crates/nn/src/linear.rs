@@ -127,13 +127,6 @@ impl LinearGrad {
         self.b.iter_mut().for_each(|x| *x = 0.0);
     }
 
-    /// `self += alpha * other` — used when averaging gradients over an
-    /// episode before the policy update.
-    pub fn add_scaled(&mut self, other: &LinearGrad, alpha: f32) {
-        self.w.add_scaled(&other.w, alpha);
-        ca_tensor::ops::axpy(alpha, &other.b, &mut self.b);
-    }
-
     /// L2 norm over all entries (used for gradient clipping).
     pub fn norm(&self) -> f32 {
         let wn = self.w.frobenius_norm();

@@ -213,13 +213,6 @@ impl MlpGrad {
         self.layers.iter_mut().for_each(LinearGrad::zero);
     }
 
-    /// `self += alpha * other`.
-    pub fn add_scaled(&mut self, other: &MlpGrad, alpha: f32) {
-        for (a, b) in self.layers.iter_mut().zip(other.layers.iter()) {
-            a.add_scaled(b, alpha);
-        }
-    }
-
     /// Global L2 norm across every parameter gradient.
     pub fn norm(&self) -> f32 {
         self.layers.iter().map(|g| g.norm().powi(2)).sum::<f32>().sqrt()

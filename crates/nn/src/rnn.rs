@@ -63,11 +63,6 @@ impl Rnn {
         self.wx.rows()
     }
 
-    /// Input dimensionality.
-    pub fn input_dim(&self) -> usize {
-        self.wx.cols()
-    }
-
     /// Runs the sequence; returns the final hidden state and the cache.
     /// An empty sequence yields the all-zero state (the paper seeds the first
     /// selection randomly because the RNN has nothing to encode yet).
@@ -88,11 +83,6 @@ impl Rnn {
         }
         let last = hs.last().cloned().unwrap_or_else(|| vec![0.0; h_dim]);
         (last, RnnCache { xs: xs.iter().map(|x| x.to_vec()).collect(), hs })
-    }
-
-    /// Final hidden state only (inference path).
-    pub fn infer(&self, xs: &[&[f32]]) -> Vec<f32> {
-        self.forward(xs).0
     }
 
     /// Backward-through-time from a gradient on the final hidden state.
@@ -142,20 +132,6 @@ impl Rnn {
 }
 
 impl RnnGrad {
-    /// Resets the accumulator to zero.
-    pub fn zero(&mut self) {
-        self.wx.fill_zero();
-        self.wh.fill_zero();
-        self.b.iter_mut().for_each(|x| *x = 0.0);
-    }
-
-    /// `self += alpha * other`.
-    pub fn add_scaled(&mut self, other: &RnnGrad, alpha: f32) {
-        self.wx.add_scaled(&other.wx, alpha);
-        self.wh.add_scaled(&other.wh, alpha);
-        ops::axpy(alpha, &other.b, &mut self.b);
-    }
-
     /// Global L2 norm.
     pub fn norm(&self) -> f32 {
         let a = self.wx.frobenius_norm();
@@ -184,7 +160,7 @@ mod tests {
 
     fn loss(rnn: &Rnn, xs: &[Vec<f32>]) -> f32 {
         let refs: Vec<&[f32]> = xs.iter().map(|x| x.as_slice()).collect();
-        rnn.infer(&refs).iter().map(|h| h * h).sum::<f32>() / 2.0
+        rnn.forward(&refs).0.iter().map(|h| h * h).sum::<f32>() / 2.0
     }
 
     #[test]

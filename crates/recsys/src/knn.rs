@@ -35,7 +35,7 @@ impl ItemKnnRecommender {
         let n_items = data.n_items();
         let mut co = vec![0; n_items * (n_items.saturating_sub(1)) / 2];
         for u in data.users() {
-            count_pairs(&mut co, n_items, data.profile(u), 1);
+            count_pairs(&mut co, n_items, data.profile(u));
         }
         Self { co, data, n_items }
     }
@@ -76,10 +76,12 @@ fn tri_index(n_items: usize, a: usize, b: usize) -> usize {
     a * n_items - a * (a + 1) / 2 + (b - a - 1)
 }
 
-/// Adds `delta` to every unordered item pair of `profile` in the flattened
+/// Counts every unordered item pair of `profile` once in the flattened
 /// upper-triangular count table. A free function (not a method) so callers
 /// can hold the profile slice borrowed from the same recommender's dataset.
-fn count_pairs(co: &mut [u32], n_items: usize, profile: &[ItemId], delta: i64) {
+/// A count cannot overflow: each user adds at most 1 per pair, and user
+/// ids are `u32`.
+fn count_pairs(co: &mut [u32], n_items: usize, profile: &[ItemId]) {
     for i in 0..profile.len() {
         for j in (i + 1)..profile.len() {
             let (a, b) = (profile[i].idx(), profile[j].idx());
@@ -87,8 +89,7 @@ fn count_pairs(co: &mut [u32], n_items: usize, profile: &[ItemId], delta: i64) {
             if a == b {
                 continue;
             }
-            let idx = tri_index(n_items, a, b);
-            co[idx] = (co[idx] as i64 + delta).max(0) as u32;
+            co[tri_index(n_items, a, b)] += 1;
         }
     }
 }
@@ -168,7 +169,7 @@ impl BlackBoxRecommender for ItemKnnRecommender {
         let uid = self.data.add_user(profile);
         // Disjoint field borrows: read the stored (deduped) run straight
         // from the arena while updating the co-occurrence counts.
-        count_pairs(&mut self.co, self.n_items, self.data.profile(uid), 1);
+        count_pairs(&mut self.co, self.n_items, self.data.profile(uid));
         uid
     }
 

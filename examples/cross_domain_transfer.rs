@@ -12,11 +12,8 @@
 
 use copyattack::par::split_seed;
 use copyattack::pipeline::{Pipeline, PipelineConfig};
-use copyattack::recsys::eval::RankingEval;
 use copyattack::recsys::knn::ItemKnnRecommender;
 use copyattack::recsys::BlackBoxRecommender;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 fn main() {
     println!("== cross-model transferability of copied profiles ==");
@@ -42,14 +39,11 @@ fn main() {
 
     // Replay against ItemKNN deployed on the same clean data.
     let mut knn = ItemKnnRecommender::deploy(pipe.split.train.clone());
-    let ev = RankingEval::standard(&pipe.split.train);
-    let mut rng = StdRng::seed_from_u64(split_seed(cfg.seed, 1));
-    let hr_knn_before = ev.evaluate_promotion(&knn, &pipe.eval_users, target, &mut rng).hr(20);
+    let hr_knn_before = pipe.evaluate_promotion(&knn, target, split_seed(cfg.seed, 1)).hr(20);
     for p in &injected {
         knn.inject_user(p);
     }
-    let mut rng = StdRng::seed_from_u64(split_seed(cfg.seed, 2));
-    let hr_knn_after = ev.evaluate_promotion(&knn, &pipe.eval_users, target, &mut rng).hr(20);
+    let hr_knn_after = pipe.evaluate_promotion(&knn, target, split_seed(cfg.seed, 2)).hr(20);
 
     println!("{} copied profiles, trained against the GNN only", injected.len());
     println!("GNN target model:     HR@20 {hr_gnn_before:.4} -> {hr_gnn_after:.4}");

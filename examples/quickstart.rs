@@ -43,9 +43,9 @@ fn main() {
         after.metrics.ndcg(20),
         after.avg_items_per_profile
     );
+    let (hr_before, hr_after) = (before.metrics.hr(20), after.metrics.hr(20));
     println!(
-        "promotion lift: {:.1}x in {:.1}s",
-        after.metrics.hr(20) / before.metrics.hr(20).max(1e-4),
-        after.attack_seconds
+        "promotion:      HR@20 {hr_before:.4} -> {hr_after:.4} ({:+.4})",
+        hr_after - hr_before
     );
 }

@@ -21,7 +21,7 @@ use ca_mf::{BprConfig, MfModel};
 use ca_recsys::eval::RankingEval;
 use ca_recsys::metrics::MetricAccumulator;
 use ca_recsys::{split_dataset, BlackBoxRecommender, FallibleBlackBox, ItemId, Split, UserId};
-use ca_recsys::{FaultConfig, FaultyRecommender};
+use ca_recsys::{FaultConfig, FaultyRecommender, Scorer};
 use ca_train::{History, StderrProgress, Tee, TrainObserver};
 use copyattack_core::env::plan_pretend_profiles;
 use copyattack_core::{
@@ -145,19 +145,41 @@ impl AttackSpec {
     }
 }
 
+/// One target item's run: the record every Table 2 row and arena cell
+/// folds.
+#[derive(Clone, Debug)]
+pub struct TargetRun {
+    /// The target item.
+    pub target: ItemId,
+    /// The seed the run used (`spec.config.seed ^ target`); promotion is
+    /// evaluated at `seed ^ 0x5EED`.
+    pub seed: u64,
+    /// HR/NDCG@{20, 10, 5} of the target over the evaluation users.
+    pub metrics: MetricAccumulator,
+    /// The evaluation episode's outcome; `None` on the Without Attack row.
+    pub outcome: Option<AttackOutcome>,
+}
+
+impl TargetRun {
+    /// Mean injected-profile length of the episode (0 without an attack).
+    pub fn avg_items_per_profile(&self) -> f32 {
+        self.outcome.as_ref().map_or(0.0, |o| o.avg_items_per_profile)
+    }
+}
+
 /// A Table 2 row: promotion metrics of one registered attack (or the
-/// injection-free baseline) aggregated over target items.
+/// injection-free baseline), folded over its per-target runs.
 #[derive(Clone, Debug)]
 pub struct AttackRow {
     /// The registry key the row was produced by ("Without Attack" for the
     /// injection-free row).
     pub name: String,
-    /// HR@K / NDCG@K of the target items over the evaluation users.
+    /// HR@K / NDCG@K of the target items: the runs' accumulators merged.
     pub metrics: MetricAccumulator,
     /// Mean injected-profile length, averaged over target items.
     pub avg_items_per_profile: f32,
-    /// Wall-clock seconds spent attacking (all target items).
-    pub attack_seconds: f64,
+    /// One record per target item, in target order.
+    pub runs: Vec<TargetRun>,
 }
 
 /// Per-model training telemetry captured while the pipeline was built:
@@ -354,11 +376,11 @@ impl Pipeline {
         .with_pretend_profiles(self.pretend_profiles.clone())
     }
 
-    /// Promotion metrics of `target` on `rec` over the evaluation users
-    /// (HR/NDCG @ {20, 10, 5} against 100 sampled negatives).
+    /// Promotion metrics of `target` on any deployment `rec` over the
+    /// evaluation users (HR/NDCG @ {20, 10, 5} against 100 sampled negatives).
     pub fn evaluate_promotion(
         &self,
-        rec: &PinSageRecommender,
+        rec: &impl Scorer,
         target: ItemId,
         seed: u64,
     ) -> MetricAccumulator {
@@ -367,10 +389,23 @@ impl Pipeline {
         ev.evaluate_promotion(rec, &self.eval_users, target, &mut rng)
     }
 
+    /// One target's record on any deployment `rec`: promotion evaluated
+    /// at `seed ^ 0x5EED`, beside the episode's outcome (`None` without an
+    /// attack).
+    pub fn target_run(
+        &self,
+        rec: &impl Scorer,
+        target: ItemId,
+        seed: u64,
+        outcome: Option<AttackOutcome>,
+    ) -> TargetRun {
+        let metrics = self.evaluate_promotion(rec, target, seed ^ 0x5EED);
+        TargetRun { target, seed, metrics, outcome }
+    }
+
     /// Runs one registered attack (any [`AttackRegistry`] key) against one
     /// target item under `attack_cfg` on a clone of the deployed model and
-    /// evaluates promotion on the polluted copy; returns its promotion
-    /// metrics and the average injected-profile length.
+    /// records promotion on the polluted copy.
     ///
     /// # Panics
     /// Panics when the name is not registered or the attack cannot be
@@ -380,12 +415,11 @@ impl Pipeline {
         name: &str,
         target: ItemId,
         attack_cfg: &AttackConfig,
-    ) -> (MetricAccumulator, f32) {
+    ) -> TargetRun {
         let (polluted, outcome) = self
             .attack_with(name, target, attack_cfg, &self.recommender, &self.pretend)
             .unwrap_or_else(|e| panic!("{e}"));
-        let metrics = self.evaluate_promotion(&polluted, target, attack_cfg.seed ^ 0x5EED);
-        (metrics, outcome.avg_items_per_profile)
+        self.target_run(&polluted, target, attack_cfg.seed, Some(outcome))
     }
 
     /// The pipeline's attack registry over any platform type `R`,
@@ -455,7 +489,7 @@ impl Pipeline {
     pub fn run_without_attack(&self, n_items: usize) -> AttackRow {
         let seed = self.config.attack.config.seed;
         self.row("Without Attack", &self.first_targets(n_items), |t| {
-            (self.evaluate_promotion(&self.recommender, t, (seed ^ t.0 as u64) ^ 0x5EED), 0.0)
+            self.target_run(&self.recommender, t, seed ^ t.0 as u64, None)
         })
     }
 
@@ -469,31 +503,24 @@ impl Pipeline {
         })
     }
 
-    /// Aggregates `run` over `items` into a row. Items are seed-isolated,
-    /// so the deterministic runtime's ordered map gives the same row at
-    /// any `CA_THREADS` setting.
+    /// Runs `run` over `items` and folds the records in target order into a
+    /// row. Items are seed-isolated, so the deterministic runtime's ordered
+    /// map gives the same row at any `CA_THREADS` setting.
     fn row(
         &self,
         name: &str,
         items: &[ItemId],
-        run: impl Fn(ItemId) -> (MetricAccumulator, f32) + Sync,
+        run: impl Fn(ItemId) -> TargetRun + Sync,
     ) -> AttackRow {
-        // ca-audit: allow(wall-clock) — AttackRow.seconds is reporting telemetry, never an input
-        let start = std::time::Instant::now();
-        let results: Vec<(MetricAccumulator, f32)> = ca_par::map(items, |_, &t| run(t));
+        let runs: Vec<TargetRun> = ca_par::map(items, |_, &t| run(t));
         let mut metrics = MetricAccumulator::new(&[20, 10, 5]);
         let mut avg_items = 0.0;
-        for (m, a) in &results {
-            metrics.merge(m);
-            avg_items += a;
+        for r in &runs {
+            metrics.merge(&r.metrics);
+            avg_items += r.avg_items_per_profile();
         }
-        avg_items /= results.len().max(1) as f32;
-        AttackRow {
-            name: name.to_string(),
-            metrics,
-            avg_items_per_profile: avg_items,
-            attack_seconds: start.elapsed().as_secs_f64(),
-        }
+        avg_items /= runs.len().max(1) as f32;
+        AttackRow { name: name.to_string(), metrics, avg_items_per_profile: avg_items, runs }
     }
 }
 
@@ -569,5 +596,61 @@ mod tests {
             t70.metrics.hr(20),
             none.metrics.hr(20)
         );
+    }
+
+    /// The six metric bits, `final_reward`'s bits and every counter of
+    /// one record, for a bitwise comparison.
+    fn run_bits(r: &TargetRun) -> (ItemId, u64, Vec<u32>, [u64; 5]) {
+        let o = r.outcome.as_ref().expect("an attack run records its outcome");
+        let m = &r.metrics;
+        let metrics = [20, 10, 5].iter().flat_map(|&k| [m.hr(k), m.ndcg(k)]).map(f32::to_bits);
+        let counters = [
+            u64::from(o.final_reward.to_bits()),
+            o.injections as u64,
+            o.queries,
+            o.failed_injections as u64,
+            o.skipped_rewards as u64,
+        ];
+        (r.target, r.seed, metrics.collect(), counters)
+    }
+
+    #[test]
+    fn rows_fold_their_per_target_records() {
+        let pipe = Pipeline::build(&PipelineConfig::tiny(7));
+        let (spec, targets) = (&pipe.config.attack, &pipe.target_items[..2]);
+        let at = |threads| {
+            ca_par::set_threads(Some(threads));
+            let row = pipe.run_spec_over_items(spec, targets);
+            ca_par::set_threads(None);
+            row
+        };
+        let (row, wide) = (at(1), at(4));
+
+        // One record per target, in target order, seeded `seed ^ target`.
+        assert_eq!(row.runs.len(), targets.len());
+        let mut metrics = MetricAccumulator::new(&[20, 10, 5]);
+        let mut avg_items = 0.0f32;
+        for (r, &t) in row.runs.iter().zip(targets) {
+            assert_eq!((r.target, r.seed), (t, spec.config.seed ^ t.0 as u64));
+            let o = r.outcome.as_ref().expect("an attack run records its outcome");
+            assert!(0 < o.injections && o.injections <= spec.config.budget, "{o:?}");
+            assert!(o.queries > 0);
+            metrics.merge(&r.metrics);
+            avg_items += o.avg_items_per_profile;
+        }
+        // The row is the fold of its records, bit for bit.
+        for k in [20, 10, 5] {
+            assert_eq!(row.metrics.hr(k).to_bits(), metrics.hr(k).to_bits());
+            assert_eq!(row.metrics.ndcg(k).to_bits(), metrics.ndcg(k).to_bits());
+        }
+        let avg_items = avg_items / targets.len() as f32;
+        assert_eq!(row.avg_items_per_profile.to_bits(), avg_items.to_bits());
+        // The records do not depend on the thread count.
+        let bits = |runs: &[TargetRun]| runs.iter().map(run_bits).collect::<Vec<_>>();
+        assert_eq!(bits(&row.runs), bits(&wide.runs));
+
+        let clean = pipe.run_without_attack(2);
+        assert_eq!(clean.runs.len(), 2);
+        assert!(clean.runs.iter().all(|r| r.outcome.is_none()));
     }
 }

@@ -124,7 +124,8 @@ fn every_registered_attack_runs_through_the_pipeline() {
         .collect();
     for name in &names {
         let cfg = AttackConfig { seed: 1234, ..pipe.config.attack.config.clone() };
-        let (metrics, avg_items) = pipe.run_attack_cfg(name, target, &cfg);
+        let run = pipe.run_attack_cfg(name, target, &cfg);
+        let (metrics, avg_items) = (&run.metrics, run.avg_items_per_profile());
         assert!(metrics.hr(20).is_finite(), "{name} produced a non-finite HR@20");
         assert!(avg_items > 0.0, "{name} injected no profiles");
     }
@@ -143,8 +144,10 @@ proptest! {
         let target = pipe.target_items[1];
         for name in ["FakeProfile", "KgAttack"] {
             let cfg = AttackConfig { seed, ..pipe.config.attack.config.clone() };
-            let (m1, a1) = pipe.run_attack_cfg(name, target, &cfg);
-            let (m2, a2) = pipe.run_attack_cfg(name, target, &cfg);
+            let r1 = pipe.run_attack_cfg(name, target, &cfg);
+            let r2 = pipe.run_attack_cfg(name, target, &cfg);
+            let (m1, a1) = (&r1.metrics, r1.avg_items_per_profile());
+            let (m2, a2) = (&r2.metrics, r2.avg_items_per_profile());
             prop_assert_eq!(m1.hr(20).to_bits(), m2.hr(20).to_bits());
             prop_assert_eq!(m1.ndcg(20).to_bits(), m2.ndcg(20).to_bits());
             prop_assert_eq!(a1.to_bits(), a2.to_bits());

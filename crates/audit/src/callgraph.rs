@@ -76,8 +76,6 @@ pub struct CallSite {
     pub line: u32,
     /// Token index of the name in the caller's file.
     pub tok: usize,
-    /// Whether this is a `.name(…)` method call (vs a path/free call).
-    pub method: bool,
 }
 
 /// The call graph: adjacency over dense function ids plus the raw sites.
@@ -85,8 +83,6 @@ pub struct CallSite {
 pub struct CallGraph {
     /// `calls[f]` = sorted, deduped callee ids of function `f`.
     pub calls: Vec<Vec<usize>>,
-    /// `callers[f]` = sorted, deduped caller ids of function `f`.
-    pub callers: Vec<Vec<usize>>,
     /// Every call site, in (file, token) order.
     pub sites: Vec<CallSite>,
 }
@@ -102,7 +98,6 @@ impl CallGraph {
     pub fn build(ws: &Workspace) -> CallGraph {
         let n = ws.all_fns.len();
         let mut calls: Vec<Vec<usize>> = vec![Vec::new(); n];
-        let mut callers: Vec<Vec<usize>> = vec![Vec::new(); n];
         let mut sites = Vec::new();
 
         // Map FnRef → dense id once (BTreeMap keeps it deterministic).
@@ -128,19 +123,16 @@ impl CallGraph {
                     let next_is_paren = file.toks.get(i + 1).is_some_and(|t| t.is_punct('('));
                     let next_is_bang = file.toks.get(i + 1).is_some_and(|t| t.is_punct('!'));
                     if next_is_paren && !next_is_bang && !NON_CALL_IDENTS.contains(&name.as_str()) {
-                        let method = i > lo && file.toks[i - 1].is_punct('.');
                         sites.push(CallSite {
                             caller: fid,
                             name: name.clone(),
                             line: t.line,
                             tok: i,
-                            method,
                         });
                         if let Some(defs) = ws.fns_by_name.get(name) {
                             for &callee_ref in defs {
                                 if let Some(&cid) = ids.get(&callee_ref) {
                                     calls[fid].push(cid);
-                                    callers[cid].push(fid);
                                 }
                             }
                         }
@@ -149,11 +141,11 @@ impl CallGraph {
                 i += 1;
             }
         }
-        for v in calls.iter_mut().chain(callers.iter_mut()) {
+        for v in &mut calls {
             v.sort_unstable();
             v.dedup();
         }
-        CallGraph { calls, callers, sites }
+        CallGraph { calls, sites }
     }
 
     /// Forward reachability: every function reachable from `seeds` along
@@ -204,7 +196,6 @@ mod tests {
         let (e, h, l) = (id_of(&ws, "entry"), id_of(&ws, "helper"), id_of(&ws, "leaf"));
         assert_eq!(g.calls[e], vec![h]);
         assert_eq!(g.calls[h], vec![l]);
-        assert_eq!(g.callers[l], vec![h]);
         let seen = g.reachable(&[e], |_| false);
         assert!(seen[e] && seen[h] && seen[l]);
     }
@@ -241,7 +232,7 @@ mod tests {
     }
 
     #[test]
-    fn method_calls_are_marked_and_nested_fns_claim_their_tokens() {
+    fn method_calls_are_sites_and_nested_fns_claim_their_tokens() {
         let (ws, g) = ws2("fn outer() { fn inner() { deep(); } x.poke(); }", "fn deep() {}");
         let outer = id_of(&ws, "outer");
         let inner = id_of(&ws, "inner");
@@ -249,7 +240,6 @@ mod tests {
         assert!(g.calls[inner].contains(&deep));
         assert!(!g.calls[outer].contains(&deep), "inner's calls must not leak to outer");
         let poke = g.sites.iter().find(|s| s.name == "poke").unwrap();
-        assert!(poke.method);
         assert_eq!(poke.caller, outer);
     }
 }

@@ -1,21 +1,16 @@
-//! The audit configuration: which paths are exempt from which rules.
+//! The audit configuration: which paths the pass skips.
 //!
 //! The allowlist is code, not a config file, on purpose: an exemption is a
 //! reviewed policy decision, and the reason column keeps it honest. Inline
 //! pragmas (`// ca-audit: allow(<rule>) — <reason>`) handle single sites;
-//! allowlist entries handle whole path prefixes (bench binaries, the
-//! `ca-par` runtime itself, the audit fixtures).
-
-use crate::rules::Rule;
+//! allowlist entries exempt whole path prefixes (the bench binaries, the
+//! audit fixtures) from every rule.
 
 /// One path-prefix exemption.
 #[derive(Clone, Debug)]
 pub struct AllowEntry {
     /// Workspace-relative path prefix (forward slashes).
     pub prefix: &'static str,
-    /// `None` exempts the prefix from *every* rule (the walker skips such
-    /// files entirely); `Some(rule)` exempts exactly one rule.
-    pub rule: Option<Rule>,
     /// Why the exemption is sound — mandatory, mirroring the pragma policy.
     pub reason: &'static str,
 }
@@ -39,32 +34,20 @@ impl AuditConfig {
             allow: vec![
                 AllowEntry {
                     prefix: "crates/bench/",
-                    rule: None,
                     reason: "bench binaries measure wall-clock by design and never feed \
                              attack results",
                 },
                 AllowEntry {
                     prefix: "crates/audit/tests/fixtures/",
-                    rule: None,
                     reason: "known-bad lint fixtures must keep their violations",
-                },
-                AllowEntry {
-                    prefix: "crates/par/src/",
-                    rule: Some(Rule::RawThread),
-                    reason: "ca-par is the runtime the rule points everyone else at",
                 },
             ],
         }
     }
 
-    /// Whether `path` is fully exempt (an entry with `rule: None` matches).
+    /// Whether `path` is exempt from every rule.
     pub fn is_file_skipped(&self, path: &str) -> bool {
-        self.allow.iter().any(|e| e.rule.is_none() && path.starts_with(e.prefix))
-    }
-
-    /// Whether `rule` is exempt at `path`.
-    pub fn is_allowed(&self, path: &str, rule: Rule) -> bool {
-        self.allow.iter().any(|e| path.starts_with(e.prefix) && e.rule.is_none_or(|r| r == rule))
+        self.allow.iter().any(|e| path.starts_with(e.prefix))
     }
 }
 
@@ -76,10 +59,9 @@ mod tests {
     fn workspace_default_scopes_exemptions() {
         let cfg = AuditConfig::workspace_default();
         assert!(cfg.is_file_skipped("crates/bench/src/bin/offline.rs"));
+        assert!(cfg.is_file_skipped("crates/audit/tests/fixtures/nested_vec.rs"));
         assert!(!cfg.is_file_skipped("crates/par/src/lib.rs"));
-        assert!(cfg.is_allowed("crates/par/src/lib.rs", Rule::RawThread));
-        assert!(!cfg.is_allowed("crates/par/src/lib.rs", Rule::WallClock));
-        assert!(!cfg.is_allowed("crates/recsys/src/engine.rs", Rule::RawThread));
+        assert!(!cfg.is_file_skipped("crates/audit/src/rules.rs"));
     }
 
     #[test]

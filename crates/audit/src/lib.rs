@@ -1,28 +1,30 @@
-//! `ca-audit` — the workspace determinism & query-discipline lint pass.
+//! `ca-audit` — the workspace query-discipline and determinism lint pass,
+//! for the rules that need the whole workspace in view.
 //!
 //! Every crate in this workspace stakes its correctness on two contracts
 //! that ordinary tests only check after the fact:
 //!
 //! 1. **Determinism** — bitwise-identical results at any `CA_THREADS`
 //!    setting (the `ca-par` contract), golden-hash training parity, and
-//!    resumable checkpoints. One stray `HashMap` iteration or
-//!    `Instant::now` in a hot path silently breaks reproducibility — and
-//!    with it the reward-signal fidelity CopyAttack's REINFORCE updates
-//!    depend on.
+//!    resumable checkpoints. A literal seed or a float reduction over
+//!    parallel output silently breaks reproducibility — and with it the
+//!    reward-signal fidelity CopyAttack's REINFORCE updates depend on.
 //! 2. **Query discipline** — the black-box threat model assumes a strict
 //!    query budget, so every ranking call must flow through the metered
 //!    `BlackBoxRecommender`/`FallibleBlackBox` wrappers; a direct
 //!    `.top_k(…)` in attack code is a soundness bug, not a style issue.
 //!
-//! The engine machine-checks both on every build, in two tiers. Token
-//! rules run per file over a hand-rolled comment/string-aware tokenizer
-//! ([`lexer`]). The **symbol-aware** tier parses every file to an item
-//! skeleton ([`parser`]), assembles a workspace symbol table ([`symbols`])
-//! and an approximate call graph ([`callgraph`]), and proves cross-file
-//! properties no per-file scan can see: seed literals flowing through a
-//! parameter into an RNG two crates away ([`rules::Rule::SeedDiscipline`]),
-//! hash-iteration order leaking into float accumulators through a helper
-//! ([`rules::Rule::IterationOrder`]), and raw ranking calls reachable from
+//! The bans that a name-resolving compiler pass checks better — hash
+//! collections, wall clocks, ambient RNG, raw threads, sleeps, direct
+//! `score_batch` scans and `unsafe` — live in the workspace's `clippy.toml`
+//! and `[workspace.lints]` (see `DESIGN.md` §11). This crate keeps what no
+//! per-crate lint can see. Token rules run per file over a hand-rolled
+//! comment/string-aware tokenizer ([`lexer`]). The **symbol-aware** tier
+//! parses every file to an item skeleton ([`parser`]), assembles a
+//! workspace symbol table ([`symbols`]) and an approximate call graph
+//! ([`callgraph`]), and proves cross-file properties: seed literals
+//! flowing through a parameter into an RNG two crates away
+//! ([`rules::Rule::SeedDiscipline`]), and raw ranking calls reachable from
 //! attack code without crossing the metered surface
 //! ([`rules::Rule::UnmeteredQuery`]).
 //!
@@ -39,9 +41,8 @@
 //! - a reviewed path-prefix allowlist ([`config`]) for whole trees.
 //!
 //! It ships three ways: the CLI (`cargo run -p ca-audit`, with
-//! `--format human|json|github`, `--self-check`),
-//! the tier-1 gate at `tests/audit.rs`, and a CI job emitting GitHub
-//! annotations.
+//! `--format human|github`), the tier-1 gate at `tests/audit.rs`, and a CI
+//! job emitting GitHub annotations.
 
 #![forbid(unsafe_code)]
 
@@ -54,7 +55,7 @@ pub mod rules;
 pub mod symbols;
 
 pub use config::{AllowEntry, AuditConfig};
-pub use rules::{analyze_source, analyze_sources, Finding, Rule, Severity};
+pub use rules::{analyze_source, analyze_sources, Finding, Rule};
 
 use std::io;
 use std::path::{Path, PathBuf};
@@ -73,13 +74,7 @@ pub struct AuditOutcome {
 }
 
 impl AuditOutcome {
-    /// Whether the run should fail: any Deny-severity finding. Warn
-    /// findings alone pass.
-    pub fn failed(&self) -> bool {
-        self.findings.iter().any(|f| f.severity() == Severity::Deny)
-    }
-
-    /// Whether anything at all was reported.
+    /// Whether the run passes: no finding survived.
     pub fn is_clean(&self) -> bool {
         self.findings.is_empty()
     }
@@ -87,14 +82,8 @@ impl AuditOutcome {
 
 /// Reads every auditable source file under `root`, as
 /// `(workspace-relative path, contents)` in sorted path order — the order
-/// every report derives from. `prefix` (workspace-relative, forward
-/// slashes) restricts the walk; the CLI's `--self-check` passes
-/// `crates/audit/` to audit the auditor alone.
-pub fn collect_sources(
-    root: &Path,
-    cfg: &AuditConfig,
-    prefix: Option<&str>,
-) -> io::Result<Vec<(String, String)>> {
+/// every report derives from.
+pub fn collect_sources(root: &Path, cfg: &AuditConfig) -> io::Result<Vec<(String, String)>> {
     let mut paths = Vec::new();
     for top in SCAN_ROOTS {
         let dir = root.join(top);
@@ -116,23 +105,16 @@ pub fn collect_sources(
         if cfg.is_file_skipped(&rel) {
             continue;
         }
-        if prefix.is_some_and(|p| !rel.starts_with(p)) {
-            continue;
-        }
         let src = std::fs::read_to_string(&path)?;
         files.push((rel, src));
     }
     Ok(files)
 }
 
-/// The full pipeline behind the CLI and the tier-1 gate: walk (optionally
-/// restricted to `prefix`) and analyze as one workspace.
-pub fn audit_workspace_outcome(
-    root: &Path,
-    cfg: &AuditConfig,
-    prefix: Option<&str>,
-) -> io::Result<AuditOutcome> {
-    let files = collect_sources(root, cfg, prefix)?;
+/// The full pipeline behind the CLI and the tier-1 gate: walk and analyze
+/// as one workspace.
+pub fn audit_workspace_outcome(root: &Path, cfg: &AuditConfig) -> io::Result<AuditOutcome> {
+    let files = collect_sources(root, cfg)?;
     let refs: Vec<(&str, &str)> = files.iter().map(|(p, s)| (p.as_str(), s.as_str())).collect();
     Ok(AuditOutcome { findings: analyze_sources(&refs, cfg) })
 }

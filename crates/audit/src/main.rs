@@ -2,47 +2,41 @@
 //!
 //! ```text
 //! cargo run -p ca-audit                        # human-readable report
-//! cargo run -p ca-audit -- --format json       # machine-readable
 //! cargo run -p ca-audit -- --format github     # CI annotations
-//! cargo run -p ca-audit -- --self-check        # audit the auditor itself
 //! ```
 //!
-//! Exit status: 0 when no Deny finding survives (`--deny-warnings` promotes Warn findings to failures), 1 on
-//! failure, 2 on usage or I/O errors — so CI can gate on the exit code
-//! alone.
+//! Exit status: 0 when no finding survives, 1 when one does, 2 on usage or
+//! I/O errors — so CI can gate on the exit code alone.
 
 #![forbid(unsafe_code)]
-// The whole point of this binary is writing a report to stdout.
-#![allow(clippy::print_stdout)]
+#![allow(
+    clippy::print_stdout,
+    reason = "the whole point of this binary is writing a report to stdout"
+)]
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 use ca_audit::AuditConfig;
 
-const USAGE: &str =
-    "usage: ca-audit [--format human|json|github] [--root <workspace>] [--self-check] \
-     [--deny-warnings]";
+const USAGE: &str = "usage: ca-audit [--format human|github] [--root <workspace>]";
 
 fn main() -> ExitCode {
-    let mut format = "human".to_string();
+    let mut github = false;
     let mut root: Option<PathBuf> = None;
-    let mut self_check = false;
-    let mut deny_warnings = false;
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--format" => match args.next() {
-                Some(f) if f == "human" || f == "json" || f == "github" => format = f,
-                _ => return usage("--format takes `human`, `json`, or `github`"),
+            "--format" => match args.next().as_deref() {
+                Some("human") => github = false,
+                Some("github") => github = true,
+                _ => return usage("--format takes `human` or `github`"),
             },
             "--root" => match args.next() {
                 Some(p) => root = Some(PathBuf::from(p)),
                 None => return usage("--root takes a path"),
             },
-            "--self-check" => self_check = true,
-            "--deny-warnings" => deny_warnings = true,
             "--help" | "-h" => {
                 println!("{USAGE}");
                 return ExitCode::SUCCESS;
@@ -59,34 +53,28 @@ fn main() -> ExitCode {
         return usage("no workspace root found (pass --root)");
     };
 
-    let cfg = AuditConfig::workspace_default();
-    // The self-check audits the auditor's own sources: the lint engine
-    // must hold itself to the contract it enforces.
-    let prefix = self_check.then_some("crates/audit/");
-    let outcome = match ca_audit::audit_workspace_outcome(&root, &cfg, prefix) {
+    let outcome = match ca_audit::audit_workspace_outcome(&root, &AuditConfig::workspace_default())
+    {
         Ok(o) => o,
-        Err(e) => return io_error(&e),
+        Err(e) => {
+            eprintln!("ca-audit: {e}");
+            return ExitCode::from(2);
+        }
     };
-    match format.as_str() {
-        "json" => println!("{}", ca_audit::report::json(&outcome)),
-        "github" => print!("{}", ca_audit::report::github(&outcome)),
-        _ => print!("{}", ca_audit::report::human(&outcome)),
-    }
-    let failed = outcome.failed() || (deny_warnings && !outcome.is_clean());
-    if failed {
-        ExitCode::FAILURE
+    if github {
+        print!("{}", ca_audit::report::github(&outcome));
     } else {
+        print!("{}", ca_audit::report::human(&outcome));
+    }
+    if outcome.is_clean() {
         ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
     }
 }
 
 fn usage(msg: &str) -> ExitCode {
     eprintln!("ca-audit: {msg}");
     eprintln!("{USAGE}");
-    ExitCode::from(2)
-}
-
-fn io_error(e: &std::io::Error) -> ExitCode {
-    eprintln!("ca-audit: {e}");
     ExitCode::from(2)
 }

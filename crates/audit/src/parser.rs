@@ -96,48 +96,11 @@ impl ParsedFile {
         (0..self.items.len()).filter(|&i| self.items[i].kind == ItemKind::Fn)
     }
 
-    /// The innermost `Fn` item whose span contains token index `tok`.
-    pub fn fn_at(&self, tok: usize) -> Option<usize> {
-        let mut best: Option<usize> = None;
-        for (i, it) in self.items.iter().enumerate() {
-            if it.kind == ItemKind::Fn && it.span.tok_start <= tok && tok < it.span.tok_end {
-                let tighter = best.is_none_or(|b| {
-                    self.items[b].span.tok_end - self.items[b].span.tok_start
-                        > it.span.tok_end - it.span.tok_start
-                });
-                if tighter {
-                    best = Some(i);
-                }
-            }
-        }
-        best
-    }
-
-    /// Parameter names of `Fn` item `f`, excluding `self`; the flag says
-    /// whether a `self` receiver was present. Pattern parameters
-    /// (`(a, b): (u32, u32)`) contribute their first identifier.
-    pub fn fn_params(&self, f: usize) -> (bool, Vec<String>) {
-        let mut has_self = false;
-        let names = self
-            .fn_params_with_types(f)
-            .into_iter()
-            .filter_map(|(name, _)| {
-                if name == "self" {
-                    has_self = true;
-                    None
-                } else {
-                    Some(name)
-                }
-            })
-            .collect();
-        (has_self, names)
-    }
-
-    /// Parameters of `Fn` item `f` as `(name, type-token-range)` pairs
-    /// (`self` receivers appear with the range covering their annotation,
-    /// if any). Comma splitting tracks paren/bracket/brace *and* angle
-    /// depth so `HashMap<u32, f32>` stays one parameter.
-    pub fn fn_params_with_types(&self, f: usize) -> Vec<(String, (usize, usize))> {
+    /// Parameter names of `Fn` item `f`, excluding a `self` receiver.
+    /// Pattern parameters (`(a, b): (u32, u32)`) contribute their first
+    /// identifier. Comma splitting tracks paren/bracket/brace *and* angle
+    /// depth so `BTreeMap<u32, f32>` stays one parameter.
+    pub fn fn_params(&self, f: usize) -> Vec<String> {
         let item = &self.items[f];
         let mut i = item.span.tok_start;
         let end = item.span.tok_end.min(self.toks.len());
@@ -189,8 +152,10 @@ impl ParsedFile {
         while j <= close {
             let boundary = j == close || (depth == 0 && angle <= 0 && self.toks[j].is_punct(','));
             if boundary {
-                if let Some(p) = self.param_of(seg_start, j) {
-                    params.push(p);
+                if let Some(name) = self.param_name(seg_start, j) {
+                    if name != "self" {
+                        params.push(name);
+                    }
                 }
                 seg_start = j + 1;
             } else {
@@ -207,43 +172,10 @@ impl ParsedFile {
         params
     }
 
-    /// One parameter segment `[lo, hi)`: name (first identifier after
-    /// stripping `&`, lifetimes, `mut`) and the token range after the `:`.
-    fn param_of(&self, lo: usize, hi: usize) -> Option<(String, (usize, usize))> {
-        let mut name = None;
-        let mut k = lo;
-        while k < hi {
-            match &self.toks[k].kind {
-                TokKind::Ident(s) if s != "mut" => {
-                    name = Some(s.clone());
-                    break;
-                }
-                _ => k += 1,
-            }
-        }
-        let name = name?;
-        // Type range: after the first `:` at depth 0 that is not `::`.
-        let mut ty = (hi, hi);
-        let mut d = 0isize;
-        let mut m = k;
-        while m < hi {
-            match &self.toks[m].kind {
-                TokKind::Punct('(') | TokKind::Punct('[') | TokKind::Punct('<') => d += 1,
-                TokKind::Punct(')') | TokKind::Punct(']') => d -= 1,
-                TokKind::Punct('>') if !(m > 0 && self.toks[m - 1].is_punct('-')) => d -= 1,
-                TokKind::Punct(':') if d == 0 => {
-                    let double = self.toks.get(m + 1).is_some_and(|t| t.is_punct(':'))
-                        || (m > 0 && self.toks[m - 1].is_punct(':'));
-                    if !double {
-                        ty = (m + 1, hi);
-                        break;
-                    }
-                }
-                _ => {}
-            }
-            m += 1;
-        }
-        Some((name, ty))
+    /// The name of parameter segment `[lo, hi)`: its first identifier
+    /// after stripping `&`, lifetimes and `mut`.
+    fn param_name(&self, lo: usize, hi: usize) -> Option<String> {
+        self.toks[lo..hi].iter().filter_map(Tok::ident).find(|&s| s != "mut").map(str::to_string)
     }
 
     /// The body token ranges of `Fn` items strictly nested inside item `f`
@@ -774,20 +706,11 @@ impl ca_recsys::FallibleBlackBox for DownThenUp { fn try_top_k(&mut self) {} }
     }
 
     #[test]
-    fn fn_params_recover_names_and_hash_typed_annotations() {
-        let src = "fn f(&mut self, seed: u64, counts: &HashMap<u32, f32>, (a, b): (u8, u8)) {}";
+    fn fn_params_recover_names_across_generic_commas() {
+        let src = "fn f(&mut self, seed: u64, counts: &BTreeMap<u32, f32>, (a, b): (u8, u8)) {}";
         let p = parse_source("x.rs", src);
         let f = p.fns().next().unwrap();
-        let (has_self, names) = p.fn_params(f);
-        assert!(has_self);
-        assert_eq!(names, vec!["seed", "counts", "a"]);
-        let hashy: Vec<String> = p
-            .fn_params_with_types(f)
-            .into_iter()
-            .filter(|(_, (lo, hi))| p.toks[*lo..*hi].iter().any(|t| t.is_ident("HashMap")))
-            .map(|(n, _)| n)
-            .collect();
-        assert_eq!(hashy, vec!["counts"]);
+        assert_eq!(p.fn_params(f), vec!["seed", "counts", "a"]);
     }
 
     #[test]

@@ -1,5 +1,4 @@
-//! The workspace symbol table: every parsed file, every named function,
-//! and the struct fields whose declared type is a hash collection.
+//! The workspace symbol table: every parsed file and every named function.
 //!
 //! Resolution is **name-approximate**: a call `foo(…)` or `.foo(…)`
 //! resolves to *every* function named `foo` anywhere in the workspace,
@@ -33,11 +32,6 @@ pub struct Workspace {
     /// Every function, in (file, item) order; the dense id space the call
     /// graph indexes by.
     pub all_fns: Vec<FnRef>,
-    /// Struct fields anywhere in the workspace whose declared type
-    /// mentions `HashMap`/`HashSet` (field name → true). Name-level, so a
-    /// same-named field of a different struct aliases in — acceptable
-    /// over-approximation for iteration-order analysis.
-    pub hash_fields: BTreeMap<String, bool>,
 }
 
 impl Workspace {
@@ -52,16 +46,10 @@ impl Workspace {
         let mut ws = Workspace { files, ..Default::default() };
         for (fi, file) in ws.files.iter().enumerate() {
             for (ii, item) in file.items.iter().enumerate() {
-                match item.kind {
-                    ItemKind::Fn => {
-                        let r = FnRef { file: fi, item: ii };
-                        ws.all_fns.push(r);
-                        ws.fns_by_name.entry(item.name.clone()).or_default().push(r);
-                    }
-                    ItemKind::Struct => {
-                        collect_hash_fields(file, item, &mut ws.hash_fields);
-                    }
-                    _ => {}
+                if item.kind == ItemKind::Fn {
+                    let r = FnRef { file: fi, item: ii };
+                    ws.all_fns.push(r);
+                    ws.fns_by_name.entry(item.name.clone()).or_default().push(r);
                 }
             }
         }
@@ -96,45 +84,6 @@ pub fn path_is_test(path: &str) -> bool {
     path.starts_with("tests/") || path.contains("/tests/")
 }
 
-/// Records field names with hash-collection types from a struct body:
-/// inside the braces, `name : … HashMap/HashSet …` (up to the next `,` at
-/// depth zero) marks `name`.
-fn collect_hash_fields(file: &ParsedFile, item: &Item, out: &mut BTreeMap<String, bool>) {
-    let Some((lo, hi)) = item.body else { return };
-    let toks = &file.toks[lo..hi];
-    let mut depth = 0isize;
-    let mut field: Option<&str> = None;
-    let mut i = 0usize;
-    while i < toks.len() {
-        match &toks[i].kind {
-            crate::lexer::TokKind::Punct(c) => match c {
-                '<' | '(' | '[' => depth += 1,
-                '>' | ')' | ']' => depth -= 1,
-                ',' if depth <= 0 => field = None,
-                // `name :` at depth 0 — previous ident is the field; a
-                // `::` path separator on either side disqualifies it.
-                ':' if depth <= 0 && i > 0 => {
-                    if let Some(name) = toks[i - 1].ident() {
-                        let double = toks.get(i + 1).is_some_and(|t| t.is_punct(':'))
-                            || toks[i - 1].is_punct(':');
-                        if !double {
-                            field = Some(name);
-                        }
-                    }
-                }
-                _ => {}
-            },
-            crate::lexer::TokKind::Ident(s) if s == "HashMap" || s == "HashSet" => {
-                if let Some(name) = field {
-                    out.insert(name.to_string(), true);
-                }
-            }
-            _ => {}
-        }
-        i += 1;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -151,15 +100,6 @@ mod tests {
         for &r in &ws.all_fns {
             assert_eq!(ws.fn_id(r).map(|id| ws.all_fns[id]), Some(r));
         }
-    }
-
-    #[test]
-    fn hash_typed_struct_fields_are_recorded() {
-        let src = "struct S { counts: std::collections::HashMap<u32, f32>, name: String, tags: HashSet<u64> }";
-        let ws = Workspace::new(vec![parse_source("a.rs", src)]);
-        assert!(ws.hash_fields.contains_key("counts"));
-        assert!(ws.hash_fields.contains_key("tags"));
-        assert!(!ws.hash_fields.contains_key("name"));
     }
 
     #[test]

@@ -4,15 +4,16 @@
 //! `ca_par::map` and keeps every cross-file pass serial over BTree-ordered
 //! state, so the rendered report is a pure function of the sources. This
 //! test pins that claim: the same workspace analyzed at 1 and at 4 worker
-//! threads must produce byte-identical JSON, human, and GitHub output.
+//! threads must produce byte-identical human and GitHub output.
 //!
 //! Thread-count sweeps share process-global state (`ca_par::set_threads`),
 //! so the whole sweep lives in one test fn and runs sequentially.
 
 use ca_audit::{analyze_sources, report, AuditConfig, AuditOutcome};
 
-/// A small synthetic workspace that exercises every cross-file pass:
-/// seed propagation, hash-iteration taint, and top-k reachability.
+/// A small synthetic workspace that exercises both cross-file passes
+/// (seed propagation and top-k reachability) plus a per-file token rule in
+/// enough files to spread over every worker.
 fn sources() -> Vec<(String, String)> {
     let mut files = Vec::new();
     files.push((
@@ -22,7 +23,6 @@ fn build_from(seed: u64) -> StdRng {
     StdRng::seed_from_u64(seed)
 }
 fn campaign() -> StdRng {
-    let _ = HashMap::<u32, f32>::new();
     build_from(41)
 }
 fn rank(platform: &Platform) -> Vec<u32> {
@@ -32,25 +32,14 @@ fn rank(platform: &Platform) -> Vec<u32> {
         .to_string(),
     ));
     files.push((
-        "crates/x/src/stats.rs".to_string(),
-        r#"
-fn mass(counts: &HashMap<u32, f32>) -> f32 {
-    counts.values().sum()
-}
-fn order(counts: &HashMap<u32, f32>) -> Vec<u32> {
-    counts.keys().copied().collect()
-}
-fn chained(counts: &HashMap<u32, f32>) -> f32 {
-    order(counts).iter().map(|k| *k as f32).sum()
-}
-"#
-        .to_string(),
+        "crates/recsys/src/dataset.rs".to_string(),
+        "struct Rows {\n    rows: Vec<Vec<u32>>,\n}\n".to_string(),
     ));
     for i in 0..20 {
         files.push((
             format!("crates/x/src/bulk_{i:02}.rs"),
             format!(
-                "fn noise_{i}() -> u64 {{\n    let now = std::time::Instant::now();\n    let _ = now;\n    {i}\n}}\n"
+                "fn noise_{i}(xs: &[f32]) -> f32 {{\n    ca_par::map(xs, |_, &x| x).iter().sum::<f32>() + {i}.0\n}}\n"
             ),
         ));
     }
@@ -59,11 +48,11 @@ fn chained(counts: &HashMap<u32, f32>) -> f32 {
     files
 }
 
-fn render_all(cfg: &AuditConfig) -> (String, String, String) {
+fn render_all(cfg: &AuditConfig) -> (String, String) {
     let owned = sources();
     let refs: Vec<(&str, &str)> = owned.iter().map(|(p, s)| (p.as_str(), s.as_str())).collect();
     let outcome = AuditOutcome { findings: analyze_sources(&refs, cfg) };
-    (report::human(&outcome), report::json(&outcome), report::github(&outcome))
+    (report::human(&outcome), report::github(&outcome))
 }
 
 #[test]
@@ -76,10 +65,12 @@ fn reports_are_byte_identical_at_one_and_four_threads() {
     }
     ca_par::set_threads(None);
 
-    let (h1, j1, g1) = &per_thread[0];
-    let (h4, j4, g4) = &per_thread[1];
-    assert!(!j1.is_empty() && j1.contains("seed-discipline"), "sanity: {j1}");
+    let (h1, g1) = &per_thread[0];
+    let (h4, g4) = &per_thread[1];
+    for rule in ["seed-discipline", "unmetered-query", "nested-vec", "unordered-reduce"] {
+        assert!(h1.contains(rule), "sanity: {rule} must fire in\n{h1}");
+    }
+    assert!(h1.ends_with("ca-audit: 23 finding(s)\n"), "sanity: {h1}");
     assert_eq!(h1, h4, "human report differs across thread counts");
-    assert_eq!(j1, j4, "json report differs across thread counts");
     assert_eq!(g1, g4, "github report differs across thread counts");
 }

@@ -1,7 +1,7 @@
 //! Known-bad fixture: a reasonless pragma is itself a finding and
-//! suppresses nothing — the clock read below it must still fire.
+//! suppresses nothing — the reduction below it must still fire.
 
-fn sneaky() -> std::time::Instant {
-    // ca-audit: allow(wall-clock)
-    std::time::Instant::now() // MARK: still fires
+fn sneaky(xs: &[f32]) -> f32 {
+    // ca-audit: allow(unordered-reduce)
+    ca_par::map(xs, |_, &x| x * x).iter().sum::<f32>() // MARK: still fires
 }

@@ -1,17 +1,17 @@
 //! Known-good fixture: every violation here carries a reasoned pragma, so
-//! the file must produce zero findings.
+//! the file must produce zero findings — a token rule and a cross-file
+//! family alike.
 
-fn timed_above() -> std::time::Instant {
-    // ca-audit: allow(wall-clock) — fixture exercising line-above suppression
-    std::time::Instant::now()
+fn reduce_above(xs: &[f32]) -> f32 {
+    // ca-audit: allow(unordered-reduce) — fixture exercising line-above suppression
+    ca_par::map(xs, |_, &x| x * x).iter().sum::<f32>()
 }
 
-fn timed_inline() -> std::time::Instant {
-    std::time::Instant::now() // ca-audit: allow(wall-clock) — same-line suppression
+fn reduce_inline(xs: &[f32]) -> f32 {
+    ca_par::map(xs, |_, &x| x).iter().sum::<f32>() // ca-audit: allow(unordered-reduce) — same line
 }
 
-fn membership() -> bool {
-    // ca-audit: allow(hash-collections) — membership-only set, never iterated
-    let s = std::collections::HashSet::from([1u32]);
-    s.contains(&1)
+fn pinned() -> StdRng {
+    // ca-audit: allow(seed-discipline) — a cross-file family suppresses the same way
+    StdRng::seed_from_u64(42)
 }

@@ -18,42 +18,26 @@
 //! Writes `results/BENCH_arena.json`.
 
 use copyattack::core::AttackConfig;
-use copyattack::detect::features::PopularityIndex;
-use copyattack::detect::{extract_features, ScreenedRecommender, ZScoreDetector};
+use copyattack::detect::ScreenedRecommender;
 use copyattack::mf::MfRecommender;
 use copyattack::ncf::NcfRecommender;
 use copyattack::pipeline::{Pipeline, PipelineConfig, TargetRun};
 use copyattack::recsys::knn::ItemKnnRecommender;
 use copyattack::recsys::{BlackBoxRecommender, ItemId, PopularityRecommender, Scorer, UserId};
-use copyattack::tensor::Matrix;
-use copyattack_bench::{f4, json_str, preset, print_table, write_json, Args};
+use copyattack_bench::{f4, json_str, preset, print_table, write_json, Args, GenuineScreen};
 
-/// The fitted screen shared by every cell: detector, feature geometry and
-/// the 99th-percentile threshold on genuine scores.
+/// The fitted screen shared by every cell, with its 99th-percentile
+/// threshold on genuine scores.
 struct Defense {
-    detector: ZScoreDetector,
-    pop: PopularityIndex,
-    item_emb: Matrix,
+    screen: GenuineScreen,
     threshold: f32,
-    genuine_scores: Vec<f32>,
 }
 
 impl Defense {
     fn fit(pipe: &Pipeline, seed: u64) -> Self {
-        let clean = &pipe.split.train;
-        let pop = PopularityIndex::build(clean);
-        let item_emb = copyattack::mf::train(
-            clean,
-            &copyattack::mf::BprConfig { max_epochs: 10, seed: seed ^ 9, ..Default::default() },
-        )
-        .item_emb;
-        let feats: Vec<_> = (0..clean.n_users() as u32)
-            .map(|u| extract_features(clean.profile(UserId(u)), &pop, &item_emb))
-            .collect();
-        let detector = ZScoreDetector::fit(&feats);
-        let genuine_scores: Vec<f32> = feats.iter().map(|f| detector.score(f)).collect();
-        let threshold = copyattack::tensor::stats::percentile(&genuine_scores, 99.0);
-        Self { detector, pop, item_emb, threshold, genuine_scores }
+        let screen = GenuineScreen::fit(pipe, seed);
+        let threshold = copyattack::tensor::stats::percentile(&screen.genuine_scores, 99.0);
+        Self { screen, threshold }
     }
 
     /// Wraps a platform in the screen; `defended = false` screens at `+∞`
@@ -62,9 +46,9 @@ impl Defense {
         let thr = if defended { self.threshold } else { f32::INFINITY };
         ScreenedRecommender::new(
             base,
-            self.detector.clone(),
-            self.pop.clone(),
-            self.item_emb.clone(),
+            self.screen.detector.clone(),
+            self.screen.pop.clone(),
+            self.screen.item_emb.clone(),
             thr,
         )
     }
@@ -76,7 +60,7 @@ impl Defense {
             return (0.0, 0.0);
         }
         let tp = fake_scores.iter().filter(|&&s| s > self.threshold).count() as f32;
-        let fp = self.genuine_scores.iter().filter(|&&s| s > self.threshold).count() as f32;
+        let fp = self.screen.genuine_scores.iter().filter(|&&s| s > self.threshold).count() as f32;
         let precision = if tp + fp > 0.0 { tp / (tp + fp) } else { 0.0 };
         (precision, tp / fake_scores.len() as f32)
     }
@@ -160,7 +144,7 @@ const COLUMNS: [(&str, &str); 11] = [
 
 /// Runs every (attack, defense) pair on one platform deployment and pushes
 /// the cells. `pretend` must already be established in `base`.
-#[allow(clippy::too_many_arguments)]
+#[allow(clippy::too_many_arguments, reason = "one platform's slice of the arena matrix")]
 fn run_platform<R>(
     label: &'static str,
     base: &R,

@@ -10,11 +10,10 @@
 //! ```
 
 use copyattack::core::AttackConfig;
-use copyattack::detect::features::PopularityIndex;
-use copyattack::detect::{detection_auc, extract_features, naive_fake_profiles, ZScoreDetector};
+use copyattack::detect::{detection_auc, naive_fake_profiles};
 use copyattack::pipeline::{Pipeline, PipelineConfig};
 use copyattack::recsys::UserId;
-use copyattack_bench::{f4, preset, print_table, write_csv, Args};
+use copyattack_bench::{f4, preset, print_table, write_csv, Args, GenuineScreen};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -28,18 +27,8 @@ fn main() {
     eprintln!("building pipeline for preset {preset_name} ...");
     let pipe = Pipeline::build(&cfg);
     let clean = &pipe.split.train;
-
-    let pop = PopularityIndex::build(clean);
-    let item_emb = &copyattack::mf::train(
-        clean,
-        &copyattack::mf::BprConfig { max_epochs: 10, seed: seed ^ 9, ..Default::default() },
-    )
-    .item_emb;
-    let genuine: Vec<_> = (0..clean.n_users() as u32)
-        .map(|u| extract_features(clean.profile(UserId(u)), &pop, item_emb))
-        .collect();
-    let detector = ZScoreDetector::fit(&genuine);
-    let genuine_scores: Vec<f32> = genuine.iter().map(|f| detector.score(f)).collect();
+    let screen = GenuineScreen::fit(&pipe, seed);
+    let genuine_scores = &screen.genuine_scores;
 
     let mut rows = Vec::new();
     let n_items = items.min(pipe.target_items.len());
@@ -47,8 +36,7 @@ fn main() {
         let mut rng = StdRng::seed_from_u64(seed ^ target.0 as u64);
 
         let naive = naive_fake_profiles(clean, target, cfg.attack.config.budget, 20, &mut rng);
-        let naive_scores: Vec<f32> =
-            naive.iter().map(|p| detector.score(&extract_features(p, &pop, item_emb))).collect();
+        let naive_scores: Vec<f32> = naive.iter().map(|p| screen.score(p)).collect();
 
         let attack_cfg = AttackConfig { seed: seed ^ target.0 as u64, ..cfg.attack.config.clone() };
         let run_variant = |key: &str| {
@@ -57,21 +45,15 @@ fn main() {
                 .expect("target items are attackable");
             let n_total = polluted.data().n_users();
             (n_total - outcome.injections..n_total)
-                .map(|u| {
-                    detector.score(&extract_features(
-                        polluted.data().profile(UserId(u as u32)),
-                        &pop,
-                        item_emb,
-                    ))
-                })
+                .map(|u| screen.score(polluted.data().profile(UserId(u as u32))))
                 .collect::<Vec<f32>>()
         };
         let crafted_scores = run_variant("CopyAttack");
         let raw_scores = run_variant("CopyAttack-Length");
 
-        let auc_naive = detection_auc(&genuine_scores, &naive_scores);
-        let auc_crafted = detection_auc(&genuine_scores, &crafted_scores);
-        let auc_raw = detection_auc(&genuine_scores, &raw_scores);
+        let auc_naive = detection_auc(genuine_scores, &naive_scores);
+        let auc_crafted = detection_auc(genuine_scores, &crafted_scores);
+        let auc_raw = detection_auc(genuine_scores, &raw_scores);
         eprintln!(
             "{target}: AUC generated {auc_naive:.3} vs copied+crafted {auc_crafted:.3} vs copied raw {auc_raw:.3}"
         );

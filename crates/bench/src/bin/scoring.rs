@@ -120,7 +120,7 @@ fn run_case<R: BlackBoxRecommender + Scorer + ScoringEngine>(
     });
     let mut scores = Matrix::zeros(users.len(), catalog);
     let score = time_us(reps, || {
-        // ca-audit: allow(exact-scan) — the layer bench times the scoring kernel apart from the ranking
+        // The layer bench times the scoring kernel apart from the ranking.
         rec.score_batch(users, &mut scores);
     });
     let mut cand = Vec::new();

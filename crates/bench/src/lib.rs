@@ -9,15 +9,21 @@
 //! cargo run --release -p copyattack-bench --bin table2 -- --preset=ml10m --items=50
 //! ```
 
-// Printing result tables to stdout is this crate's purpose; the widened
-// library-crate clippy pass in CI bans println! everywhere else.
-#![allow(clippy::print_stdout)]
+#![allow(
+    clippy::print_stdout,
+    reason = "printing result tables is this crate's purpose; the widened library clippy pass in \
+              CI bans println! everywhere else"
+)]
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
-use copyattack::pipeline::PipelineConfig;
+use copyattack::detect::features::PopularityIndex;
+use copyattack::detect::{extract_features, ZScoreDetector};
+use copyattack::pipeline::{Pipeline, PipelineConfig};
+use copyattack::recsys::{ItemId, UserId};
+use copyattack::tensor::Matrix;
 
 pub mod budget_sweep;
 
@@ -67,6 +73,44 @@ pub fn preset(name: &str, seed: u64) -> PipelineConfig {
         "ml10m" => PipelineConfig::ml10m_fx(seed),
         "ml20m" => PipelineConfig::ml20m_nf(seed),
         other => panic!("unknown preset {other:?} (expected tiny|small|ml10m|ml20m)"),
+    }
+}
+
+/// The z-score detector screen fitted on the genuine population: the one
+/// fit the arena and `detect_evasion` share.
+pub struct GenuineScreen {
+    /// The detector, fitted on every clean user's features.
+    pub detector: ZScoreDetector,
+    /// Item popularity on the clean split.
+    pub pop: PopularityIndex,
+    /// Item embeddings of a 10-epoch MF on the clean split.
+    pub item_emb: Matrix,
+    /// The detector's score of every clean user, in user order.
+    pub genuine_scores: Vec<f32>,
+}
+
+impl GenuineScreen {
+    /// Fits the screen on `pipe`'s clean training split; the MF is seeded
+    /// `seed ^ 9`.
+    pub fn fit(pipe: &Pipeline, seed: u64) -> Self {
+        let clean = &pipe.split.train;
+        let pop = PopularityIndex::build(clean);
+        let item_emb = copyattack::mf::train(
+            clean,
+            &copyattack::mf::BprConfig { max_epochs: 10, seed: seed ^ 9, ..Default::default() },
+        )
+        .item_emb;
+        let feats: Vec<_> = (0..clean.n_users() as u32)
+            .map(|u| extract_features(clean.profile(UserId(u)), &pop, &item_emb))
+            .collect();
+        let detector = ZScoreDetector::fit(&feats);
+        let genuine_scores = feats.iter().map(|f| detector.score(f)).collect();
+        Self { detector, pop, item_emb, genuine_scores }
+    }
+
+    /// The detector's score of one profile.
+    pub fn score(&self, profile: &[ItemId]) -> f32 {
+        self.detector.score(&extract_features(profile, &self.pop, &self.item_emb))
     }
 }
 

@@ -128,7 +128,10 @@ fn foldin_is_cheap_relative_to_redeploy() {
     let cfg = GnnConfig { max_epochs: 2, seed: 1, ..Default::default() };
     let (mut rec, _) = train(&split.train, &split.validation, &cfg);
     let profile: Vec<ItemId> = world.target.profile(UserId(0)).to_vec();
-    // ca-audit: allow(wall-clock) — this perf smoke test asserts on elapsed time by design
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "this perf smoke test asserts on elapsed time by design"
+    )]
     let t0 = std::time::Instant::now();
     for _ in 0..100 {
         rec.inject_user(&profile);

@@ -136,7 +136,10 @@ mod tests {
         let rec = platform();
         let users: Vec<UserId> = (0..12u32).map(UserId).collect();
         let mut out = Matrix::zeros(users.len(), rec.catalog_len());
-        // ca-audit: allow(exact-scan) — parity test pinning the GEMM against the scalar scorer
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "parity test pinning the GEMM against the scalar scorer"
+        )]
         rec.score_batch(&users, &mut out);
         for (i, &u) in users.iter().enumerate() {
             for v in 0..rec.catalog_len() {

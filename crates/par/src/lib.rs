@@ -119,6 +119,10 @@ pub fn split_seed(parent: u64, index: u64) -> u64 {
 ///
 /// Unlike [`map`], the two results may have different types; the fan-out
 /// is fixed at two, so a caller adds at most one thread.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "ca-par is the runtime every other crate's threads go through"
+)]
 pub fn join<A: Send, B>(a: impl FnOnce() -> A + Send, b: impl FnOnce() -> B) -> (A, B) {
     if threads() <= 1 {
         return (a(), b());
@@ -150,6 +154,10 @@ pub fn map<T: Sync, R: Send>(items: &[T], f: impl Fn(usize, &T) -> R + Sync) -> 
     let n_chunks = n.div_ceil(grain);
     let cursor = AtomicUsize::new(0);
     let parts: Mutex<Vec<(usize, Vec<R>)>> = Mutex::new(Vec::with_capacity(n_chunks));
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "ca-par is the runtime every other crate's threads go through"
+    )]
     std::thread::scope(|scope| {
         for _ in 0..t {
             scope.spawn(|| loop {
@@ -277,7 +285,10 @@ mod tests {
         assert_eq!(root.child(3).seed(), root.child(3).seed());
         assert_eq!(root.child(3).seed(), split_seed(42, 3));
         // Siblings and parent/child must not collide.
-        // ca-audit: allow(hash-collections) — membership-only set in a test; never iterated
+        #[expect(
+            clippy::disallowed_types,
+            reason = "membership-only set in a test; never iterated"
+        )]
         let mut seen = std::collections::HashSet::new();
         seen.insert(root.seed());
         for i in 0..1000 {

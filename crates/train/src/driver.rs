@@ -144,7 +144,10 @@ pub fn fit<M: PairwiseModel>(
     let mut stop = StopReason::MaxEpochs;
 
     for epoch in 0..cfg.max_epochs {
-        // ca-audit: allow(wall-clock) — epoch seconds are telemetry only; no result depends on them
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "epoch seconds are telemetry only; no result depends on them"
+        )]
         let t0 = Instant::now();
         model.begin_epoch();
         pairs.shuffle(rng);

@@ -617,7 +617,10 @@ mod tests {
     #[test]
     fn rows_fold_their_per_target_records() {
         let pipe = Pipeline::build(&PipelineConfig::tiny(7));
-        let (spec, targets) = (&pipe.config.attack, &pipe.target_items[..2]);
+        // All four targets: a sum of three or more f32 terms can depend on
+        // its order, so a row that merged its records in another order fails.
+        let (spec, targets) = (&pipe.config.attack, &pipe.target_items[..]);
+        assert_eq!(targets.len(), 4);
         let at = |threads| {
             ca_par::set_threads(Some(threads));
             let row = pipe.run_spec_over_items(spec, targets);

@@ -46,7 +46,10 @@ fn assert_batch_parity<R: BlackBoxRecommender>(rec: &R, n_users: usize, k: usize
 /// `Scorer::score` for the same user and item.
 fn assert_cells_match_scorer<R: ScoringEngine + Scorer>(rec: &R, users: &[UserId], model: &str) {
     let mut out = Matrix::zeros(users.len(), rec.catalog_len());
-    // ca-audit: allow(exact-scan) — parity test pinning every engine's cells against its scalar scorer
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "parity test pinning every engine's cells against its scalar scorer"
+    )]
     rec.score_batch(users, &mut out);
     for (i, &u) in users.iter().enumerate() {
         for v in 0..rec.catalog_len() {

@@ -39,6 +39,7 @@ struct CountingAlloc;
 // SAFETY: every method forwards its arguments unchanged to `System`, so
 // `System`'s guarantees hold for the returned memory; the added counting
 // touches only a thread-local `Cell<u64>` and never allocates.
+#[expect(unsafe_code, reason = "a counting global allocator must implement the unsafe GlobalAlloc")]
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         bump();

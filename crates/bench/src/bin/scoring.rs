@@ -1,37 +1,51 @@
 //! Microbench for the batched scoring engine: one reward round of 50
-//! pretend users, ranked by the scalar per-user loop (the pre-engine code
-//! path) and by `batch_top_k`, whose round is also split into its
-//! `score_batch` kernel and its ranking pass. It runs three victims:
+//! pretend users, the round that follows three injections of 20-item
+//! profiles. It is ranked by the scalar per-user loop (the pre-engine code
+//! path), by `batch_top_k`, whose round is also split into its
+//! `score_batch` kernel and its ranking pass, and by the platform's own
+//! `top_k_batch`, which answers from its answer cache (warmed by the round
+//! before the injections). It runs four victims:
 //!
 //! - MF (`--dim`, 64 by default) over 1k and 10k item catalogs;
 //! - NCF with `NcfConfig::default()` (dim 8, hidden 16, the victim of
 //!   e2ebench's `victims-small`) over 1k and 10k item catalogs;
 //! - ItemKNN over 1k items only: its dense co-occurrence table holds
-//!   n(n−1)/2 `u32` counts, about 200 MB at 10k.
+//!   n(n−1)/2 `u32` counts, about 200 MB at 10k;
+//! - PinSage from `PinSageModel::with_random_features` (dim 8) over 1k
+//!   items, the victim whose fold-in moves only the injected columns.
 //!
 //! ```text
 //! cargo run --release -p copyattack-bench --bin scoring -- --reps=20
 //! ```
 //!
 //! Before timing anything it asserts, for every case, that the scalar
-//! loop, `batch_top_k` and the per-user `top_k` return the same lists;
-//! `--reps=1` turns the run into that parity check.
+//! loop, `batch_top_k`, the per-user `top_k` and the cached `top_k_batch`
+//! return the same lists; `--reps=1` turns the run into that parity check.
 //!
 //! Emits `results/BENCH_scoring.json`: `bench`, `reps`, and one entry of
-//! `cases` per victim and catalog with `model` (`mf`, `ncf` or `knn`),
-//! `catalog`, `users`, `k`, `dim` (the embedding width, 0 for ItemKNN)
-//! and the best-of-`reps` wall times in microseconds of one round on the
-//! calling thread:
+//! `cases` per victim and catalog with `model` (`mf`, `ncf`, `knn` or
+//! `gnn`), `catalog`, `users`, `k`, `dim` (the embedding width, 0 for
+//! ItemKNN) and the best-of-`reps` wall times in microseconds of one round
+//! on the calling thread:
 //!
 //! - `scalar_us`: the scalar loop (per-item `Scorer` calls, full sort);
 //! - `batched_us`: `batch_top_k`, scoring and ranking together;
 //! - `score_us`: its `score_batch` kernel alone;
 //! - `rank_us`: its ranking of the scored rows alone
 //!   (`top_k_from_scores_into` per user);
+//! - `cached_us`: the platform's `top_k_batch` through its answer cache,
+//!   on a fresh copy of the platform each rep (the copy is not timed).
+//!   MF and NCF onboarding move no cached row, so the round only copies
+//!   the cached lists. ItemKNN's injections clear the cache, so it ranks
+//!   full rows, and reading the copy's freshly cloned 2 MB count table
+//!   makes that round slower than `batched_us`'s repeated one. PinSage
+//!   re-scores the injected columns (up to 60) and re-ranks from the
+//!   cached lists;
 //! - `speedup_batched`: `scalar_us / batched_us`.
 
 use std::time::Instant;
 
+use copyattack::gnn::{GnnConfig, PinSageModel, PinSageRecommender};
 use copyattack::mf::{MfModel, MfRecommender};
 use copyattack::ncf::{NcfConfig, NcfModel, NcfRecommender};
 use copyattack::recsys::engine::{self, ScoringEngine};
@@ -70,10 +84,17 @@ fn world(n_items: usize, n_users: usize, rng: &mut StdRng) -> Dataset {
 
 /// Best-of-`reps` wall time of `f`, in microseconds.
 fn time_us(reps: usize, mut f: impl FnMut()) -> f64 {
+    time_fresh_us(reps, || (), |()| f())
+}
+
+/// Best-of-`reps` wall time of `f` on a fresh `setup()` each rep, in
+/// microseconds; `setup` is not timed.
+fn time_fresh_us<T>(reps: usize, mut setup: impl FnMut() -> T, mut f: impl FnMut(T)) -> f64 {
     let mut best = f64::INFINITY;
     for _ in 0..reps {
+        let input = setup();
         let t = Instant::now();
-        f();
+        f(input);
         best = best.min(t.elapsed().as_secs_f64() * 1e6);
     }
     best
@@ -88,25 +109,45 @@ struct Case {
     batched: f64,
     score: f64,
     rank: f64,
+    cached: f64,
 }
 
-/// Asserts the three ranking paths agree on `rec`, then times each.
-fn run_case<R: BlackBoxRecommender + Scorer + ScoringEngine>(
+/// Answers a round for `users` through `rec`'s answer cache, then injects
+/// three random 20-item profiles: the state the timed round starts from.
+fn after_three_injections<R: BlackBoxRecommender>(mut rec: R, users: &[UserId], k: usize) -> R {
+    rec.top_k_batch(users, k);
+    let n = rec.catalog_size() as u32;
+    let mut rng = StdRng::seed_from_u64(0xFEED);
+    for _ in 0..3 {
+        let profile: Vec<ItemId> = (0..20).map(|_| ItemId(rng.gen_range(0..n))).collect();
+        rec.inject_user(&profile);
+    }
+    rec
+}
+
+/// Asserts the four ranking paths agree on the round after three
+/// injections into `rec`, then times each.
+fn run_case<R: BlackBoxRecommender + Scorer + ScoringEngine + Clone>(
     model: &'static str,
     dim: usize,
-    rec: &R,
+    rec: R,
     users: &[UserId],
     k: usize,
     reps: usize,
 ) -> Case {
+    let rec = &after_three_injections(rec, users, k);
     let catalog = rec.catalog_len();
     // Parity first: the timings below only mean something if every path
-    // returns the same lists.
+    // returns the same lists. The per-user `top_k` runs on a copy, so the
+    // timed copies start with every cached answer one round behind.
     let batched_lists = engine::batch_top_k(rec, users, k);
+    let cached_lists = rec.clone().top_k_batch(users, k);
+    let single = rec.clone();
     for (i, &u) in users.iter().enumerate() {
         let scalar = scalar_top_k(rec, u, k);
         assert_eq!(scalar, batched_lists[i], "{model} batch_top_k parity broken at {catalog}");
-        assert_eq!(scalar, rec.top_k(u, k), "{model} top_k parity broken at {catalog}");
+        assert_eq!(scalar, cached_lists[i], "{model} cached parity broken at {catalog}");
+        assert_eq!(scalar, single.top_k(u, k), "{model} top_k parity broken at {catalog}");
     }
 
     let mut sink = 0usize;
@@ -129,8 +170,14 @@ fn run_case<R: BlackBoxRecommender + Scorer + ScoringEngine>(
             sink += engine::top_k_from_scores_into(scores.row(i), k, rec.seen(u), &mut cand).len();
         }
     });
+    // Each rep answers on a fresh copy, whose cache is one round behind.
+    let cached = time_fresh_us(
+        reps,
+        || rec.clone(),
+        |fresh| sink += fresh.top_k_batch(users, k).iter().map(Vec::len).sum::<usize>(),
+    );
     assert!(sink > 0);
-    Case { model, catalog, dim, scalar, batched, score, rank }
+    Case { model, catalog, dim, scalar, batched, score, rank, cached }
 }
 
 fn main() {
@@ -147,17 +194,23 @@ fn main() {
         let data = world(catalog, n_pretend, &mut rng);
         let mf = MfModel::new(&mut rng, data.n_users(), data.n_items(), dim);
         let rec = MfRecommender::deploy(mf, data.clone());
-        cases.push(run_case("mf", dim, &rec, &users, k, reps));
+        cases.push(run_case("mf", dim, rec, &users, k, reps));
 
         let cfg = NcfConfig::default();
         let ncf_dim = cfg.dim;
         let ncf = NcfModel::new(data.n_users(), data.n_items(), cfg);
         let rec = NcfRecommender::deploy(ncf, data.clone(), 8, 1);
-        cases.push(run_case("ncf", ncf_dim, &rec, &users, k, reps));
+        cases.push(run_case("ncf", ncf_dim, rec, &users, k, reps));
 
         if catalog <= 1_000 {
-            let rec = ItemKnnRecommender::deploy(data);
-            cases.push(run_case("knn", 0, &rec, &users, k, reps));
+            let rec = ItemKnnRecommender::deploy(data.clone());
+            cases.push(run_case("knn", 0, rec, &users, k, reps));
+
+            let gnn_dim = 8;
+            let cfg = GnnConfig { dim: gnn_dim, ..GnnConfig::default() };
+            let gnn = PinSageModel::with_random_features(catalog, cfg);
+            let rec = PinSageRecommender::deploy(gnn, data);
+            cases.push(run_case("gnn", gnn_dim, rec, &users, k, reps));
         }
     }
 
@@ -171,13 +224,23 @@ fn main() {
                 format!("{:.0}", c.batched),
                 format!("{:.0}", c.score),
                 format!("{:.0}", c.rank),
+                format!("{:.0}", c.cached),
                 f1((c.scalar / c.batched) as f32),
             ]
         })
         .collect();
     print_table(
         &format!("scoring: one reward round ({n_pretend} pretend users)"),
-        &["model", "catalog", "scalar_us", "batched_us", "score_us", "rank_us", "x_batched"],
+        &[
+            "model",
+            "catalog",
+            "scalar_us",
+            "batched_us",
+            "score_us",
+            "rank_us",
+            "cached_us",
+            "x_batched",
+        ],
         &rows,
     );
 
@@ -194,6 +257,7 @@ fn main() {
                 ("batched_us", format!("{:.1}", c.batched)),
                 ("score_us", format!("{:.1}", c.score)),
                 ("rank_us", format!("{:.1}", c.rank)),
+                ("cached_us", format!("{:.1}", c.cached)),
                 ("speedup_batched", format!("{:.2}", c.scalar / c.batched)),
             ]
         })

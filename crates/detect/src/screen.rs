@@ -83,6 +83,12 @@ impl<R: BlackBoxRecommender> BlackBoxRecommender for ScreenedRecommender<R> {
         self.inner.top_k(user, k)
     }
 
+    /// Forwarded, so a reward round behind the screen stays one batched
+    /// query of the platform.
+    fn top_k_batch(&self, users: &[UserId], k: usize) -> Vec<Vec<ItemId>> {
+        self.inner.top_k_batch(users, k)
+    }
+
     /// Screens the profile. Rejected profiles never reach the model; the
     /// returned id is a dead account (the platform "shadow-bans" it), so
     /// the attacker's budget is still spent.
@@ -193,6 +199,32 @@ mod tests {
         }
         assert_eq!(lax.accepted(), 10, "lax threshold must accept everything");
         assert!(strict.rejected() > 0, "near-zero threshold must reject genuine profiles too");
+    }
+
+    /// Answers only batched queries, as an engine-backed platform's
+    /// reward round should reach it.
+    struct BatchOnly;
+    impl BlackBoxRecommender for BatchOnly {
+        fn top_k(&self, _u: UserId, _k: usize) -> Vec<ItemId> {
+            unreachable!("a batched round behind the screen must stay batched")
+        }
+        fn top_k_batch(&self, users: &[UserId], k: usize) -> Vec<Vec<ItemId>> {
+            users.iter().map(|u| (u.0..u.0 + k as u32).map(ItemId).collect()).collect()
+        }
+        fn inject_user(&mut self, _p: &[ItemId]) -> UserId {
+            UserId(0)
+        }
+        fn catalog_size(&self) -> usize {
+            20
+        }
+    }
+
+    #[test]
+    fn batched_queries_reach_the_platform_batched() {
+        let (_, pop, emb, det) = clean_world();
+        let screened = ScreenedRecommender::new(BatchOnly, det, pop, emb, 3.0);
+        let lists = screened.top_k_batch(&[UserId(4), UserId(1)], 2);
+        assert_eq!(lists, vec![vec![ItemId(4), ItemId(5)], vec![ItemId(1), ItemId(2)]]);
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //! caches, with inductive fold-in of injected users.
 
 use crate::model::PinSageModel;
-use ca_recsys::engine::{self, ScoringEngine};
-use ca_recsys::{BlackBoxRecommender, Dataset, ItemId, Scorer, UserId};
+use ca_recsys::engine::ScoringEngine;
+use ca_recsys::{AnswerCache, BlackBoxRecommender, Dataset, ItemId, Scorer, UserId};
 use ca_tensor::{ops, Matrix, Scratch};
 
 /// Representation caches for the current state of the platform.
@@ -89,6 +89,9 @@ pub struct PinSageRecommender {
     model: PinSageModel,
     data: Dataset,
     caches: Caches,
+    /// Ranked answers of the accounts queried so far. A fold-in moves the
+    /// columns of the injected items only.
+    answers: AnswerCache,
 }
 
 impl PinSageRecommender {
@@ -96,7 +99,7 @@ impl PinSageRecommender {
     pub fn deploy(model: PinSageModel, data: Dataset) -> Self {
         assert_eq!(model.n_items(), data.n_items(), "model/catalog mismatch");
         let caches = Caches::compute(&model, &data);
-        Self { model, data, caches }
+        Self { model, data, caches, answers: AnswerCache::default() }
     }
 
     /// The platform's interaction data (owner-side access; not visible to
@@ -119,6 +122,7 @@ impl PinSageRecommender {
     /// incremental fold-in).
     pub fn refresh_all(&mut self) {
         self.caches = Caches::compute(&self.model, &self.data);
+        self.answers.clear();
     }
 }
 
@@ -154,11 +158,11 @@ impl ScoringEngine for PinSageRecommender {
 
 impl BlackBoxRecommender for PinSageRecommender {
     fn top_k(&self, user: UserId, k: usize) -> Vec<ItemId> {
-        engine::single_top_k(self, user, k)
+        self.answers.top_k(self, user, k)
     }
 
     fn top_k_batch(&self, users: &[UserId], k: usize) -> Vec<Vec<ItemId>> {
-        engine::batch_top_k(self, users, k)
+        self.answers.top_k_batch(self, users, k)
     }
 
     /// Registers a new account with `profile` and folds it in inductively:
@@ -179,6 +183,7 @@ impl BlackBoxRecommender for PinSageRecommender {
             let repr = self.model.item_repr(v, &n_v, self.caches.n_item_cnt[v.idx()]);
             self.caches.h_item.row_mut(v.idx()).copy_from_slice(&repr);
         }
+        self.answers.touch(stored, self.data.n_items());
         self.caches.h_user.push_row(&hu);
         uid
     }

@@ -10,8 +10,8 @@
 //! fixed-target-model setting.
 
 use crate::model::MfModel;
-use ca_recsys::engine::{self, ScoringEngine};
-use ca_recsys::{BlackBoxRecommender, Dataset, ItemId, Scorer, UserId};
+use ca_recsys::engine::ScoringEngine;
+use ca_recsys::{AnswerCache, BlackBoxRecommender, Dataset, ItemId, Scorer, UserId};
 use ca_tensor::Matrix;
 
 /// A deployed matrix-factorization recommender.
@@ -19,6 +19,9 @@ use ca_tensor::Matrix;
 pub struct MfRecommender {
     model: MfModel,
     data: Dataset,
+    /// Ranked answers of the accounts queried so far. Onboarding moves
+    /// only the new account's row, which no answer holds.
+    answers: AnswerCache,
 }
 
 impl MfRecommender {
@@ -29,7 +32,7 @@ impl MfRecommender {
     pub fn deploy(model: MfModel, data: Dataset) -> Self {
         assert_eq!(model.n_users(), data.n_users(), "model/user-base mismatch");
         assert_eq!(model.n_items(), data.n_items(), "model/catalog mismatch");
-        Self { model, data }
+        Self { model, data, answers: AnswerCache::default() }
     }
 
     /// The platform data (owner-side).
@@ -76,11 +79,11 @@ impl ScoringEngine for MfRecommender {
 
 impl BlackBoxRecommender for MfRecommender {
     fn top_k(&self, user: UserId, k: usize) -> Vec<ItemId> {
-        engine::single_top_k(self, user, k)
+        self.answers.top_k(self, user, k)
     }
 
     fn top_k_batch(&self, users: &[UserId], k: usize) -> Vec<Vec<ItemId>> {
-        engine::batch_top_k(self, users, k)
+        self.answers.top_k_batch(self, users, k)
     }
 
     fn inject_user(&mut self, profile: &[ItemId]) -> UserId {

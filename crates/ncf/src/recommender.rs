@@ -9,8 +9,8 @@
 
 use crate::model::NcfModel;
 use crate::train::{apply_grad, fine_tune_user, pair_grad, PairGrad};
-use ca_recsys::engine::{self, ScoringEngine};
-use ca_recsys::{BlackBoxRecommender, Dataset, ItemId, Scorer, UserId};
+use ca_recsys::engine::ScoringEngine;
+use ca_recsys::{AnswerCache, BlackBoxRecommender, Dataset, ItemId, Scorer, UserId};
 use ca_tensor::{ops, Matrix};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -32,6 +32,10 @@ pub struct NcfRecommender {
     refresh_epochs: usize,
     fresh_users: Vec<UserId>,
     rng: StdRng,
+    /// Ranked answers of the accounts queried so far. Onboarding and its
+    /// fine-tune move only the new account's row, which no answer holds;
+    /// a refresh moves every row and clears the cache.
+    answers: AnswerCache,
 }
 
 impl NcfRecommender {
@@ -56,6 +60,7 @@ impl NcfRecommender {
             refresh_epochs,
             fresh_users: Vec::new(),
             rng: StdRng::seed_from_u64(seed),
+            answers: AnswerCache::default(),
         }
     }
 
@@ -103,6 +108,7 @@ impl NcfRecommender {
             }
         }
         self.fresh_users.clear();
+        self.answers.clear();
     }
 }
 
@@ -197,11 +203,11 @@ impl ScoringEngine for NcfRecommender {
 
 impl BlackBoxRecommender for NcfRecommender {
     fn top_k(&self, user: UserId, k: usize) -> Vec<ItemId> {
-        engine::single_top_k(self, user, k)
+        self.answers.top_k(self, user, k)
     }
 
     fn top_k_batch(&self, users: &[UserId], k: usize) -> Vec<Vec<ItemId>> {
-        engine::batch_top_k(self, users, k)
+        self.answers.top_k_batch(self, users, k)
     }
 
     fn inject_user(&mut self, profile: &[ItemId]) -> UserId {

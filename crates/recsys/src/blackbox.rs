@@ -38,8 +38,11 @@ pub trait BlackBoxRecommender {
     /// The default loops [`BlackBoxRecommender::top_k`] so external
     /// implementations keep compiling; models in this workspace override it
     /// to score the whole batch through the shared
-    /// [`ScoringEngine`](crate::engine::ScoringEngine). Either way the
-    /// result must equal the per-user loop element-for-element.
+    /// [`ScoringEngine`](crate::engine::ScoringEngine). A platform may also
+    /// answer from its own cache of earlier answers, as every engine-backed
+    /// one does through [`AnswerCache`](crate::engine::AnswerCache).
+    /// Either way the result must equal the per-user loop
+    /// element-for-element.
     // ca-audit: allow(nested-vec) — k-sized per-query batch result, not dataset-scale state
     fn top_k_batch(&self, users: &[UserId], k: usize) -> Vec<Vec<ItemId>> {
         users.iter().map(|&u| self.top_k(u, k)).collect()

@@ -14,7 +14,7 @@
 
 use crate::blackbox::BlackBoxRecommender;
 use crate::dataset::Dataset;
-use crate::engine::{self, ScoringEngine};
+use crate::engine::{AnswerCache, ScoringEngine};
 use crate::eval::Scorer;
 use crate::ids::{ItemId, UserId};
 use ca_tensor::Matrix;
@@ -27,6 +27,10 @@ pub struct ItemKnnRecommender {
     /// `i < j` at `i * n - i(i+1)/2 + (j - i - 1)`.
     co: Vec<u32>,
     n_items: usize,
+    /// Ranked answers of the accounts queried so far. An injection moves
+    /// the popularity of its items, and so every cell of every account
+    /// that holds one of them: it clears the cache.
+    answers: AnswerCache,
 }
 
 impl ItemKnnRecommender {
@@ -37,7 +41,7 @@ impl ItemKnnRecommender {
         for u in data.users() {
             count_pairs(&mut co, n_items, data.profile(u));
         }
-        Self { co, data, n_items }
+        Self { co, data, n_items, answers: AnswerCache::default() }
     }
 
     #[inline]
@@ -157,12 +161,12 @@ fn add_similarities(row: &mut [f32], co: &[u32], pa: f32, pop: &[f32]) {
 
 impl BlackBoxRecommender for ItemKnnRecommender {
     fn top_k(&self, user: UserId, k: usize) -> Vec<ItemId> {
-        engine::single_top_k(self, user, k)
+        self.answers.top_k(self, user, k)
     }
 
     // ca-audit: allow(nested-vec) — k-sized per-query batch result, not dataset-scale state
     fn top_k_batch(&self, users: &[UserId], k: usize) -> Vec<Vec<ItemId>> {
-        engine::batch_top_k(self, users, k)
+        self.answers.top_k_batch(self, users, k)
     }
 
     fn inject_user(&mut self, profile: &[ItemId]) -> UserId {
@@ -170,6 +174,7 @@ impl BlackBoxRecommender for ItemKnnRecommender {
         // Disjoint field borrows: read the stored (deduped) run straight
         // from the arena while updating the co-occurrence counts.
         count_pairs(&mut self.co, self.n_items, self.data.profile(uid));
+        self.answers.clear();
         uid
     }
 

@@ -18,7 +18,8 @@
 //!   [`engine::ScoringEngine`] scores a batch of users and hands out each
 //!   user's seen items as one ascending run, and
 //!   [`engine::top_k_from_scores`] ranks a score row in one pass over the
-//!   unseen runs between them;
+//!   unseen runs between them, and [`engine::AnswerCache`] answers each
+//!   platform's queries from its earlier answers wherever that is exact;
 //! - [`blackbox::FallibleBlackBox`] / [`faults`] — the same surface on an
 //!   *unreliable* platform: typed errors ([`RecError`]), plus a
 //!   deterministic fault injector ([`FaultyRecommender`]) for chaos testing
@@ -41,7 +42,7 @@ pub mod split;
 pub use blackbox::{BlackBoxRecommender, FallibleBlackBox, MeteredFallible};
 pub use dataset::{Dataset, DatasetBuilder};
 pub use engine::{
-    batch_top_k, single_top_k, top_k_from_scores, top_k_from_scores_into, ScoringEngine,
+    batch_top_k, top_k_from_scores, top_k_from_scores_into, AnswerCache, ScoringEngine,
 };
 pub use eval::{RankingEval, Scorer};
 pub use faults::{FaultConfig, FaultStats, FaultyRecommender, RateLimit, RecError, SplitMix64};

@@ -10,7 +10,7 @@
 
 use crate::blackbox::BlackBoxRecommender;
 use crate::dataset::Dataset;
-use crate::engine::{self, ScoringEngine};
+use crate::engine::{AnswerCache, ScoringEngine};
 use crate::eval::Scorer;
 use crate::ids::{ItemId, UserId};
 use ca_tensor::Matrix;
@@ -27,12 +27,14 @@ use rand::Rng;
 #[derive(Clone, Debug)]
 pub struct PopularityRecommender {
     data: Dataset,
+    /// Ranked answers of the accounts queried so far.
+    answers: AnswerCache,
 }
 
 impl PopularityRecommender {
     /// Deploys the baseline over the platform's interaction data.
     pub fn deploy(data: Dataset) -> Self {
-        Self { data }
+        Self { data, answers: AnswerCache::default() }
     }
 
     /// The platform data (owner-side).
@@ -73,16 +75,20 @@ impl ScoringEngine for PopularityRecommender {
 
 impl BlackBoxRecommender for PopularityRecommender {
     fn top_k(&self, user: UserId, k: usize) -> Vec<ItemId> {
-        engine::single_top_k(self, user, k)
+        self.answers.top_k(self, user, k)
     }
 
     // ca-audit: allow(nested-vec) — k-sized per-query batch result, not dataset-scale state
     fn top_k_batch(&self, users: &[UserId], k: usize) -> Vec<Vec<ItemId>> {
-        engine::batch_top_k(self, users, k)
+        self.answers.top_k_batch(self, users, k)
     }
 
+    /// Registers the account; its stored items' counts, and so their
+    /// columns, move.
     fn inject_user(&mut self, profile: &[ItemId]) -> UserId {
-        self.data.add_user(profile)
+        let uid = self.data.add_user(profile);
+        self.answers.touch(self.data.profile(uid), self.data.n_items());
+        uid
     }
 
     fn catalog_size(&self) -> usize {

@@ -4,16 +4,18 @@
 //! batched reward rounds in the attack loop are observationally identical
 //! to sequential querying. Every engine's `score_batch` cells are checked
 //! bit for bit against its own `Scorer::score`, the ranking kernel against
-//! an independent oracle (a full sort of the unseen cells), and every
-//! engine's seen run against the dataset it serves.
+//! an independent oracle (a full sort of the unseen cells), every engine's
+//! seen run against the dataset it serves, and every answer the platforms'
+//! answer caches give against `batch_top_k`, which reads no cache.
 
 use ca_gnn::{GnnConfig, PinSageModel, PinSageRecommender};
 use ca_mf::{MfModel, MfRecommender};
 use ca_ncf::{NcfConfig, NcfModel, NcfRecommender};
 use ca_recsys::knn::ItemKnnRecommender;
 use ca_recsys::{
-    top_k_from_scores, BlackBoxRecommender, Dataset, DatasetBuilder, FallibleBlackBox, FaultConfig,
-    FaultyRecommender, ItemId, PopularityRecommender, RateLimit, Scorer, ScoringEngine, UserId,
+    batch_top_k, top_k_from_scores, BlackBoxRecommender, Dataset, DatasetBuilder, FallibleBlackBox,
+    FaultConfig, FaultyRecommender, ItemId, PopularityRecommender, RateLimit, Scorer,
+    ScoringEngine, UserId,
 };
 use ca_tensor::Matrix;
 use proptest::prelude::*;
@@ -147,6 +149,106 @@ fn every_engine_hands_out_the_datasets_seen_runs() {
         PopularityRecommender::deploy(data),
         PopularityRecommender::data,
     );
+}
+
+/// One event in a platform copy's life, as the answer-cache property
+/// replays it.
+#[derive(Clone, Debug)]
+enum Event {
+    /// Injects a profile: ids are taken mod the catalog, so repeated items
+    /// and items the queried accounts have seen are common; it may be
+    /// empty.
+    Inject(Vec<u32>),
+    /// Queries accounts (ids mod the live account count, repeats kept) in
+    /// one batch at `k`.
+    Batch(Vec<u32>, usize),
+    /// Queries one account at `k`.
+    Single(u32, usize),
+    /// Clones the platform: the copy takes the following injections, and
+    /// the original keeps answering beside it.
+    Clone,
+    /// Refreshes the platform: NCF's `refresh`, PinSage's `refresh_all`.
+    Refresh,
+}
+
+/// Event sequences biased toward cache hits: most queries ask for the same
+/// `k`, over a handful of accounts.
+fn events() -> impl Strategy<Value = Vec<Event>> {
+    let event = (0u32..12, prop::collection::vec(0u32..1_000, 0..8), 0usize..10).prop_map(
+        |(kind, ids, k)| {
+            let k = [5, 5, 5, 5, 5, 5, 0, 1, 3, 40][k];
+            match kind {
+                0..=3 => Event::Inject(ids),
+                4..=6 => Event::Batch(ids, k),
+                7..=8 => Event::Single(ids.first().copied().unwrap_or(0), k),
+                9 => Event::Clone,
+                _ => Event::Refresh,
+            }
+        },
+    );
+    prop::collection::vec(event, 1..48)
+}
+
+/// A platform copy and the number of accounts it serves.
+struct Replica<R> {
+    rec: R,
+    users: u32,
+}
+
+impl<R: BlackBoxRecommender + ScoringEngine> Replica<R> {
+    /// Answers `ids` (mod the account count) through the platform, batched
+    /// or one at a time, and checks every list against `batch_top_k`.
+    fn query(&self, ids: &[u32], k: usize, batched: bool, model: &str) {
+        let users: Vec<UserId> = ids.iter().map(|&i| UserId(i % self.users)).collect();
+        let answers = if batched {
+            self.rec.top_k_batch(&users, k)
+        } else {
+            users.iter().map(|&u| self.rec.top_k(u, k)).collect()
+        };
+        let expected = batch_top_k(&self.rec, &users, k);
+        prop_assert_eq!(answers, expected, "{}: accounts {:?} at k={}", model, users, k);
+    }
+}
+
+/// Replays `events` on `rec`; every answer of every copy must equal
+/// `batch_top_k` on that copy's state.
+fn assert_cached_answers<R: BlackBoxRecommender + ScoringEngine + Clone>(
+    rec: R,
+    users: usize,
+    events: &[Event],
+    refresh: fn(&mut R),
+    model: &str,
+) {
+    let mut live = Replica { rec, users: users as u32 };
+    let mut old: Option<Replica<R>> = None;
+    for event in events {
+        match event {
+            Event::Inject(ids) => {
+                let n = live.rec.catalog_len() as u32;
+                let profile: Vec<ItemId> = ids.iter().map(|&v| ItemId(v % n)).collect();
+                let uid = live.rec.inject_user(&profile);
+                prop_assert_eq!(uid.0, live.users, "{}: account ids are dense", model);
+                live.users += 1;
+            }
+            Event::Batch(ids, k) => {
+                live.query(ids, *k, true, model);
+                if let Some(o) = &old {
+                    o.query(ids, *k, true, model);
+                }
+            }
+            Event::Single(id, k) => {
+                live.query(&[*id], *k, false, model);
+                if let Some(o) = &old {
+                    o.query(&[*id], *k, false, model);
+                }
+            }
+            Event::Clone => {
+                let copy = Replica { rec: live.rec.clone(), users: live.users };
+                old = Some(std::mem::replace(&mut live, copy));
+            }
+            Event::Refresh => refresh(&mut live.rec),
+        }
+    }
 }
 
 proptest! {
@@ -403,4 +505,77 @@ proptest! {
         let rec = MfRecommender::deploy(model, data);
         assert_batch_parity(&rec, profiles.len(), k);
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Every engine's answer cache against `batch_top_k` on the same
+    /// state, through random mixes of injections (repeated items, empty
+    /// profiles, items the queried accounts have seen), batched and single
+    /// queries over overlapping accounts with repeats and changing `k`,
+    /// clones taken mid-sequence and refreshes. Catalogs of 8–39 items
+    /// overflow the change log now and then, which clears the cache; NCF
+    /// also refreshes on its own every three injections.
+    #[test]
+    fn every_engine_answers_from_its_cache_as_a_full_round_would(
+        n_items in 8usize..40,
+        profiles in prop::collection::vec(prop::collection::vec(0u32..1_000, 0..8), 2..8),
+        events in events(),
+        seed in 0u64..1_000,
+    ) {
+        let data = dataset(n_items, &profiles);
+        let users = data.n_users();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mf = MfModel::new(&mut rng, users, n_items, 4);
+        assert_cached_answers(MfRecommender::deploy(mf, data.clone()), users, &events, |_| {}, "mf");
+
+        let ncf = NcfModel::new(users, n_items, NcfConfig { seed, ..Default::default() });
+        let rec = NcfRecommender::deploy(ncf, data.clone(), 3, 1);
+        assert_cached_answers(rec, users, &events, NcfRecommender::refresh, "ncf");
+
+        let gnn = PinSageModel::with_random_features(n_items, GnnConfig { seed, ..Default::default() });
+        let rec = PinSageRecommender::deploy(gnn, data.clone());
+        assert_cached_answers(rec, users, &events, PinSageRecommender::refresh_all, "gnn");
+
+        let rec = ItemKnnRecommender::deploy(data.clone());
+        assert_cached_answers(rec, users, &events, |_| {}, "knn");
+
+        let rec = PopularityRecommender::deploy(data);
+        assert_cached_answers(rec, users, &events, |_| {}, "popularity");
+    }
+}
+
+/// A PinSage fold-in that sinks a listed item behind its account's bar
+/// leaves the cached list one short, and no re-scored cell can be proven
+/// to fill the gap: the answer must come from the full row. Each catalog
+/// item is injected alone into a copy of one warm platform; the test
+/// checks that some injection sinks a listed item, and that every answer
+/// equals `batch_top_k`.
+#[test]
+fn a_listed_item_sunk_behind_the_bar_falls_back_to_the_full_row() {
+    let n_items = 30;
+    let profiles: Vec<Vec<u32>> =
+        (0..12u32).map(|u| (0..4).map(|i| u * 7 + i * 5).collect()).collect();
+    let data = dataset(n_items, &profiles);
+    let gnn =
+        PinSageModel::with_random_features(n_items, GnnConfig { seed: 5, ..Default::default() });
+    let warm = PinSageRecommender::deploy(gnn, data);
+    let users: Vec<UserId> = (0..12u32).map(UserId).collect();
+    let k = 5;
+    let before = warm.top_k_batch(&users, k);
+    let mut sunk = 0;
+    for v in (0..n_items as u32).map(ItemId) {
+        let mut rec = warm.clone();
+        rec.inject_user(&[v]);
+        for (&u, list) in users.iter().zip(&before) {
+            let bar = list[k - 1];
+            let (now, bar_score) = (rec.score(u, v), rec.score(u, bar));
+            if v != bar && list.contains(&v) && (now < bar_score || (now == bar_score && v > bar)) {
+                sunk += 1;
+            }
+        }
+        assert_eq!(rec.top_k_batch(&users, k), batch_top_k(&rec, &users, k), "after injecting {v}");
+    }
+    assert!(sunk > 0, "no injection sank a listed item behind the bar");
 }
